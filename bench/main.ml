@@ -4,7 +4,7 @@
      dune exec bench/main.exe               -- full reproduction (Table 1 over
                                                the whole suite; takes minutes)
      dune exec bench/main.exe -- --quick    -- small-circuit subset
-     dune exec bench/main.exe -- table1|fig1|fig3|fig4|approx|ablation|micro|incremental|kernels|serve|counters|statrace|statflow
+     dune exec bench/main.exe -- table1|fig1|fig3|fig4|approx|ablation|micro|incremental|serve|counters|statrace|statflow
 
    --json additionally emits machine-readable BENCH_micro.json /
    BENCH_incremental.json (hand-rolled encoder; no JSON dependency);
@@ -295,9 +295,9 @@ let run_micro () =
 
 (* ---- incremental engines: scratch vs dirty-cone sizer ---------------------- *)
 
-(* Same circuit, same config except [incremental]; the two runs must agree
-   bit-for-bit on the final sizing (the incremental stops are exact), so the
-   wall-clock gap is pure engine overhead. *)
+(* Same circuit, same config except [engine]; the Reference and Production
+   runs must agree bit-for-bit on the final sizing (the incremental stops
+   are exact), so the wall-clock gap is pure engine overhead. *)
 let run_incremental () =
   heading "incremental — scratch vs dirty-cone sizer wall-clock";
   let cases =
@@ -320,11 +320,11 @@ let run_incremental () =
   let rows =
     List.map
       (fun (name, spec) ->
-        let run ~incremental =
+        let run engine =
           let c = build spec in
           let _ = Core.Initial_sizing.apply ~lib c in
           let config =
-            { Core.Sizer.default_config with incremental; max_iterations }
+            { Core.Sizer.default_config with engine; max_iterations }
           in
           let r, t = time (fun () -> Core.Sizer.optimize ~config ~lib c) in
           let cells =
@@ -334,8 +334,8 @@ let run_incremental () =
           in
           (r, t, cells)
         in
-        let _, t_scratch, cells_scratch = run ~incremental:false in
-        let r_incr, t_incr, cells_incr = run ~incremental:true in
+        let _, t_scratch, cells_scratch = run Core.Window.Reference in
+        let r_incr, t_incr, cells_incr = run Core.Window.Production in
         let identical = cells_scratch = cells_incr in
         let speedup = if t_incr > 0.0 then t_scratch /. t_incr else Float.nan in
         Fmt.pr
@@ -394,160 +394,6 @@ let run_incremental () =
                           Jnum
                             (Core.Sizer.sigma_over_mean
                                r.Core.Sizer.final_moments) );
-                      ])
-                  rows) );
-         ])
-
-(* ---- statkern: fused LUT/erf kernels vs the scalar reference engine ------ *)
-
-(* Same sizer, same circuits, [fused_kernels] toggled — the scalar lane is
-   the PR-3 incremental engine, the fused lane adds the statkern kernels
-   (flattened query2 LUTs + memo, batched Clark folds). The fused engine is
-   bit-transparent, so the two runs must agree bit-for-bit on the final
-   sizing and the wall-clock gap is pure arithmetic-floor removal. A third
-   lane exercises the opt-in ε-tolerance regime on the fused engine and
-   reports how its verdicts resolved (certified / tolerated / fallback)
-   plus whether its sizing drifted from exact (allowed, but bounded by the
-   certified regret trace — on these circuits it stays identical). *)
-let run_kernels () =
-  heading "kernels — scalar reference vs fused statkern engine";
-  let cases = if smoke then [ "alu2" ] else quick_names in
-  let max_iterations =
-    if smoke then 2 else Core.Sizer.default_config.Core.Sizer.max_iterations
-  in
-  (* Per-decision certified regret budget (ps) for the tolerance lane. 2 ps
-     also sets the certified wavefront-decay threshold (tolerance/16), so
-     the fast drain's op-count reduction is exercised and counted even when
-     the certification ladder ends in fallback. *)
-  let tolerance = 2.0 in
-  Obs.Sink.reset ();
-  Obs.Sink.enable ();
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let counter name =
-    match List.assoc_opt name (Obs.Counters.dump ()) with
-    | Some v -> v
-    | None -> 0
-  in
-  let lut_queries () =
-    counter "lut.delay_queries" + counter "lut.slew_queries"
-    + counter "lut.fused_queries"
-  in
-  let rows =
-    List.map
-      (fun name ->
-        let run ~fused ~tolerance =
-          let c = Benchgen.Iscas_like.build_exn ~lib name in
-          let _ = Core.Initial_sizing.apply ~lib c in
-          let config =
-            {
-              Core.Sizer.default_config with
-              Core.Sizer.fused_kernels = fused;
-              tolerance;
-              max_iterations;
-            }
-          in
-          let q0 = lut_queries () in
-          let r, t = time (fun () -> Core.Sizer.optimize ~config ~lib c) in
-          let cells =
-            List.map
-              (fun g -> Cells.Cell.name (Netlist.Circuit.cell_exn c g))
-              (Netlist.Circuit.gates c)
-          in
-          (r, t, cells, lut_queries () - q0)
-        in
-        let _, t_scalar, cells_scalar, q_scalar =
-          run ~fused:false ~tolerance:0.0
-        in
-        let memo_h0 = counter "cells.memo.hits" in
-        let _, t_fused, cells_fused, q_fused = run ~fused:true ~tolerance:0.0 in
-        let memo_hits = counter "cells.memo.hits" - memo_h0 in
-        let tol_c0 = counter "window.tolerance.certified"
-        and tol_t0 = counter "window.tolerance.tolerated"
-        and tol_f0 = counter "window.tolerance.fallback" in
-        let _, t_tol, cells_tol, _ = run ~fused:true ~tolerance in
-        let tol_certified = counter "window.tolerance.certified" - tol_c0
-        and tol_tolerated = counter "window.tolerance.tolerated" - tol_t0
-        and tol_fallback = counter "window.tolerance.fallback" - tol_f0 in
-        let identical = cells_scalar = cells_fused in
-        let tol_identical = cells_scalar = cells_tol in
-        let speedup =
-          if t_fused > 0.0 then t_scalar /. t_fused else Float.nan
-        in
-        Fmt.pr
-          "  %-6s scalar %7.2fs  fused %7.2fs  speedup %5.2fx  identical=%b  \
-           lut queries %d -> %d  memo hits %d@."
-          name t_scalar t_fused speedup identical q_scalar q_fused memo_hits;
-        Fmt.pr
-          "         tolerance=%.2f: %7.2fs  identical=%b  certified %d  \
-           tolerated %d  fallback %d@."
-          tolerance t_tol tol_identical tol_certified tol_tolerated
-          tol_fallback;
-        ( name,
-          t_scalar,
-          t_fused,
-          speedup,
-          identical,
-          (q_scalar, q_fused, memo_hits),
-          (t_tol, tol_identical, tol_certified, tol_tolerated, tol_fallback) ))
-      cases
-  in
-  Obs.Sink.disable ();
-  let total_s = List.fold_left (fun a (_, t, _, _, _, _, _) -> a +. t) 0.0 rows
-  and total_f =
-    List.fold_left (fun a (_, _, t, _, _, _, _) -> a +. t) 0.0 rows
-  in
-  let aggregate = if total_f > 0.0 then total_s /. total_f else Float.nan in
-  if not smoke then
-    Fmt.pr "  quick-subset aggregate: scalar %.2fs fused %.2fs speedup %.2fx@."
-      total_s total_f aggregate;
-  if json then
-    write_json "BENCH_kernels.json"
-      (Jobj
-         [
-           ("section", Jstr "kernels");
-           ("smoke", Jbool smoke);
-           ("max_iterations", Jint max_iterations);
-           ( "quick_subset_aggregate",
-             Jobj
-               [
-                 ("scalar_s", Jnum total_s);
-                 ("fused_s", Jnum total_f);
-                 ("speedup", Jnum aggregate);
-               ] );
-           ( "circuits",
-             Jlist
-               (List.map
-                  (fun ( name,
-                         t_s,
-                         t_f,
-                         speedup,
-                         identical,
-                         (q_s, q_f, memo_hits),
-                         (t_tol, tol_id, tol_c, tol_t, tol_fb) ) ->
-                    Jobj
-                      [
-                        ("name", Jstr name);
-                        ("scalar_s", Jnum t_s);
-                        ("fused_s", Jnum t_f);
-                        ("speedup", Jnum speedup);
-                        ("final_sizing_identical", Jbool identical);
-                        ("scalar_lut_queries", Jint q_s);
-                        ("fused_lut_queries", Jint q_f);
-                        ("memo_hits", Jint memo_hits);
-                        ( "tolerance",
-                          Jobj
-                            [
-                              ("tolerance_ps", Jnum tolerance);
-                              ("tolerance_s", Jnum t_tol);
-                              ("final_sizing_identical", Jbool tol_id);
-                              ("certified", Jint tol_c);
-                              ("tolerated", Jint tol_t);
-                              ("fallback", Jint tol_fb);
-                            ] );
                       ])
                   rows) );
          ])
@@ -987,7 +833,6 @@ let () =
   if wants "ablation" then run_ablation ();
   if wants "micro" then run_micro ();
   if wants "incremental" then run_incremental ();
-  if wants "kernels" then run_kernels ();
   if wants "serve" then run_serve ();
   if wants "counters" then run_counters ();
   if wants "statrace" then run_statrace ();

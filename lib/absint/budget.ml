@@ -81,55 +81,6 @@ let k_blend_var =
 let k_mean = Float.max k_cutoff_mean k_blend_mean
 let k_var = Float.max k_cutoff_var k_blend_var
 
-(* ---- fully-quadratic blended branch (statkern fast lanes) ----------------
-
-   The statkern drain kernels go one step further than [Clark.max_fast]:
-   besides the quadratic Φ they replace φ with the quadratic's own
-   derivative,
-
-     φq(x) = dΦq/dx = max(0, 0.44 − 0.2·|x|)
-
-   (zero on the plateau and past saturation), eliminating the last
-   [Float.exp] from the blended branch. The constants below certify that
-   variant; the cutoff branch uses no φ or Φ at all, so [k_cutoff_*] apply
-   to it unchanged. *)
-
-let phi_q x =
-  let ax = Float.abs x in
-  if ax >= 2.2 then 0.0 else 0.44 -. (0.2 *. ax)
-
-(* sup |φq − φ|, attained at 0 (0.44 vs 1/√2π). Derivative bound:
-   |φq'| ≤ 0.2 and |φ'| = |x|·φ(x) ≤ φ(1) ≤ 0.25 → 0.45, padded to 1. The
-   grid runs to 8: beyond, φq = 0 and φ ≤ φ(8) is far below the sup. *)
-let eps_pdf =
-  grid_sup ~lo:0.0 ~hi:8.0 ~step:1e-4 ~deriv_bound:1.0 (fun x ->
-      Float.abs (phi_q x -. phi x))
-
-(* Fully-quadratic blended mean: with εΦ = Φq − Φ and εφ = φq − φ,
-     E_fastq − E_exact = (μA − μB)·εΦ(α) + sp·εφ(α) = sp·(α·εΦ + εφ).
-   Both α·εΦ and εφ are even in α, so [0, cutoff] suffices. Derivative
-   bound: 2.2 (documented for α·εΦ above) + 0.45 (εφ) → 4 generously. *)
-let kq_blend_mean =
-  grid_sup ~lo:0.0 ~hi:cutoff ~step:1e-4 ~deriv_bound:4.0 (fun a ->
-      Float.abs ((a *. (cdf_q a -. cdf a)) +. (phi_q a -. phi a)))
-
-(* Fully-quadratic blended variance. Var is shift-invariant for both fast
-   and exact forms, so set μB = 0, μA = α·sp (α ≥ 0 wlog by operand
-   symmetry). Then with |varA − varB| ≤ sp²:
-     |m2_f − m2_e|  = |(μA² + varA − varB)·εΦ + μA·sp·εφ|
-                    ≤ sp²·((α² + 1)·|εΦ| + α·|εφ|)
-     |m1_f² − m1_e²| ≤ sp·|α·εΦ + εφ| · (m1_f + m1_e)
-                    ≤ sp²·(α·|εΦ| + |εφ|)·(2α + φ + φq)
-   and |Var_f − Var_e| ≤ the sum. Slopes of every factor are bounded by
-   small constants on [0, 2.6]; 60 covers their products comfortably. *)
-let kq_blend_var =
-  grid_sup ~lo:0.0 ~hi:cutoff ~step:1e-4 ~deriv_bound:60.0 (fun a ->
-      let ef = Float.abs (cdf_q a -. cdf a) in
-      let ep = Float.abs (phi_q a -. phi a) in
-      let em = (a *. ef) +. ep in
-      (((a *. a) +. 1.0) *. ef) +. (a *. ep)
-      +. (em *. ((2.0 *. a) +. phi a +. phi_q a)))
-
 let mean_step ~certain_cutoff ~spread_hi =
   (if certain_cutoff then k_cutoff_mean else k_mean) *. spread_hi
 

@@ -35,19 +35,6 @@ val k_blend_mean : float
 val k_blend_var : float
 (** Variance constant for the blended branch (≈ 4.5e-2). *)
 
-val eps_pdf : float
-(** Certified sup over all x of |φq(x) − φ(x)| where
-    φq(x) = max(0, 0.44 − 0.2·|x|) is the quadratic Φ's own derivative —
-    the φ surrogate used by the statkern fast lanes (≈ 4.2e-2). *)
-
-val kq_blend_mean : float
-(** Mean constant for the fully-quadratic blended branch (quadratic Φ AND
-    φq replacing φ, no [exp] at all): certified sup of
-    |α·(Φq − Φ) + (φq − φ)| (≈ 4.5e-2). *)
-
-val kq_blend_var : float
-(** Variance constant for the fully-quadratic blended branch (≈ 0.3). *)
-
 val k_mean : float
 (** max of the two mean constants — sound when the branch taken by the
     concrete run cannot be determined statically. *)

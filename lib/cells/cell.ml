@@ -22,14 +22,10 @@ let strength t = t.strength
 let area t = t.area
 let input_cap t = t.input_cap
 
-(* statobs: every timing-model lookup funnels through these wrappers, so
-   the three counters together are the total LUT traffic of a run. Fused
-   (delay, slew) lookups bump only [lut.fused_queries] — the drop in the
-   two scalar counters is the observable signal that a caller migrated to
-   the fused kernel (ISSUE 9 satellite: the query2 migration audit). *)
+(* statobs: every timing-model lookup funnels through these two wrappers,
+   so the pair of counters is the total LUT traffic of a run. *)
 let c_delay_queries = Obs.Counters.make "lut.delay_queries"
 let c_slew_queries = Obs.Counters.make "lut.slew_queries"
-let c_fused_queries = Obs.Counters.make "lut.fused_queries"
 
 let delay t ~slew ~load =
   Obs.Counters.bump c_delay_queries;
@@ -38,10 +34,6 @@ let delay t ~slew ~load =
 let slew t ~slew ~load =
   Obs.Counters.bump c_slew_queries;
   Numerics.Lut.query t.output_slew ~row:slew ~col:load
-
-let query2 t ~slew ~load =
-  Obs.Counters.bump c_fused_queries;
-  Numerics.Lut.query2 t.delay t.output_slew ~row:slew ~col:load
 
 let equal a b = String.equal a.name b.name
 

@@ -29,13 +29,5 @@ val delay : t -> slew:float -> load:float -> float
 val slew : t -> slew:float -> load:float -> float
 (** Output transition time under the same conditions. *)
 
-val query2 : t -> slew:float -> load:float -> float * float
-(** [(delay, output slew)] at one operating point, fused through
-    [Lut.query2]: when the two tables share axis arrays (always true for
-    the generated library) the bisection and interpolation fractions are
-    computed once. Values and out-of-bounds accounting are bit-identical
-    to the ({!delay}, {!slew}) pair; bumps the [lut.fused_queries]
-    counter instead of the two scalar ones. *)
-
 val equal : t -> t -> bool
 val pp : t Fmt.t

@@ -38,8 +38,6 @@ type params = {
   full_cfg : Ssta.Fullssta.config;
   mode : Window.mode;
   area_weight : float;
-  fused : bool;
-  move_threshold : float;
   depth : int;
   model : Variation.Model.t;
   objective : Objective.t;
@@ -111,9 +109,8 @@ let worker_body params source lane inbox outbox () =
     let circuit = Netlist.Circuit.copy source in
     let full = Ssta.Fullssta.run ~config:params.full_cfg circuit in
     let window =
-      Window.create ~mode:params.mode ~incremental:true
-        ~area_weight:params.area_weight ~fused:params.fused ~tolerance:0.0
-        ~move_threshold:params.move_threshold ~circuit ~model:params.model
+      Window.create ~mode:params.mode ~engine:Window.Production
+        ~area_weight:params.area_weight ~circuit ~model:params.model
         ~objective:params.objective ~full ()
     in
     Chan.put outbox Ready;

@@ -34,8 +34,6 @@ type params = {
   full_cfg : Ssta.Fullssta.config;
   mode : Window.mode;  (** must be [Global] for cross-replica validity *)
   area_weight : float;
-  fused : bool;
-  move_threshold : float;
   depth : int;  (** window TFI/TFO depth *)
   model : Variation.Model.t;
   objective : Objective.t;

@@ -37,10 +37,11 @@ let c_moves_committed = Obs.Counters.make "sizer.moves.committed"
 type commit_mode = Sequential | Batch
 
 (* Which statistical-critical gates each outer iteration visits: the single
-   dominant WNSS path (the paper's pseudocode) or the union of per-output
-   WNSS paths. All outputs contribute to RV_O's variance (§2.1), so the
-   forest sweep keeps improving after the dominant path saturates; it is
-   the default, with the single-path variant kept for the ablation bench. *)
+   dominant WNSS path (the paper's pseudocode), the union of per-output
+   WNSS paths, or every node not cutoff-dominated on some path to RV_O.
+   All outputs contribute to RV_O's variance (§2.1), so the wider sweeps
+   keep improving after the dominant path saturates; the critical cone is
+   the default, the narrower sources are kept for the ablation bench. *)
 type path_source = Dominant_path | All_output_paths | Critical_cone
 
 type config = {
@@ -57,14 +58,10 @@ type config = {
   path_source : path_source;
   evaluation : Window.mode; (* trial scoring: windowed (paper) or global *)
   electrical : Sta.Electrical.config;
-  incremental : bool; (* dirty-cone engines instead of per-iteration rebuilds *)
-  paranoid : bool; (* cross-check every incremental update against scratch *)
-  fused_kernels : bool;
-      (* statkern fused/batched LUT-erf kernels — bit-identical results,
-         [false] keeps the scalar reference engine (benchmark baseline) *)
-  tolerance : float;
-      (* > 0 opts window verdicts into the ε-certified quadratic-Φ regime
-         (requires [fused_kernels]); 0 = exact scoring everywhere *)
+  engine : Window.engine;
+      (* Production (persistent state, dirty-cone updates) or the Reference
+         scratch oracle — identical sizings either way *)
+  paranoid : bool; (* cross-check every FULLSSTA update against scratch *)
   window_domains : int;
       (* 0 (default) = the serial engine; >= 1 routes each iteration's
          window sweep through the Parwin round loop (parallel-evaluate /
@@ -87,16 +84,11 @@ let default_config =
     path_source = Critical_cone;
     evaluation = Window.Global;
     electrical = Sta.Electrical.default_config;
-    incremental = true;
+    engine = Window.Production;
     paranoid = false;
-    fused_kernels = true;
-    tolerance = 0.0;
     window_domains = 0;
   }
 
-(* The "Original" baseline: pure mean delay, with a small per-move gain
-   threshold so the baseline stays area-lean (a real mean optimizer stops at
-   diminishing returns rather than doubling every gate). *)
 (* The "Original" baseline: pure mean delay with a coarser per-move gain
    threshold — a mean optimizer run to diminishing returns. (An area-aware
    variant is available through [area_weight], but because sigma scales as
@@ -140,8 +132,8 @@ let fullssta_config config =
   }
 
 (* One outer iteration: trace the WNSS path, evaluate every gate on it
-   through [window] (fresh per iteration on the scratch path, persistent
-   and refreshed by the caller on the incremental path), apply resizes per
+   through [window] (fresh per iteration on the Reference engine, persistent
+   and refreshed by the caller on Production), apply resizes per
    the commit mode. Returns the applied resizes (gate, previous, new) for
    potential rollback, plus window counts:
    (schedule, path_length, windows_evaluated, windows_skipped).
@@ -201,7 +193,7 @@ let run_iteration config ~lib ?skip circuit full window stats_acc =
               List.iter
                 (fun (g, _, cell) -> Netlist.Circuit.set_cell circuit g cell)
                 moves;
-              if config.incremental then
+              if config.engine = Window.Production then
                 Window.commit_incremental window
                   ~resized:(List.map (fun (g, _, _) -> g) moves)
               else Window.commit window sub;
@@ -213,7 +205,7 @@ let run_iteration config ~lib ?skip circuit full window stats_acc =
   List.iter
     (fun (gate, _, best) -> Netlist.Circuit.set_cell circuit gate best)
     !pending;
-  if config.incremental && !pending <> [] then
+  if config.engine = Window.Production && !pending <> [] then
     Window.commit_incremental window
       ~resized:(List.map (fun (g, _, _) -> g) !pending);
   stats_acc :=
@@ -318,14 +310,14 @@ let run_iteration_par config ?skip circuit full window pool stats_acc =
     List.length gates_on_path - n )
 
 (* The parallel round loop replays commits on bit-identical replicas and
-   needs trial scores that are comparable across replicas: exact Global
-   scoring on the incremental engines. Anything else falls back to the
-   serial engine (the tolerance regime's audit trail is master-local, and
-   Windowed scores depend on per-window FASSTA state we don't replicate). *)
+   needs trial scores that are comparable across replicas: Global scoring
+   on the Production engine. Anything else falls back to the serial engine
+   (Windowed scores depend on per-window FASSTA state we don't
+   replicate). *)
 let parallel_eligible config =
-  config.window_domains >= 1 && config.incremental
+  config.window_domains >= 1
+  && config.engine = Window.Production
   && config.evaluation = Window.Global
-  && config.tolerance = 0.0
 
 let optimize ?(ignore_lint = false) ?(prune = false) ?(config = default_config)
     ~lib circuit =
@@ -375,8 +367,8 @@ let optimize ?(ignore_lint = false) ?(prune = false) ?(config = default_config)
     List.iter (fun (id, cell) -> Netlist.Circuit.set_cell circuit id cell) cells
   in
   (* The acceptance metric: exact-Clark moments on fresh electrical state —
-     identical in kind to Window.Global's trial scoring. The incremental
-     path reads the same value off the persistent window's committed base
+     identical in kind to Window.Global's trial scoring. The Production
+     engine reads the same value off the persistent window's committed base
      (maintained bit-equal to a scratch pass by the exact-stop resync)
      instead of recomputing it from scratch. *)
   let judge_cost () =
@@ -392,16 +384,19 @@ let optimize ?(ignore_lint = false) ?(prune = false) ?(config = default_config)
       (Netlist.Circuit.outputs circuit)
   in
   let make_window full =
-    Window.create ~mode:config.evaluation ~incremental:config.incremental
-      ~area_weight:config.area_weight ~fused:config.fused_kernels
-      ~tolerance:config.tolerance ~move_threshold:config.move_threshold
-      ~circuit ~model:config.model ~objective:config.objective ~full ()
+    Window.create ~mode:config.evaluation ~engine:config.engine
+      ~area_weight:config.area_weight ~circuit ~model:config.model
+      ~objective:config.objective ~full ()
   in
-  (* The persistent window (incremental mode): one allocation for the whole
-     run, its shared electrical state and cached base arrivals kept in sync
-     by the incremental commits; refreshed at each iteration start. The
-     scratch path allocates a fresh window per iteration instead. *)
-  let persistent = if config.incremental then Some (make_window full0) else None in
+  (* The persistent window (Production): one allocation for the whole run,
+     its shared electrical state and cached base arrivals kept in sync by
+     the incremental commits; refreshed at each iteration start. The
+     Reference engine allocates a fresh window per iteration instead. *)
+  let persistent =
+    match config.engine with
+    | Window.Production -> Some (make_window full0)
+    | Window.Reference -> None
+  in
   (* Parallel window pool (window_domains >= 1): replicas copy the circuit
      inside Parwin.create, which returns only when every replica is built —
      after this point the master may mutate the circuit freely. *)
@@ -421,8 +416,6 @@ let optimize ?(ignore_lint = false) ?(prune = false) ?(config = default_config)
                full_cfg;
                mode = config.evaluation;
                area_weight = config.area_weight;
-               fused = config.fused_kernels;
-               move_threshold = config.move_threshold;
                depth = config.window_depth;
                model = config.model;
                objective = config.objective;
@@ -433,8 +426,8 @@ let optimize ?(ignore_lint = false) ?(prune = false) ?(config = default_config)
       else begin
         Parwin.note_fallback ();
         Log.warn (fun m ->
-            m "window_domains %d ignored: parallel windows need incremental \
-               Global exact-mode evaluation; running the serial engine"
+            m "window_domains %d ignored: parallel windows need Production \
+               Global evaluation; running the serial engine"
               config.window_domains);
         None
       end
@@ -449,8 +442,8 @@ let optimize ?(ignore_lint = false) ?(prune = false) ?(config = default_config)
   let best_cells = ref (snapshot ()) in
   (* Certified dominance pruning (opt-in): the statcheck pass is Clark-mode
      over the current sizing — O(nodes) interval work, negligible next to
-     the FULLSSTA it precedes. The scratch path recomputes it every
-     iteration because resizes move the enclosures; the incremental path
+     the FULLSSTA it precedes. The Reference engine recomputes it every
+     iteration because resizes move the enclosures; Production
      reuses the previous skip set until a committed resize's electrical
      dirt actually touches a pruned cone (dirt outside every pruned cone
      cannot un-isolate one — reachability and isolation depth are static
@@ -515,7 +508,7 @@ let optimize ?(ignore_lint = false) ?(prune = false) ?(config = default_config)
       | [] -> (No_candidate, history, resizes)
       | _ ->
           let full' =
-            if config.incremental then begin
+            if config.engine = Window.Production then begin
               let resized = List.map (fun (g, _, _) -> g) schedule in
               ignore
                 (Ssta.Fullssta.update ~paranoid:config.paranoid

@@ -30,32 +30,22 @@ type config = {
   path_source : path_source;
   evaluation : Window.mode;  (** trial scoring: windowed (paper) or global *)
   electrical : Sta.Electrical.config;
-  incremental : bool;
-      (** default true: one persistent electrical state, FULLSSTA annotation
-          and window per run, kept in sync with dirty-cone updates
-          ({!Sta.Electrical.update}, {!Ssta.Fullssta.update},
-          {!Window.commit_incremental}) instead of per-iteration from-scratch
-          rebuilds. Every incremental stop is exact (bit-equal values), so
-          the sizing trajectory and final cells are identical to the scratch
-          path — only faster. *)
+  engine : Window.engine;
+      (** default [Production]: one persistent electrical state, FULLSSTA
+          annotation and window per run, kept in sync with dirty-cone
+          updates ({!Sta.Electrical.update}, {!Ssta.Fullssta.update},
+          {!Window.commit_incremental}); window trials score every
+          candidate size in one shared wavefront drain. [Reference] is the
+          from-scratch oracle: a fresh FULLSSTA run and window every
+          iteration, each trial recomputing its whole window. Every
+          incremental stop is exact (bit-equal values), so the sizing
+          trajectory and final cells are identical on both engines —
+          Production is only faster. *)
   paranoid : bool;
       (** default false: cross-check every incremental FULLSSTA update
           against a from-scratch run, raising {!Ssta.Fullssta.Divergence}
-          (STAT005) on any mismatch. Costs more than the scratch path;
+          (STAT005) on any mismatch. Costs more than the Reference engine;
           meant for debugging and CI property runs. *)
-  fused_kernels : bool;
-      (** default true: route the inner loops through the statkern
-          fused/batched kernels — flattened-LUT paired lookups with
-          memoization ({!Cells.Memo}) and staged batched Clark folds
-          ({!Numerics.Kernels}). A pure execution-strategy switch: results
-          are bit-identical; [false] keeps the scalar reference engine (the
-          benchmark baseline and property-test oracle). *)
-  tolerance : float;
-      (** default 0 (exact). > 0 opts window verdicts into the ε-certified
-          quadratic-Φ scoring regime (requires [fused_kernels]): each
-          verdict is proven identical to exact scoring, accepted with a
-          certified cost-regret bound ≤ [tolerance] ps (audited via
-          {!Window.tolerance_trace}), or transparently re-scored exactly. *)
   window_domains : int;
       (** default 0: the serial engine, untouched. >= 1 evaluates each
           iteration's window sweep through the {!Parwin} replica pool
@@ -68,17 +58,20 @@ type config = {
           byte-identical to the serial engine for every domain count, and
           the evaluation-work counters ([window.trial.*], [parwin.rounds],
           [parwin.windows.*]) are domain-count invariant (the
-          work-conservation property gated in CI). Requires [incremental],
-          [Window.Global] evaluation and [tolerance = 0]; anything else
+          work-conservation property gated in CI). Requires the
+          [Production] engine and [Window.Global] evaluation; anything else
           logs a warning, bumps [parwin.fallback] and runs serially. *)
 }
 
 val default_config : config
-(** α = 3, depth-2 windows, 12-point pdfs, sequential commits, per-output
-    path forest, 120 iterations max, incremental engines on. *)
+(** α = 3, depth-2 windows, 12-point pdfs, 0.02 ps move threshold,
+    sequential commits, the critical-cone path source, Global scoring, 120
+    iterations max, the [Production] engine, serial windows. *)
 
 val mean_delay_config : config
-(** The "Original" baseline: identical machinery at α = 0. *)
+(** The "Original" baseline: identical machinery at α = 0 (pure mean
+    delay) with a 0.5 ps move threshold, so the mean optimizer stops at
+    diminishing returns. *)
 
 type iteration = {
   index : int;

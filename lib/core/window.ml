@@ -20,6 +20,21 @@
    O(affected region) per trial. *)
 type mode = Windowed | Global
 
+(* Which engine computes a trial's score. Both yield bit-identical costs,
+   hence identical verdicts and sizings; they differ only in how much they
+   recompute.
+   [Production] — one persistent window per sizing run. Trials re-derive
+   electrical state with a dirty-cone update clipped to the window; Global
+   scoring drains every candidate cell of a window through one shared
+   wavefront over cached arc moments ([vec_costs]); commits resync the
+   cached arrivals incrementally ([commit_incremental]).
+   [Reference] — the from-scratch oracle. Each trial snapshots and
+   recomputes every window member and re-propagates through a Hashtbl of
+   overrides with [Clark.max_exact]; commits re-derive everything
+   ([commit]). Kept for the tests and [paranoid] runs that hold
+   [Production] to it. *)
+type engine = Production | Reference
+
 (* statobs: trial-drain wavefront pops, per-(candidate, node) recomputes in
    the vectorized drain, and commit-resync pops. Counts are accumulated in
    local ints during each drain and flushed once, so the pops themselves
@@ -28,19 +43,12 @@ let c_trial_visits = Obs.Counters.make "window.trial.visits"
 let c_cell_evals = Obs.Counters.make "window.trial.cell_evals"
 let c_commit_visits = Obs.Counters.make "window.commit.visits"
 
-(* statobs: how each tolerance-regime window decision was resolved —
-   certified identical to exact, accepted under the ε budget, or fallen
-   back to the exact drain. All zero in exact mode (tolerance = 0). *)
-let c_tol_certified = Obs.Counters.make "window.tolerance.certified"
-let c_tol_tolerated = Obs.Counters.make "window.tolerance.tolerated"
-let c_tol_fallback = Obs.Counters.make "window.tolerance.fallback"
-
 type t = {
   circuit : Netlist.Circuit.t;
   model : Variation.Model.t;
   objective : Objective.t;
   mode : mode;
-  incremental : bool; (* dirty-cone trials and commits instead of full sweeps *)
+  engine : engine;
   electrical : Sta.Electrical.t; (* shared, mutated and restored per trial *)
   full : Ssta.Fullssta.t; (* the annotation the window was built over *)
   boundary : Netlist.Circuit.id -> Numerics.Clark.moments;
@@ -48,7 +56,7 @@ type t = {
   down_var : float array; (* delay variance along that downstream path *)
   base : Numerics.Clark.moments array; (* arrivals for the committed sizes *)
   mutable base_cost : float; (* RV_O cost of [base] *)
-  override : (int, Numerics.Clark.moments) Hashtbl.t; (* trial deltas *)
+  override : (int, Numerics.Clark.moments) Hashtbl.t; (* Reference trial deltas *)
   area_weight : float; (* ps of cost per unit of added area *)
   wavefront : Netlist.Wavefront.t; (* scratch queue for incremental trials *)
   in_window : bool array; (* scratch membership bitmap for clipped trials *)
@@ -56,39 +64,31 @@ type t = {
       (* electrical-dirty ids accumulated by incremental commits, for the
          caller's dominance-cache invalidation; see [take_dirt] *)
   stats : Ssta.Fassta.stats;
-  (* Incremental-engine fast path (unused when [incremental] is false; the
-     scratch engine keeps the original Hashtbl machinery as the oracle).
-     All of it is pure caching: every value read out of these structures is
-     bit-identical to what the oracle path recomputes, so trial costs and
-     hence sizing decisions are unchanged.
+  (* Production caches (empty on the Reference engine). All of it is pure
+     caching: every value read out of these structures is bit-identical to
+     what the Reference path recomputes, so trial costs and hence sizing
+     decisions are unchanged.
      - [f_arc] holds each node's per-fanin arc delay moments for the
        COMMITTED electrical state; [f_row] remembers the physical arc-delay
        row each cache line was derived from, so validity is one pointer
        compare ([Electrical.update] replaces a row exactly when its values
        changed, and trials restore the original rows afterwards).
-     - [ov_m]/[ov_gen] are the trial override table as flat arrays: an
-       entry is live when its generation stamp matches [gen], so starting a
-       new trial is one integer bump instead of a Hashtbl.reset.
      - [outputs_arr]/[out_idx]/[out_prefix] support RV_O prefix folding:
        [out_prefix.(i)] is the statistical max of the first i+1 outputs'
        base arrivals (same left fold as [Clark.max_exact_list]), so a trial
        that only perturbs outputs from index j onward resumes the fold at
-       the cached prefix instead of re-maxing every output. *)
+       the cached prefix instead of re-maxing every output.
+     - [base_sigma] is [Clark.sigma base.(id)], maintained at every base
+       write so the wavefront decay test costs one sqrt (the fresh value)
+       per node instead of two. *)
   f_arc : Numerics.Clark.moments array array;
   f_row : float array array;
-  ov_m : Numerics.Clark.moments array;
-  ov_gen : int array;
   mutable gen : int;
   outputs_arr : Netlist.Circuit.id array;
   out_idx : int array; (* node id -> index in [outputs_arr], or -1 *)
   out_prefix : Numerics.Clark.moments array;
-  mutable min_out : int; (* lowest output index overridden by this trial *)
   base_sigma : float array;
-      (* [Clark.sigma base.(id)], maintained at every base write so the
-         wavefront decay test costs one sqrt (the fresh value) per node
-         instead of two — the cached sqrt of an identical var is the
-         identical float *)
-  (* Vectorized trial scoring: [best_size] drains ALL candidate cells of a
+  (* Vectorized trial scoring: [vec_costs] drains ALL candidate cells of a
      window through ONE topologically-ordered wavefront. Because nodes pop
      in ascending id = topological order, evaluating cell [c] exactly at
      the nodes where [c] has a pending change replays the same computation
@@ -98,11 +98,9 @@ type t = {
      instead of once per node per cell.
      - [pend]/[pend_gen]: per-node bitmask of candidate cells awaiting
        recomputation there (generation-stamped, no clearing).
-     - [vc_ov]/[vc_ov_gen]: per-cell override arrivals (the vectorized
-       [ov_m]/[ov_gen]).
+     - [vc_ov]/[vc_ov_gen]: per-cell override arrivals.
      - [vc_arc]/[vc_arc_gen]: per-cell arc moments captured from the
-       trial's perturbed electrical rows while they were live — the same
-       [delay_moments] calls the solo drain makes inline.
+       trial's perturbed electrical rows while they were live.
      - [vc_min_out]: per-cell lowest perturbed output index for the RV_O
        prefix-fold resume. *)
   pend : int array;
@@ -112,42 +110,6 @@ type t = {
   mutable vc_arc : Numerics.Clark.moments array array array;
   mutable vc_arc_gen : int array array;
   mutable vc_min_out : int array;
-  (* Fused-kernel regime (statkern). [kern] is this window's private
-     staging/accumulator scratch for Numerics.Kernels — single-owner, like
-     the wavefront. The [lane_*] arrays are per-node drain scratch mapping
-     kernel lanes back to candidate indices and hoisting each lane's
-     per-cell table pointers out of the operand loop. All of it is
-     execution strategy only: with [fused] on, every exact-mode value is
-     bit-identical to the scalar path. *)
-  fused : bool;
-  kern : Numerics.Kernels.t;
-  lane_cell : int array;
-  lane_arcs : Numerics.Clark.moments array array;
-  lane_ov : Numerics.Clark.moments array array;
-  lane_ov_gen : int array array;
-  lane_em : float array array;
-  lane_es : float array array;
-  (* ε-certified tolerance regime (opt-in, [tolerance] > 0; honoured on the
-     incremental Global vectorized path only). The fast drain carries, per
-     candidate and node, certified |Δmean|/|Δsigma| bounds against the
-     exact drain over the same inputs ([vc_em]/[vc_es], live under the
-     same stamps as [vc_ov]); [lane_slack] accumulates the certified cost
-     exposure of wavefront-stop decisions the bounds could not disambiguate.
-     [tol_trace] records every decision accepted on budget rather than
-     certified-identical, as (pivot, certified cost-regret bound). *)
-  tolerance : float;
-  move_threshold : float;
-  (* Fast-drain wavefront decay threshold, ≥ [epsilon_wave]. The fast drain
-     may kill a lane's wavefront at a node whose certified move estimate is
-     below this, charging the candidate's [lane_slack] for the certified
-     worst-case cost exposure of the drop; scaling it with [tolerance]
-     converts regret budget directly into skipped drain work. The exact
-     drain always uses [epsilon_wave]. *)
-  fast_wave : float;
-  mutable vc_em : float array array;
-  mutable vc_es : float array array;
-  mutable lane_slack : float array;
-  mutable tol_trace : (Netlist.Circuit.id * float) list;
 }
 
 (* Candidate bitmasks live in one int; windows with more sizes than this
@@ -248,23 +210,11 @@ let rebuild_out_prefix ?(from = 0) t =
     done
   end
 
-(* Re-derive the committed-state arrival moments and their RV_O cost. *)
-let refresh_base t =
-  Ssta.Fassta.propagate_into ~exact:true
-    ?kernel:(if t.fused then Some t.kern else None)
-    ~model:t.model ~circuit:t.circuit ~electrical:t.electrical t.base;
-  t.base_cost <- rv_cost t (fun o -> t.base.(o));
-  if t.incremental then begin
-    rebuild_out_prefix t;
-    for id = 0 to Array.length t.base - 1 do
-      t.base_sigma.(id) <- Numerics.Clark.sigma t.base.(id)
-    done
-  end
-
 (* Re-derive one node's cached arc delay moments from its current
    electrical row — the identical [Variation.Model.delay_moments] call the
-   oracle recompute makes inline, so a cached read is bit-equal to an
-   inline recompute for as long as the row survives. *)
+   Reference recompute makes inline, so a cached read is bit-equal to an
+   inline recompute for as long as the row survives. A no-op while the row
+   is the one the line was derived from. *)
 let refresh_arc_cache t id =
   let row = Sta.Electrical.arc_delays t.electrical id in
   if row != t.f_row.(id) then begin
@@ -283,33 +233,39 @@ let refresh_arc_cache t id =
     t.f_row.(id) <- row
   end
 
-let create ?(mode = Global) ?(incremental = false) ?(area_weight = 0.0)
-    ?(fused = true) ?(tolerance = 0.0) ?(move_threshold = 0.0) ~circuit ~model
-    ~objective ~full () =
+(* Re-derive the committed-state arrival moments and their RV_O cost (and,
+   on Production, revalidate the arc cache and the prefix folds). *)
+let refresh_base t =
+  let production = t.engine = Production in
+  if production then
+    for id = 0 to Array.length t.base - 1 do
+      refresh_arc_cache t id
+    done;
+  Ssta.Fassta.propagate_into ~exact:true ~model:t.model ~circuit:t.circuit
+    ~electrical:t.electrical t.base;
+  t.base_cost <- rv_cost t (fun o -> t.base.(o));
+  if production then begin
+    rebuild_out_prefix t;
+    for id = 0 to Array.length t.base - 1 do
+      t.base_sigma.(id) <- Numerics.Clark.sigma t.base.(id)
+    done
+  end
+
+let create ?(mode = Global) ?(engine = Reference) ?(area_weight = 0.0) ~circuit
+    ~model ~objective ~full () =
   let electrical = Ssta.Fullssta.electrical full in
-  (* the fused regime also serves (delay, slew) lookups through the memoized
-     [Cells.Memo] — bit-transparent, toggled on the run's shared engine *)
-  Sta.Electrical.set_fused electrical fused;
-  let kern = Numerics.Kernels.create () in
-  (* Certified per-step fast-max error constants from the abstract
-     interpreter; [Kernels] sits below [Absint] in the dependency order, so
-     they travel as plain floats. *)
-  (* blended-branch constants are the kq_* family: the fast kernels use the
-     fully-quadratic step (quadratic Φ and its derivative as φ), see
-     Numerics.Kernels.pdf_fast *)
-  Numerics.Kernels.set_budget kern ~cutoff_mean:Absint.Budget.k_cutoff_mean
-    ~cutoff_sig:(Float.sqrt Absint.Budget.k_cutoff_var)
-    ~blend_mean:Absint.Budget.kq_blend_mean
-    ~blend_sig:(Float.sqrt Absint.Budget.kq_blend_var);
   let n = Netlist.Circuit.size circuit in
   let down_mean = Array.make n 0.0 and down_var = Array.make n 0.0 in
   downstream_stats_into ~model circuit electrical down_mean down_var;
   let zero = Numerics.Clark.moments ~mean:0.0 ~var:0.0 in
-  let outputs = Netlist.Circuit.outputs circuit in
+  let production = engine = Production in
+  (* Production-only arrays are sized [np]; empty on Reference *)
+  let np = if production then n else 0 in
   let outputs_arr =
-    if incremental then Array.of_list outputs else [||]
+    if production then Array.of_list (Netlist.Circuit.outputs circuit)
+    else [||]
   in
-  let out_idx = Array.make (if incremental then n else 0) (-1) in
+  let out_idx = Array.make np (-1) in
   Array.iteri (fun i o -> out_idx.(o) <- i) outputs_arr;
   (* a sentinel no live electrical row can alias, so every cache line
      starts stale *)
@@ -320,7 +276,7 @@ let create ?(mode = Global) ?(incremental = false) ?(area_weight = 0.0)
       model;
       objective;
       mode;
-      incremental;
+      engine;
       electrical;
       full;
       boundary = Ssta.Fullssta.moments full;
@@ -335,49 +291,23 @@ let create ?(mode = Global) ?(incremental = false) ?(area_weight = 0.0)
       dirt = [];
       stats = Ssta.Fassta.make_stats ();
       f_arc =
-        (if incremental then
-           Array.init n (fun id ->
-               Array.make
-                 (Array.length (Netlist.Circuit.fanins circuit id))
-                 zero)
-         else [||]);
-      f_row = (if incremental then Array.make n stale_row else [||]);
-      ov_m = (if incremental then Array.make n zero else [||]);
-      ov_gen = Array.make (if incremental then n else 0) 0;
+        Array.init np (fun id ->
+            Array.make (Array.length (Netlist.Circuit.fanins circuit id)) zero);
+      f_row = Array.make np stale_row;
       gen = 0;
       outputs_arr;
       out_idx;
       out_prefix = Array.make (Array.length outputs_arr) zero;
-      min_out = max_int;
-      base_sigma = Array.make (if incremental then n else 0) 0.0;
-      pend = Array.make (if incremental then n else 0) 0;
-      pend_gen = Array.make (if incremental then n else 0) 0;
+      base_sigma = Array.make np 0.0;
+      pend = Array.make np 0;
+      pend_gen = Array.make np 0;
       vc_ov = [||];
       vc_ov_gen = [||];
       vc_arc = [||];
       vc_arc_gen = [||];
       vc_min_out = [||];
-      fused;
-      kern;
-      lane_cell = Array.make max_vec_cells 0;
-      lane_arcs = Array.make max_vec_cells [||];
-      lane_ov = Array.make max_vec_cells [||];
-      lane_ov_gen = Array.make max_vec_cells [||];
-      lane_em = Array.make max_vec_cells [||];
-      lane_es = Array.make max_vec_cells [||];
-      tolerance;
-      move_threshold;
-      fast_wave = Float.max epsilon_wave (tolerance /. 16.0);
-      vc_em = [||];
-      vc_es = [||];
-      lane_slack = [||];
-      tol_trace = [];
     }
   in
-  if incremental then
-    for id = 0 to n - 1 do
-      refresh_arc_cache t id
-    done;
   refresh_base t;
   t
 
@@ -413,7 +343,7 @@ let windowed_cost t (sub : Netlist.Cone.subcircuit) =
    circuits (it overstated RV_O's sigma 2.4x on the c499-class parity
    trees).
 
-   Incremental trial propagation: recompute the window members from the
+   Reference trial propagation: recompute the window members from the
    cached base arrivals, then let the change wavefront run downstream,
    stopping wherever the recomputed moments move by less than
    [epsilon_wave]. Touched values live in [override]; [base] is never
@@ -421,12 +351,9 @@ let windowed_cost t (sub : Netlist.Cone.subcircuit) =
 let moments_at t id =
   match Hashtbl.find_opt t.override id with Some m -> m | None -> t.base.(id)
 
-(* One exact-Clark node recomputation, reading fanin arrivals through
-   [arrival_of]; the per-arc operations and fold order mirror
-   [Fassta.propagate_into ~exact:true] bit for bit — the incremental base
-   resync below leans on that to stop exactly where a full pass would have
-   written identical values. *)
-let recompute_node_with t arrival_of id =
+(* One exact-Clark node recomputation; the per-arc operations and fold
+   order mirror [Fassta.propagate_into ~exact:true] bit for bit. *)
+let recompute_node t id =
   let fanins = Netlist.Circuit.fanins t.circuit id in
   if Array.length fanins = 0 then t.base.(id)
   else begin
@@ -438,7 +365,7 @@ let recompute_node_with t arrival_of id =
         let arc =
           Variation.Model.delay_moments t.model ~delay:arcs.(k) ~strength
         in
-        let arrival = Numerics.Clark.sum (arrival_of fi) arc in
+        let arrival = Numerics.Clark.sum (moments_at t fi) arc in
         acc :=
           Some
             (match !acc with
@@ -448,110 +375,8 @@ let recompute_node_with t arrival_of id =
     match !acc with Some m -> m | None -> assert false
   end
 
-let recompute_node t id = recompute_node_with t (moments_at t) id
-
-(* Incremental-engine node recompute: the same per-arc operations in the
-   same fold order as [recompute_node], with two cache reads replacing
-   recomputation. Arc delay moments come from [f_arc] whenever the node's
-   electrical row is the committed one (pointer-equal — a trial only
-   replaces rows inside its perturbation cone, and restores them after);
-   trial arrivals come from the generation-stamped override arrays instead
-   of a Hashtbl probe. Every value read here is bit-identical to what the
-   oracle path computes, so costs — and sizing decisions — cannot drift. *)
-let fast_recompute_into t acc id =
-  let fanins = Netlist.Circuit.fanins t.circuit id in
-  let nf = Array.length fanins in
-  if nf = 0 then begin
-    let b = t.base.(id) in
-    acc.am <- b.Numerics.Clark.mean;
-    acc.av <- b.Numerics.Clark.var
-  end
-  else begin
-    let row = Sta.Electrical.arc_delays t.electrical id in
-    let cached = row == t.f_row.(id) in
-    let line = t.f_arc.(id) in
-    let strength =
-      if cached then 0.0
-      else Cells.Cell.strength (Netlist.Circuit.cell_exn t.circuit id)
-    in
-    let gen = t.gen in
-    (* unsafe accesses: k < nf = |fanins| = |line| = |row|, and fi is a
-       node id, so every indexed array (length [size circuit]) covers it *)
-    for k = 0 to nf - 1 do
-      let fi = Array.unsafe_get fanins k in
-      let arc =
-        if cached then Array.unsafe_get line k
-        else
-          Variation.Model.delay_moments t.model
-            ~delay:(Array.unsafe_get row k)
-            ~strength
-      in
-      let m =
-        if Array.unsafe_get t.ov_gen fi = gen then Array.unsafe_get t.ov_m fi
-        else Array.unsafe_get t.base fi
-      in
-      let sm = m.Numerics.Clark.mean +. arc.Numerics.Clark.mean in
-      let sv = m.Numerics.Clark.var +. arc.Numerics.Clark.var in
-      if k = 0 then begin
-        acc.am <- sm;
-        acc.av <- sv
-      end
-      else scalar_max acc sm sv
-    done
-  end
-
-(* Fused variant of [fast_recompute_into]: the same cache reads and the
-   same per-operand sums, but the arrival fold runs through one batched
-   [Kernels.fold_into] call whose arithmetic replicates [scalar_max]
-   literal-for-literal — bit-identical accumulation, without the
-   per-operand cross-module pdf/cdf/erf calls. *)
-let fused_recompute_into t acc id =
-  let fanins = Netlist.Circuit.fanins t.circuit id in
-  let nf = Array.length fanins in
-  if nf = 0 then begin
-    let b = t.base.(id) in
-    acc.am <- b.Numerics.Clark.mean;
-    acc.av <- b.Numerics.Clark.var
-  end
-  else begin
-    let row = Sta.Electrical.arc_delays t.electrical id in
-    let cached = row == t.f_row.(id) in
-    let line = t.f_arc.(id) in
-    let strength =
-      if cached then 0.0
-      else Cells.Cell.strength (Netlist.Circuit.cell_exn t.circuit id)
-    in
-    let gen = t.gen in
-    let kern = t.kern in
-    Numerics.Kernels.ensure kern nf;
-    let bm = kern.Numerics.Kernels.bm and bv = kern.Numerics.Kernels.bv in
-    (* unsafe accesses: same bounds argument as [fast_recompute_into],
-       plus k < nf ≤ kern.cap after [ensure] *)
-    for k = 0 to nf - 1 do
-      let fi = Array.unsafe_get fanins k in
-      let arc =
-        if cached then Array.unsafe_get line k
-        else
-          Variation.Model.delay_moments t.model
-            ~delay:(Array.unsafe_get row k)
-            ~strength
-      in
-      let m =
-        if Array.unsafe_get t.ov_gen fi = gen then Array.unsafe_get t.ov_m fi
-        else Array.unsafe_get t.base fi
-      in
-      Array.unsafe_set bm k (m.Numerics.Clark.mean +. arc.Numerics.Clark.mean);
-      Array.unsafe_set bv k (m.Numerics.Clark.var +. arc.Numerics.Clark.var)
-    done;
-    Numerics.Kernels.fold_into kern nf;
-    acc.am <- kern.Numerics.Kernels.sc.Numerics.Kernels.rm;
-    acc.av <- kern.Numerics.Kernels.sc.Numerics.Kernels.rv
-  end
-
-(* [seed] enqueues the trial's change seeds: every window member for the
-   full-sweep path, or just the electrically-dirty nodes for the
-   incremental path. Nodes whose recomputed moments do not move simply
-   drop out of the drain, so the narrower seeding scores identically. *)
+(* [seed] enqueues the trial's change seeds (every window member). Nodes
+   whose recomputed moments do not move simply drop out of the drain. *)
 let trial_cost t ~seed =
   Hashtbl.reset t.override;
   let w = t.wavefront in
@@ -582,92 +407,6 @@ let trial_cost t ~seed =
   Obs.Counters.add c_trial_visits !visits;
   rv_cost t (moments_at t)
 
-(* Incremental-engine trial scoring: semantically [trial_cost] — same
-   seeds, same [epsilon_wave] stop on the same recomputed moments — on the
-   flat cache structures. Opening a trial is one generation bump, and the
-   final RV_O fold resumes from the cached prefix at the first perturbed
-   output (or short-circuits to the committed cost when no output moved,
-   which is bit-equal to folding all-base values: [base_cost] was produced
-   by that very fold). *)
-let fast_trial_cost t ~seed =
-  t.gen <- t.gen + 1;
-  t.min_out <- max_int;
-  let w = t.wavefront in
-  Netlist.Wavefront.clear w;
-  seed (fun id -> Netlist.Wavefront.push w id);
-  let acc = { am = 0.0; av = 0.0 } in
-  let push_fanout fo = Netlist.Wavefront.push w fo in
-  let visits = ref 0 in
-  let rec drain () =
-    let id = Netlist.Wavefront.pop w in
-    if id >= 0 then begin
-      incr visits;
-      if t.fused then fused_recompute_into t acc id
-      else fast_recompute_into t acc id;
-      let old = t.base.(id) in
-      let moved =
-        Float.abs (acc.am -. old.Numerics.Clark.mean)
-        +. Float.abs (Float.sqrt acc.av -. t.base_sigma.(id))
-        > epsilon_wave
-      in
-      if moved then begin
-        t.ov_m.(id) <- Numerics.Clark.moments ~mean:acc.am ~var:acc.av;
-        t.ov_gen.(id) <- t.gen;
-        let oi = t.out_idx.(id) in
-        if oi >= 0 && oi < t.min_out then t.min_out <- oi;
-        Netlist.Circuit.iter_fanouts t.circuit id ~f:push_fanout
-      end;
-      drain ()
-    end
-  in
-  drain ();
-  Obs.Counters.add c_trial_visits !visits;
-  if t.min_out = max_int then t.base_cost
-  else begin
-    let outs = t.outputs_arr in
-    let gen = t.gen in
-    let read o = if t.ov_gen.(o) = gen then t.ov_m.(o) else t.base.(o) in
-    let j = t.min_out in
-    if t.fused then begin
-      (* same fold, staged: operand 0 is the cached prefix (or the first
-         perturbed output when j = 0), so the batched fold replays the
-         scalar resume bit for bit *)
-      let kern = t.kern in
-      let m = Array.length outs in
-      Numerics.Kernels.ensure kern (m - j + 1);
-      let bm = kern.Numerics.Kernels.bm and bv = kern.Numerics.Kernels.bv in
-      let nops = ref 0 in
-      if j > 0 then begin
-        let p = t.out_prefix.(j - 1) in
-        bm.(0) <- p.Numerics.Clark.mean;
-        bv.(0) <- p.Numerics.Clark.var;
-        nops := 1
-      end;
-      for i = j to m - 1 do
-        let mo = read outs.(i) in
-        bm.(!nops) <- mo.Numerics.Clark.mean;
-        bv.(!nops) <- mo.Numerics.Clark.var;
-        incr nops
-      done;
-      Numerics.Kernels.fold_into kern !nops;
-      Objective.cost_of_moments t.objective
-        (Numerics.Clark.moments ~mean:kern.Numerics.Kernels.sc.Numerics.Kernels.rm
-           ~var:kern.Numerics.Kernels.sc.Numerics.Kernels.rv)
-    end
-    else begin
-      let m0 = read outs.(j) in
-      let acc =
-        ref
-          (if j = 0 then m0
-           else Numerics.Clark.max_exact t.out_prefix.(j - 1) m0)
-      in
-      for i = j + 1 to Array.length outs - 1 do
-        acc := Numerics.Clark.max_exact !acc (read outs.(i))
-      done;
-      Objective.cost_of_moments t.objective !acc
-    end
-  end
-
 (* Cost of the window as currently sized (no trial cell). *)
 let cost t (sub : Netlist.Cone.subcircuit) =
   match t.mode with Windowed -> windowed_cost t sub | Global -> t.base_cost
@@ -691,89 +430,54 @@ let fanin_adjustments t ~lib pivot =
                Some (fi, rule)
              else None)
 
-(* Evaluate one trial cell for the window's pivot (plus its induced fanin
-   co-sizing): install, recompute the window electrically, score, restore.
-   Returns the cost and the fanin adjustments the trial would commit.
-
-   Two electrically-equivalent trial engines share the scoring shell. The
-   full-sweep path snapshots and recomputes every window member; the
-   incremental path (t.incremental) seeds a clipped [Electrical.update]
-   from the resized gates only — the exact stop writes the same values the
-   full sweep would, touching just the true perturbation cone, and its undo
-   log rewinds precisely what was touched. Both stay clipped to the window
-   (slew perturbations are assumed to die out within its two levels), so
-   the two paths score every trial identically. *)
-let cost_with_cell ?(co_size = true) ~lib t (sub : Netlist.Cone.subcircuit) trial
-    =
-  let pivot = sub.Netlist.Cone.pivot in
-  let original = Netlist.Circuit.cell_exn t.circuit pivot in
-  let members = sub.Netlist.Cone.members in
-  Netlist.Circuit.set_cell t.circuit pivot trial;
-  let adjustments = if co_size then fanin_adjustments t ~lib pivot else [] in
-  let saved =
-    List.map
-      (fun (fi, _) -> (fi, Netlist.Circuit.cell_exn t.circuit fi))
-      adjustments
-  in
-  List.iter
-    (fun (fi, cell) -> Netlist.Circuit.set_cell t.circuit fi cell)
-    adjustments;
-  let restore_cells () =
-    List.iter
-      (fun (fi, cell) -> Netlist.Circuit.set_cell t.circuit fi cell)
-      saved;
-    Netlist.Circuit.set_cell t.circuit pivot original
-  in
-  let trial_score =
-    if t.incremental then (fun () ->
-      Array.iter (fun id -> t.in_window.(id) <- true) members;
-      let dirty, log =
-        Sta.Electrical.update_logged
-          ~within:(fun id -> t.in_window.(id))
-          t.electrical t.circuit
-          ~resized:(pivot :: List.map fst adjustments)
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          Sta.Electrical.restore t.electrical log;
-          Array.iter (fun id -> t.in_window.(id) <- false) members)
-        (fun () ->
-          match t.mode with
-          | Windowed -> windowed_cost t sub
-          | Global -> fast_trial_cost t ~seed:(fun push -> List.iter push dirty)))
-    else (fun () ->
-      let snap = Sta.Electrical.snapshot t.electrical members in
-      Fun.protect
-        ~finally:(fun () -> Sta.Electrical.restore t.electrical snap)
-        (fun () ->
-          Sta.Electrical.recompute_nodes t.electrical t.circuit members;
-          match t.mode with
-          | Windowed -> windowed_cost t sub
-          | Global -> trial_cost t ~seed:(fun push -> Array.iter push members)))
-  in
-  Fun.protect ~finally:restore_cells (fun () ->
-      let c = trial_score () in
-      (* area-aware variant: price the area this move adds (baseline mean
-         optimization uses it to stop at diminishing returns) *)
+(* Install [trial] on the pivot plus (with [co_size]) its fanin co-sizing,
+   run [f adjustments], and restore every cell. Returns [f]'s result, the
+   adjustments the trial would commit, and the area the move adds (0 when
+   area is not priced). *)
+let with_trial t ~lib ~co_size pivot trial f =
+  let circuit = t.circuit in
+  let original = Netlist.Circuit.cell_exn circuit pivot in
+  let saved = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun (fi, cell) -> Netlist.Circuit.set_cell circuit fi cell) !saved;
+      Netlist.Circuit.set_cell circuit pivot original)
+    (fun () ->
+      Netlist.Circuit.set_cell circuit pivot trial;
+      let adjustments = if co_size then fanin_adjustments t ~lib pivot else [] in
+      saved :=
+        List.map (fun (fi, _) -> (fi, Netlist.Circuit.cell_exn circuit fi)) adjustments;
+      List.iter (fun (fi, cell) -> Netlist.Circuit.set_cell circuit fi cell) adjustments;
       let area_delta =
         if t.area_weight = 0.0 then 0.0
         else
           Cells.Cell.area trial -. Cells.Cell.area original
-          +. List.fold_left
-               (fun acc ((fi, cell), (_, old_cell)) ->
-                 ignore fi;
+          +. List.fold_left2
+               (fun acc (_, cell) (_, old_cell) ->
                  acc +. Cells.Cell.area cell -. Cells.Cell.area old_cell)
-               0.0
-               (List.combine adjustments saved)
+               0.0 adjustments !saved
       in
-      (c +. (t.area_weight *. area_delta), adjustments))
+      (f adjustments, adjustments, area_delta))
 
-type verdict = {
-  best : Cells.Cell.t;
-  co_resizes : (Netlist.Circuit.id * Cells.Cell.t) list;
-  best_cost : float;
-  current_cost : float;
-}
+(* Production trial electrical update: an exact-stop [Electrical.update]
+   seeded from the resized gates and clipped to the window, which writes
+   the same values the Reference full sweep of the window would while
+   touching only the true perturbation cone; its undo log rewinds exactly
+   what was touched. [f] sees the electrically-dirty ids. *)
+let with_clipped_update t (sub : Netlist.Cone.subcircuit) ~resized f =
+  let members = sub.Netlist.Cone.members in
+  Array.iter (fun id -> t.in_window.(id) <- true) members;
+  Fun.protect
+    ~finally:(fun () -> Array.iter (fun id -> t.in_window.(id) <- false) members)
+    (fun () ->
+      let dirty, log =
+        Sta.Electrical.update_logged
+          ~within:(fun id -> t.in_window.(id))
+          t.electrical t.circuit ~resized
+      in
+      Fun.protect
+        ~finally:(fun () -> Sta.Electrical.restore t.electrical log)
+        (fun () -> f dirty))
 
 (* Grow the vectorized-trial structures to [nc] candidate slots. Fresh
    generation-stamp arrays start at 0 and [t.gen] is bumped before any
@@ -781,54 +485,33 @@ type verdict = {
 let ensure_vc t nc =
   let cur = Array.length t.vc_ov in
   if cur < nc then begin
-    let n = Array.length t.ov_gen in
+    let n = Array.length t.pend in
     let zero = Numerics.Clark.moments ~mean:0.0 ~var:0.0 in
     let grow mk old = Array.init nc (fun c -> if c < cur then old.(c) else mk ()) in
     t.vc_ov <- grow (fun () -> Array.make n zero) t.vc_ov;
     t.vc_ov_gen <- grow (fun () -> Array.make n 0) t.vc_ov_gen;
     t.vc_arc <- grow (fun () -> Array.make n [||]) t.vc_arc;
     t.vc_arc_gen <- grow (fun () -> Array.make n 0) t.vc_arc_gen;
-    t.vc_min_out <- Array.make nc max_int;
-    if t.tolerance > 0.0 then begin
-      (* error-interval shadow of [vc_ov], live under the same stamps *)
-      t.vc_em <- grow (fun () -> Array.make n 0.0) t.vc_em;
-      t.vc_es <- grow (fun () -> Array.make n 0.0) t.vc_es;
-      t.lane_slack <- Array.make nc 0.0
-    end
+    t.vc_min_out <- Array.make nc max_int
   end
 
-(* Score every candidate cell of the window in ONE shared wavefront drain.
+(* Production Global scoring: every candidate cell of the window in ONE
+   shared wavefront drain, returning (cost, co-sizing) per candidate.
 
-   Phase 1 (capture) runs the per-cell electrical trials exactly as
-   [cost_with_cell] does — install, clipped exact-stop update, restore —
-   but instead of scoring inside the trial, it captures each dirty node's
-   arc delay moments (the same [delay_moments] calls on the same perturbed
-   rows and trial strengths the solo drain would make inline) and seeds the
-   node's pending bit for that cell.
+   Phase 1 (capture) runs each candidate's clipped electrical trial —
+   install, exact-stop update, restore — and captures each dirty node's arc
+   delay moments from the perturbed rows and trial strengths, seeding the
+   node's pending bit for that candidate.
 
    Phase 2 (drain) pops the union wavefront in ascending id = topological
-   order and recomputes, at each node, only the cells whose bit is pending.
-   A cell's computation subsequence is then node-for-node identical to its
-   solo drain: same topological order, same fanin overrides, same arc
-   moments, same [epsilon_wave] decision — so every per-cell cost is
-   bit-identical while the heap pops and fanout walks are amortized across
-   the whole candidate set.
-
-   With [t.fused], phase 2 runs lane-batched: a node's pending candidates
-   become kernel lanes and the fanin fold runs k-major through
-   [Kernels.max_lanes_exact] — each lane still replays its candidate's solo
-   operation sequence, so costs remain bit-identical.
-
-   [fast] (requires [t.fused]; the ε-tolerance regime) swaps in the
-   quadratic-Φ lane kernels and returns, per candidate, a certified bound
-   on |fast cost - exact cost| assembled from the per-lane error intervals
-   plus the accumulated exposure of ambiguous wavefront-stop decisions. *)
-let vec_costs ?(fast = false) t ~lib ~co_size (sub : Netlist.Cone.subcircuit)
-    trials =
-  let fast = fast && t.fused in
+   order and recomputes, at each node, only the candidates whose bit is
+   pending. A candidate's computation subsequence is then node-for-node
+   identical to its solo drain: same topological order, same fanin
+   overrides, same arc moments, same [epsilon_wave] decision — so every
+   per-candidate cost is bit-identical while the heap pops and fanout walks
+   are amortized across the whole candidate set. *)
+let vec_costs t ~lib ~co_size (sub : Netlist.Cone.subcircuit) trials =
   let pivot = sub.Netlist.Cone.pivot in
-  let original = Netlist.Circuit.cell_exn t.circuit pivot in
-  let members = sub.Netlist.Cone.members in
   let nc = Array.length trials in
   ensure_vc t nc;
   t.gen <- t.gen + 1;
@@ -836,92 +519,50 @@ let vec_costs ?(fast = false) t ~lib ~co_size (sub : Netlist.Cone.subcircuit)
   let w = t.wavefront in
   Netlist.Wavefront.clear w;
   Array.fill t.vc_min_out 0 nc max_int;
-  if fast then Array.fill t.lane_slack 0 nc 0.0;
-  let adjs = Array.make nc [] in
-  let area_deltas = Array.make nc 0.0 in
-  Array.iter (fun id -> t.in_window.(id) <- true) members;
-  Fun.protect
-    ~finally:(fun () -> Array.iter (fun id -> t.in_window.(id) <- false) members)
-    (fun () ->
-      Array.iteri
-        (fun c trial ->
-          Netlist.Circuit.set_cell t.circuit pivot trial;
-          let adjustments =
-            if co_size then fanin_adjustments t ~lib pivot else []
-          in
-          let saved =
-            List.map
-              (fun (fi, _) -> (fi, Netlist.Circuit.cell_exn t.circuit fi))
-              adjustments
-          in
-          List.iter
-            (fun (fi, cell) -> Netlist.Circuit.set_cell t.circuit fi cell)
-            adjustments;
-          adjs.(c) <- adjustments;
-          area_deltas.(c) <-
-            (if t.area_weight = 0.0 then 0.0
-             else
-               Cells.Cell.area trial -. Cells.Cell.area original
-               +. List.fold_left
-                    (fun acc ((fi, cell), (_, old_cell)) ->
-                      ignore fi;
-                      acc +. Cells.Cell.area cell -. Cells.Cell.area old_cell)
-                    0.0
-                    (List.combine adjustments saved));
-          Fun.protect
-            ~finally:(fun () ->
-              List.iter
-                (fun (fi, cell) -> Netlist.Circuit.set_cell t.circuit fi cell)
-                saved;
-              Netlist.Circuit.set_cell t.circuit pivot original)
-            (fun () ->
-              let dirty, log =
-                Sta.Electrical.update_logged
-                  ~within:(fun id -> t.in_window.(id))
-                  t.electrical t.circuit
-                  ~resized:(pivot :: List.map fst adjustments)
-              in
-              Fun.protect
-                ~finally:(fun () -> Sta.Electrical.restore t.electrical log)
-                (fun () ->
-                  List.iter
-                    (fun id ->
-                      let fanins = Netlist.Circuit.fanins t.circuit id in
-                      let nf = Array.length fanins in
-                      if nf > 0 then begin
-                        let row = Sta.Electrical.arc_delays t.electrical id in
-                        let strength =
-                          Cells.Cell.strength
-                            (Netlist.Circuit.cell_exn t.circuit id)
-                        in
-                        (* reuse the slot's array across batches when the
-                           fanin count is unchanged (values are only read
-                           under a matching generation stamp) *)
-                        let prev = t.vc_arc.(c).(id) in
-                        let line =
-                          if Array.length prev = nf then prev
-                          else begin
-                            let a = Array.make nf t.base.(id) in
-                            t.vc_arc.(c).(id) <- a;
-                            a
-                          end
-                        in
-                        for k = 0 to nf - 1 do
-                          line.(k) <-
-                            Variation.Model.delay_moments t.model
-                              ~delay:row.(k) ~strength
-                        done;
-                        t.vc_arc_gen.(c).(id) <- gen
-                      end;
-                      (if t.pend_gen.(id) = gen then
-                         t.pend.(id) <- t.pend.(id) lor (1 lsl c)
-                       else begin
-                         t.pend.(id) <- 1 lsl c;
-                         t.pend_gen.(id) <- gen
-                       end);
-                      Netlist.Wavefront.push w id)
-                    dirty)))
-        trials);
+  let capture c id =
+    let fanins = Netlist.Circuit.fanins t.circuit id in
+    let nf = Array.length fanins in
+    if nf > 0 then begin
+      let row = Sta.Electrical.arc_delays t.electrical id in
+      let strength =
+        Cells.Cell.strength (Netlist.Circuit.cell_exn t.circuit id)
+      in
+      (* reuse the slot's array across batches when the fanin count is
+         unchanged (values are only read under a matching generation
+         stamp) *)
+      let prev = t.vc_arc.(c).(id) in
+      let line =
+        if Array.length prev = nf then prev
+        else begin
+          let a = Array.make nf t.base.(id) in
+          t.vc_arc.(c).(id) <- a;
+          a
+        end
+      in
+      for k = 0 to nf - 1 do
+        line.(k) <- Variation.Model.delay_moments t.model ~delay:row.(k) ~strength
+      done;
+      t.vc_arc_gen.(c).(id) <- gen
+    end;
+    (if t.pend_gen.(id) = gen then t.pend.(id) <- t.pend.(id) lor (1 lsl c)
+     else begin
+       t.pend.(id) <- 1 lsl c;
+       t.pend_gen.(id) <- gen
+     end);
+    Netlist.Wavefront.push w id
+  in
+  let priced =
+    Array.mapi
+      (fun c trial ->
+        let (), adjustments, area_delta =
+          with_trial t ~lib ~co_size pivot trial (fun adjustments ->
+              with_clipped_update t sub
+                ~resized:(pivot :: List.map fst adjustments)
+                (fun dirty -> List.iter (capture c) dirty))
+        in
+        (adjustments, area_delta))
+      trials
+  in
   let acc = { am = 0.0; av = 0.0 } in
   let prop = ref 0 in
   let push_pend fo =
@@ -942,196 +583,52 @@ let vec_costs ?(fast = false) t ~lib ~co_size (sub : Netlist.Cone.subcircuit)
       let fanins = Netlist.Circuit.fanins t.circuit id in
       let nf = Array.length fanins in
       if nf > 0 && mask <> 0 then begin
-        let old = t.base.(id) in
-        let old_mean = old.Numerics.Clark.mean in
+        let old_mean = t.base.(id).Numerics.Clark.mean in
         let old_sigma = t.base_sigma.(id) in
         let line = t.f_arc.(id) in
         let oi = t.out_idx.(id) in
         prop := 0;
-        if t.fused then begin
-          (* Lane-batched recompute: gather this node's pending candidates
-             into kernel lanes, hoist each lane's arc/override pointers, and
-             run the fanin fold k-major — one [max_lanes_*] call per fanin
-             level instead of one cross-module scalar max per (candidate,
-             fanin). Lane [li] performs candidate [lane_cell.(li)]'s exact
-             solo operation sequence, in order, on the same operands. *)
-          let kern = t.kern in
-          Numerics.Kernels.ensure kern nc;
-          let nl = ref 0 in
-          (* unsafe accesses: c < nc ≤ |vc_*|, li < nc ≤ max_vec_cells =
-             |lane_*| and ≤ kern.cap after [ensure], k < nf = |fanins| =
-             |arcs|, and fi/id are node ids covered by every length-n
-             array *)
-          for c = 0 to nc - 1 do
-            if mask land (1 lsl c) <> 0 then begin
-              incr cell_evals;
-              let li = !nl in
-              Array.unsafe_set t.lane_cell li c;
-              Array.unsafe_set t.lane_arcs li
-                (if Array.unsafe_get (Array.unsafe_get t.vc_arc_gen c) id = gen
-                 then Array.unsafe_get (Array.unsafe_get t.vc_arc c) id
-                 else line);
-              Array.unsafe_set t.lane_ov li (Array.unsafe_get t.vc_ov c);
-              Array.unsafe_set t.lane_ov_gen li
-                (Array.unsafe_get t.vc_ov_gen c);
-              if fast then begin
-                Array.unsafe_set t.lane_em li (Array.unsafe_get t.vc_em c);
-                Array.unsafe_set t.lane_es li (Array.unsafe_get t.vc_es c)
-              end;
-              nl := li + 1
-            end
-          done;
-          let nl = !nl in
-          Numerics.Kernels.(
-            let am = kern.am and av = kern.av in
-            let bm = kern.bm and bv = kern.bv in
-            let kem = kern.em and kes = kern.es in
-            let bem = kern.bem and bes = kern.bes in
+        (* unsafe accesses: c < nc ≤ |vc_*|, k < nf = |fanins| = |arcs|,
+           and fi/id are node ids covered by every length-n array *)
+        for c = 0 to nc - 1 do
+          if mask land (1 lsl c) <> 0 then begin
+            incr cell_evals;
+            let arcs =
+              if Array.unsafe_get (Array.unsafe_get t.vc_arc_gen c) id = gen
+              then Array.unsafe_get (Array.unsafe_get t.vc_arc c) id
+              else line
+            in
+            let ov = Array.unsafe_get t.vc_ov c
+            and ov_gen = Array.unsafe_get t.vc_ov_gen c in
             for k = 0 to nf - 1 do
               let fi = Array.unsafe_get fanins k in
-              for li = 0 to nl - 1 do
-                let ov_gen = Array.unsafe_get t.lane_ov_gen li in
-                let live = Array.unsafe_get ov_gen fi = gen in
-                let fm =
-                  if live then
-                    Array.unsafe_get (Array.unsafe_get t.lane_ov li) fi
-                  else Array.unsafe_get t.base fi
-                in
-                let arc =
-                  Array.unsafe_get (Array.unsafe_get t.lane_arcs li) k
-                in
-                let sm = fm.Numerics.Clark.mean +. arc.Numerics.Clark.mean in
-                let sv = fm.Numerics.Clark.var +. arc.Numerics.Clark.var in
-                if k = 0 then begin
-                  Array.unsafe_set am li sm;
-                  Array.unsafe_set av li sv
-                end
-                else begin
-                  Array.unsafe_set bm li sm;
-                  Array.unsafe_set bv li sv
-                end;
-                if fast then begin
-                  let e_m =
-                    if live then
-                      Array.unsafe_get (Array.unsafe_get t.lane_em li) fi
-                    else 0.0
-                  and e_s =
-                    if live then
-                      Array.unsafe_get (Array.unsafe_get t.lane_es li) fi
-                    else 0.0
-                  in
-                  if k = 0 then begin
-                    Array.unsafe_set kem li e_m;
-                    Array.unsafe_set kes li e_s
-                  end
-                  else begin
-                    Array.unsafe_set bem li e_m;
-                    Array.unsafe_set bes li e_s
-                  end
-                end
-              done;
-              if k > 0 then
-                if fast then max_lanes_fast kern nl
-                else max_lanes_exact kern nl
+              let fm =
+                if Array.unsafe_get ov_gen fi = gen then Array.unsafe_get ov fi
+                else Array.unsafe_get t.base fi
+              in
+              let arc = Array.unsafe_get arcs k in
+              let sm = fm.Numerics.Clark.mean +. arc.Numerics.Clark.mean in
+              let sv = fm.Numerics.Clark.var +. arc.Numerics.Clark.var in
+              if k = 0 then begin
+                acc.am <- sm;
+                acc.av <- sv
+              end
+              else scalar_max acc sm sv
             done;
-            for li = 0 to nl - 1 do
-              let c = Array.unsafe_get t.lane_cell li in
-              let m = Array.unsafe_get am li
-              and v = Array.unsafe_get av li in
-              let move =
-                Float.abs (m -. old_mean)
-                +. Float.abs (Float.sqrt v -. old_sigma)
-              in
-              let moved =
-                move > (if fast then t.fast_wave else epsilon_wave)
-              in
-              if fast then begin
-                let err =
-                  Array.unsafe_get kem li +. Array.unsafe_get kes li
-                in
-                (* Whenever this stop/propagate decision may diverge from
-                   the exact drain's — the true move lies in [move − err,
-                   move + err], the exact threshold is [epsilon_wave], ours
-                   is [fast_wave] ≥ it — charge the candidate's certified
-                   cost exposure: a dropped (or spuriously kept) delta of
-                   at most move + err shifts every downstream moment by at
-                   most that much (the exact max is jointly 1-Lipschitz in
-                   its operand means, ≤ 0.4-Lipschitz in the sigmas), so
-                   the cost moves by ≤ max(1, α)·(move + err). Raising
-                   [fast_wave] with the tolerance budget widens the
-                   charged band and decays wavefronts sooner — regret
-                   budget traded directly for skipped drain work. *)
-                let divergent =
-                  if moved then move -. err <= epsilon_wave
-                  else move +. err > epsilon_wave
-                in
-                if divergent then
-                  t.lane_slack.(c) <-
-                    t.lane_slack.(c)
-                    +. Float.max 1.0 (Objective.alpha t.objective)
-                       *. (move +. err)
-              end;
-              if moved then begin
-                (Array.unsafe_get t.lane_ov li).(id) <-
-                  Numerics.Clark.moments ~mean:m ~var:v;
-                (Array.unsafe_get t.lane_ov_gen li).(id) <- gen;
-                if fast then begin
-                  (Array.unsafe_get t.lane_em li).(id) <-
-                    Array.unsafe_get kem li;
-                  (Array.unsafe_get t.lane_es li).(id) <-
-                    Array.unsafe_get kes li
-                end;
-                if oi >= 0 && oi < t.vc_min_out.(c) then
-                  t.vc_min_out.(c) <- oi;
-                prop := !prop lor (1 lsl c)
-              end
-            done)
-        end
-        else begin
-          (* unsafe accesses: c < nc ≤ |vc_*|, k < nf = |fanins| = |arcs|,
-             and fi/id are node ids covered by every length-n array *)
-          for c = 0 to nc - 1 do
-            if mask land (1 lsl c) <> 0 then begin
-              incr cell_evals;
-              let arcs =
-                if Array.unsafe_get (Array.unsafe_get t.vc_arc_gen c) id = gen
-                then Array.unsafe_get (Array.unsafe_get t.vc_arc c) id
-                else line
-              in
-              let ov = Array.unsafe_get t.vc_ov c
-              and ov_gen = Array.unsafe_get t.vc_ov_gen c in
-              for k = 0 to nf - 1 do
-                let fi = Array.unsafe_get fanins k in
-                let fm =
-                  if Array.unsafe_get ov_gen fi = gen then
-                    Array.unsafe_get ov fi
-                  else Array.unsafe_get t.base fi
-                in
-                let arc = Array.unsafe_get arcs k in
-                let sm = fm.Numerics.Clark.mean +. arc.Numerics.Clark.mean in
-                let sv = fm.Numerics.Clark.var +. arc.Numerics.Clark.var in
-                if k = 0 then begin
-                  acc.am <- sm;
-                  acc.av <- sv
-                end
-                else scalar_max acc sm sv
-              done;
-              let moved =
-                Float.abs (acc.am -. old_mean)
-                +. Float.abs (Float.sqrt acc.av -. old_sigma)
-                > epsilon_wave
-              in
-              if moved then begin
-                ov.(id) <- Numerics.Clark.moments ~mean:acc.am ~var:acc.av;
-                ov_gen.(id) <- gen;
-                if oi >= 0 && oi < t.vc_min_out.(c) then t.vc_min_out.(c) <- oi;
-                prop := !prop lor (1 lsl c)
-              end
+            let moved =
+              Float.abs (acc.am -. old_mean)
+              +. Float.abs (Float.sqrt acc.av -. old_sigma)
+              > epsilon_wave
+            in
+            if moved then begin
+              ov.(id) <- Numerics.Clark.moments ~mean:acc.am ~var:acc.av;
+              ov_gen.(id) <- gen;
+              if oi >= 0 && oi < t.vc_min_out.(c) then t.vc_min_out.(c) <- oi;
+              prop := !prop lor (1 lsl c)
             end
-          done
-        end;
-        if !prop <> 0 then
-          Netlist.Circuit.iter_fanouts t.circuit id ~f:push_pend
+          end
+        done;
+        if !prop <> 0 then Netlist.Circuit.iter_fanouts t.circuit id ~f:push_pend
       end;
       drain ()
     end
@@ -1139,206 +636,116 @@ let vec_costs ?(fast = false) t ~lib ~co_size (sub : Netlist.Cone.subcircuit)
   drain ();
   Obs.Counters.add c_trial_visits !visits;
   Obs.Counters.add c_cell_evals !cell_evals;
+  (* RV_O: resume the cached prefix fold at the first perturbed output, or
+     short-circuit to the committed cost when no output moved (bit-equal to
+     folding all-base values: [base_cost] was produced by that very fold) *)
   let outs = t.outputs_arr in
-  let nouts = Array.length outs in
-  let eps = if fast then Array.make nc 0.0 else [||] in
-  let costs =
-    Array.init nc (fun c ->
-        if t.vc_min_out.(c) = max_int then begin
-          if fast then eps.(c) <- t.lane_slack.(c);
-          t.base_cost
-        end
+  Array.mapi
+    (fun c (adjustments, area_delta) ->
+      let j = t.vc_min_out.(c) in
+      let rv =
+        if j = max_int then t.base_cost
         else begin
           let ov = t.vc_ov.(c) and ov_gen = t.vc_ov_gen.(c) in
           let read o = if ov_gen.(o) = gen then ov.(o) else t.base.(o) in
-          let j = t.vc_min_out.(c) in
-          if t.fused then
-            Numerics.Kernels.(
-              (* the batched fold replays the scalar prefix-resume bit for
-                 bit: operand 0 is the cached prefix (or the first
-                 perturbed output when j = 0) *)
-              let kern = t.kern in
-              ensure kern (nouts - j + 1);
-              let bm = kern.bm and bv = kern.bv in
-              let bem = kern.bem and bes = kern.bes in
-              let nops = ref 0 in
-              if j > 0 then begin
-                let p = t.out_prefix.(j - 1) in
-                bm.(0) <- p.Numerics.Clark.mean;
-                bv.(0) <- p.Numerics.Clark.var;
-                if fast then begin
-                  bem.(0) <- 0.0;
-                  bes.(0) <- 0.0
-                end;
-                nops := 1
-              end;
-              for i = j to nouts - 1 do
-                let o = outs.(i) in
-                let mo = read o in
-                bm.(!nops) <- mo.Numerics.Clark.mean;
-                bv.(!nops) <- mo.Numerics.Clark.var;
-                if fast then begin
-                  let live = ov_gen.(o) = gen in
-                  bem.(!nops) <- (if live then t.vc_em.(c).(o) else 0.0);
-                  bes.(!nops) <- (if live then t.vc_es.(c).(o) else 0.0)
-                end;
-                incr nops
-              done;
-              if fast then begin
-                fold_into_fast kern !nops;
-                (* |Δcost| ≤ |Δμ| + α·|Δσ| for cost = μ + α·σ *)
-                eps.(c) <-
-                  kern.sc.re_m
-                  +. (Objective.alpha t.objective *. kern.sc.re_s)
-                  +. t.lane_slack.(c);
-                Objective.cost_of_moments t.objective
-                  (Numerics.Clark.moments ~mean:kern.sc.rm ~var:kern.sc.rv)
-              end
-              else begin
-                fold_into kern !nops;
-                Objective.cost_of_moments t.objective
-                  (Numerics.Clark.moments ~mean:kern.sc.rm ~var:kern.sc.rv)
-              end)
-          else begin
-            let m0 = read outs.(j) in
-            (if j = 0 then begin
-               acc.am <- m0.Numerics.Clark.mean;
-               acc.av <- m0.Numerics.Clark.var
-             end
-             else begin
-               let p = t.out_prefix.(j - 1) in
-               acc.am <- p.Numerics.Clark.mean;
-               acc.av <- p.Numerics.Clark.var;
-               scalar_max acc m0.Numerics.Clark.mean m0.Numerics.Clark.var
-             end);
-            for i = j + 1 to nouts - 1 do
-              let m = read outs.(i) in
-              scalar_max acc m.Numerics.Clark.mean m.Numerics.Clark.var
-            done;
-            Objective.cost_of_moments t.objective
-              (Numerics.Clark.moments ~mean:acc.am ~var:acc.av)
-          end
-        end)
-  in
-  (* identical pricing arithmetic to [cost_with_cell] *)
-  Array.iteri
-    (fun c base -> costs.(c) <- base +. (t.area_weight *. area_deltas.(c)))
-    costs;
-  (costs, adjs, eps)
+          let m0 = read outs.(j) in
+          (if j = 0 then begin
+             acc.am <- m0.Numerics.Clark.mean;
+             acc.av <- m0.Numerics.Clark.var
+           end
+           else begin
+             let p = t.out_prefix.(j - 1) in
+             acc.am <- p.Numerics.Clark.mean;
+             acc.av <- p.Numerics.Clark.var;
+             scalar_max acc m0.Numerics.Clark.mean m0.Numerics.Clark.var
+           end);
+          for i = j + 1 to Array.length outs - 1 do
+            let m = read outs.(i) in
+            scalar_max acc m.Numerics.Clark.mean m.Numerics.Clark.var
+          done;
+          Objective.cost_of_moments t.objective
+            (Numerics.Clark.moments ~mean:acc.am ~var:acc.av)
+        end
+      in
+      (rv +. (t.area_weight *. area_delta), adjustments))
+    priced
+
+(* Evaluate one trial cell for the window's pivot (plus its induced fanin
+   co-sizing): install, recompute the window electrically, score, restore.
+   Returns the cost and the fanin adjustments the trial would commit.
+
+   Production Global scoring is [vec_costs] on a one-candidate batch.
+   Otherwise the engines differ only in the electrical trial: Production
+   runs the clipped dirty-cone update, Reference snapshots and recomputes
+   every window member (and, under Global scoring, seeds the arrival drain
+   with all of them). Both stay clipped to the window (slew perturbations
+   are assumed to die out within its two levels), so they score every
+   trial identically. *)
+let cost_with_cell ?(co_size = true) ~lib t (sub : Netlist.Cone.subcircuit) trial
+    =
+  match (t.engine, t.mode) with
+  | Production, Global -> (vec_costs t ~lib ~co_size sub [| trial |]).(0)
+  | Production, Windowed | Reference, _ ->
+      let pivot = sub.Netlist.Cone.pivot in
+      let members = sub.Netlist.Cone.members in
+      let c, adjustments, area_delta =
+        with_trial t ~lib ~co_size pivot trial (fun adjustments ->
+            match t.engine with
+            | Production ->
+                with_clipped_update t sub
+                  ~resized:(pivot :: List.map fst adjustments)
+                  (fun _dirty -> windowed_cost t sub)
+            | Reference -> (
+                let snap = Sta.Electrical.snapshot t.electrical members in
+                Fun.protect
+                  ~finally:(fun () -> Sta.Electrical.restore t.electrical snap)
+                @@ fun () ->
+                Sta.Electrical.recompute_nodes t.electrical t.circuit members;
+                match t.mode with
+                | Windowed -> windowed_cost t sub
+                | Global -> trial_cost t ~seed:(fun push -> Array.iter push members)))
+      in
+      (* area-aware variant: price the area this move adds (baseline mean
+         optimization uses it to stop at diminishing returns) *)
+      (c +. (t.area_weight *. area_delta), adjustments)
+
+type verdict = {
+  best : Cells.Cell.t;
+  co_resizes : (Netlist.Circuit.id * Cells.Cell.t) list;
+  best_cost : float;
+  current_cost : float;
+}
 
 (* The inner loop of Fig. 2: try every available size for the pivot, return
    the best cell, its induced fanin co-sizing, and its cost (ties keep the
-   incumbent). The incremental Global engine scores the whole candidate set
-   through [vec_costs]; everything else evaluates one trial at a time. Both
-   produce bit-identical verdicts. *)
+   incumbent). Production Global scoring prices the whole candidate set in
+   one [vec_costs] drain; everything else evaluates one trial at a time.
+   Both produce bit-identical verdicts. *)
 let best_size ?(co_size = true) t ~lib (sub : Netlist.Cone.subcircuit) =
-  let pivot = sub.Netlist.Cone.pivot in
-  let current = Netlist.Circuit.cell_exn t.circuit pivot in
-  let candidates = Cells.Library.sizes_of_fn lib (Cells.Cell.fn current) in
+  let current = Netlist.Circuit.cell_exn t.circuit sub.Netlist.Cone.pivot in
   let current_cost = cost t sub in
-  let best =
-    ref { best = current; co_resizes = []; best_cost = current_cost; current_cost }
-  in
   let trials =
     Array.of_list
       (List.filter
          (fun cell -> not (Cells.Cell.equal cell current))
-         (Array.to_list candidates))
+         (Array.to_list (Cells.Library.sizes_of_fn lib (Cells.Cell.fn current))))
   in
-  if
-    t.incremental && t.mode = Global
-    && Array.length trials > 0
-    && Array.length trials <= max_vec_cells
-  then begin
-    let pick costs adjs =
-      Array.iteri
-        (fun c cell ->
-          if costs.(c) < !best.best_cost then
-            best :=
-              {
-                !best with
-                best = cell;
-                co_resizes = adjs.(c);
-                best_cost = costs.(c);
-              })
-        trials
-    in
-    if t.tolerance > 0.0 && t.fused then begin
-      (* ε-tolerance regime: score with the quadratic-Φ kernels and their
-         certified per-candidate error bounds, then decide what the exact
-         drain would have decided.
-         - certified: the bounds prove the sizer's decision (commit the
-           fast argmin, or keep the incumbent) is the one exact scoring
-           yields — accept, bit-identical outcome.
-         - tolerated: not provably identical, but the worst-case cost
-           regret of acting on the fast verdict is ≤ 2·max ε ≤ tolerance —
-           accept and record the bound in the trace.
-         - fallback: rerun the exact drain (its generation bump leaves no
-           fast state live). Decisions are the only thing at stake:
-           commits always re-derive exact electrical and arrival state. *)
-      let costs, adjs, eps = vec_costs ~fast:true t ~lib ~co_size sub trials in
-      let nc = Array.length trials in
-      let bi = ref (-1) in
-      for c = 0 to nc - 1 do
-        if costs.(c) < (if !bi < 0 then current_cost else costs.(!bi)) then
-          bi := c
-      done;
-      let thr = t.move_threshold in
-      let certified =
-        if !bi >= 0 && current_cost -. costs.(!bi) > thr then begin
-          (* exact argmin is provably [bi] and its gain provably clears
-             the threshold *)
-          let b = !bi in
-          let ok = ref (current_cost -. (costs.(b) +. eps.(b)) > thr) in
-          for c = 0 to nc - 1 do
-            if c <> b && not (costs.(c) -. eps.(c) > costs.(b) +. eps.(b))
-            then ok := false
-          done;
-          !ok
-        end
-        else begin
-          (* fast verdict is "keep": certified iff no candidate can reach
-             the threshold even at its optimistic bound *)
-          let ok = ref true in
-          for c = 0 to nc - 1 do
-            if current_cost -. (costs.(c) -. eps.(c)) > thr then ok := false
-          done;
-          !ok
-        end
-      in
-      if certified then begin
-        Obs.Counters.bump c_tol_certified;
-        pick costs adjs
-      end
-      else begin
-        let eps_max = Array.fold_left Float.max 0.0 eps in
-        if 2.0 *. eps_max <= t.tolerance then begin
-          Obs.Counters.bump c_tol_tolerated;
-          t.tol_trace <- (pivot, 2.0 *. eps_max) :: t.tol_trace;
-          pick costs adjs
-        end
-        else begin
-          Obs.Counters.bump c_tol_fallback;
-          let costs, adjs, _ = vec_costs t ~lib ~co_size sub trials in
-          pick costs adjs
-        end
-      end
-    end
-    else begin
-      let costs, adjs, _ = vec_costs t ~lib ~co_size sub trials in
-      pick costs adjs
-    end
-  end
-  else
-    Array.iter
-      (fun cell ->
-        if not (Cells.Cell.equal cell current) then begin
-          let c, adjustments = cost_with_cell ~co_size ~lib t sub cell in
-          if c < !best.best_cost then
-            best :=
-              { !best with best = cell; co_resizes = adjustments; best_cost = c }
-        end)
-      candidates;
+  let priced =
+    if
+      t.engine = Production && t.mode = Global
+      && Array.length trials <= max_vec_cells
+    then vec_costs t ~lib ~co_size sub trials
+    else Array.map (cost_with_cell ~co_size ~lib t sub) trials
+  in
+  let best =
+    ref { best = current; co_resizes = []; best_cost = current_cost; current_cost }
+  in
+  Array.iteri
+    (fun c (cost, adjustments) ->
+      if cost < !best.best_cost then
+        best :=
+          { !best with best = trials.(c); co_resizes = adjustments; best_cost = cost })
+    priced;
   !best
 
 (* Make a committed resize visible to subsequent window evaluations. A full
@@ -1349,10 +756,10 @@ let commit t (_sub : Netlist.Cone.subcircuit) =
   Sta.Electrical.recompute_all t.electrical t.circuit;
   refresh_base t
 
-(* Incremental commit: an unclipped exact-stop [Electrical.update] from the
+(* Production commit: an unclipped exact-stop [Electrical.update] from the
    resized gates, then the cached base arrivals are resynced by draining
-   the change wavefront with a bit-equal stop — [recompute_node_with]
-   performs the same operations in the same order as the full
+   the change wavefront with a bit-equal stop. Each popped node is
+   recomputed with the same operations in the same order as the full
    [propagate_into ~exact:true] pass, so a node whose fanin arrivals and
    arc delays are unchanged recomputes to bit-identical moments and the
    sweep halts there, leaving [base] bit-equal to a full refresh. The
@@ -1361,14 +768,9 @@ let commit t (_sub : Netlist.Cone.subcircuit) =
    (Global mode reads [base]), and the caller re-syncs it once per outer
    iteration with [Fullssta.update]. *)
 let commit_incremental t ~resized =
+  if t.engine <> Production then
+    invalid_arg "Window.commit_incremental: Reference window";
   let dirty = Sta.Electrical.update t.electrical t.circuit ~resized in
-  (* Re-derive the arc caches of every replaced row before the resync, so
-     the drain below (and all later trials) read committed-state arc
-     moments; a fresh generation leaves no trial override live, making
-     [fast_recompute_node] read pure base arrivals — exactly what
-     [recompute_node_with (fun fi -> t.base.(fi))] did. *)
-  List.iter (fun id -> refresh_arc_cache t id) dirty;
-  t.gen <- t.gen + 1;
   let w = t.wavefront in
   Netlist.Wavefront.clear w;
   List.iter (fun id -> Netlist.Wavefront.push w id) dirty;
@@ -1380,19 +782,38 @@ let commit_incremental t ~resized =
     let id = Netlist.Wavefront.pop w in
     if id >= 0 then begin
       incr visits;
-      if t.fused then fused_recompute_into t acc id
-      else fast_recompute_into t acc id;
+      (* every replaced row is popped (all dirty ids are seeds), so this
+         keeps the arc cache in step with the committed electrical state *)
+      refresh_arc_cache t id;
+      let fanins = Netlist.Circuit.fanins t.circuit id in
+      let nf = Array.length fanins in
       let old = t.base.(id) in
-      if
-        not
-          (Float.equal acc.am old.Numerics.Clark.mean
-          && Float.equal acc.av old.Numerics.Clark.var)
-      then begin
-        t.base.(id) <- Numerics.Clark.moments ~mean:acc.am ~var:acc.av;
-        t.base_sigma.(id) <- Float.sqrt acc.av;
-        let oi = t.out_idx.(id) in
-        if oi >= 0 && oi < !min_o then min_o := oi;
-        Netlist.Circuit.iter_fanouts t.circuit id ~f:push_fanout
+      if nf > 0 then begin
+        let line = t.f_arc.(id) in
+        (* unsafe accesses: k < nf = |fanins| = |line|, and fi is a node
+           id, so [base] (length [size circuit]) covers it *)
+        for k = 0 to nf - 1 do
+          let m = Array.unsafe_get t.base (Array.unsafe_get fanins k) in
+          let arc = Array.unsafe_get line k in
+          let sm = m.Numerics.Clark.mean +. arc.Numerics.Clark.mean in
+          let sv = m.Numerics.Clark.var +. arc.Numerics.Clark.var in
+          if k = 0 then begin
+            acc.am <- sm;
+            acc.av <- sv
+          end
+          else scalar_max acc sm sv
+        done;
+        if
+          not
+            (Float.equal acc.am old.Numerics.Clark.mean
+            && Float.equal acc.av old.Numerics.Clark.var)
+        then begin
+          t.base.(id) <- Numerics.Clark.moments ~mean:acc.am ~var:acc.av;
+          t.base_sigma.(id) <- Float.sqrt acc.av;
+          let oi = t.out_idx.(id) in
+          if oi >= 0 && oi < !min_o then min_o := oi;
+          Netlist.Circuit.iter_fanouts t.circuit id ~f:push_fanout
+        end
       end;
       drain ()
     end
@@ -1413,11 +834,6 @@ let commit_incremental t ~resized =
   t.dirt <- List.rev_append dirty t.dirt
 
 let base_cost t = t.base_cost
-
-(* Tolerance-regime audit trail: every verdict accepted on budget rather
-   than certified-identical, newest first, as (pivot, certified cost-regret
-   bound). Empty in exact mode and whenever every decision certified. *)
-let tolerance_trace t = t.tol_trace
 
 (* Hand the accumulated electrical-dirty ids (from incremental commits) to
    the caller and forget them; used to decide when a dominance prune needs

@@ -11,13 +11,23 @@ type mode =
       (** trial electrical update stays window-local, but scoring runs a
           whole-circuit FASSTA pass against the real primary outputs *)
 
+type engine =
+  | Production
+      (** the sizer's engine: one persistent window per run, clipped
+          dirty-cone electrical trials, Global scoring of every candidate
+          cell in one shared wavefront drain over cached arc moments, and
+          incremental commits ({!commit_incremental}) *)
+  | Reference
+      (** the from-scratch oracle: each trial snapshots and recomputes
+          every window member and re-propagates arrivals with
+          [Clark.max_exact]; commits re-derive everything ({!commit}).
+          Bit-identical costs and verdicts to [Production]; kept for the
+          property tests and [paranoid] runs *)
+
 val create :
   ?mode:mode ->
-  ?incremental:bool ->
+  ?engine:engine ->
   ?area_weight:float ->
-  ?fused:bool ->
-  ?tolerance:float ->
-  ?move_threshold:float ->
   circuit:Netlist.Circuit.t ->
   model:Variation.Model.t ->
   objective:Objective.t ->
@@ -26,28 +36,11 @@ val create :
   t
 (** Shares the FULLSSTA run's electrical state; trials mutate and restore
     it, so the [full] annotation must come from the same circuit object.
-    Default mode: [Global]. [incremental] (default false) switches trials
-    to dirty-cone electrical updates (clipped to the window, exact-stop, so
-    trial scores are identical) and enables {!commit_incremental}.
-    [area_weight] (default 0) adds ps-per-area-unit pricing of each move's
-    area delta to trial costs — the baseline mean optimizer uses it to stop
-    at diminishing returns.
-
-    [fused] (default true) routes arrival folds, RV_O folds and LUT lookups
-    through the batched/fused statkern kernels ({!Numerics.Kernels},
-    {!Cells.Memo}) — a pure execution-strategy switch: every value, cost
-    and verdict is bit-identical to the scalar reference path ([false], the
-    pre-kernel engine, kept as the benchmark baseline and oracle).
-
-    [tolerance] (default 0 = exact) opts into the ε-certified fast-scoring
-    regime on the vectorized candidate drain (requires [fused]; honoured
-    with [incremental] + [Global]): candidates are scored with the paper's
-    quadratic-Φ max alongside certified error intervals
-    ({!Absint.Budget}), and each verdict is either proven identical to
-    exact scoring, accepted with a certified cost-regret bound
-    ≤ [tolerance] (recorded in {!tolerance_trace}), or re-scored exactly.
-    [move_threshold] must then mirror the sizer's commit threshold, since
-    certification reasons about the commit decision. *)
+    Default mode: [Global]; default engine: [Reference]. Every trial cost,
+    and hence every {!best_size} verdict, is bit-identical across the two
+    engines. [area_weight] (default 0) adds ps-per-area-unit pricing of
+    each move's area delta to trial costs — the baseline mean optimizer
+    uses it to stop at diminishing returns. *)
 
 val refresh : t -> unit
 (** Bring a persistent window up to date at the start of a new outer
@@ -88,7 +81,8 @@ val commit : t -> Netlist.Cone.subcircuit -> unit
     later evaluations in the same outer iteration see it. *)
 
 val commit_incremental : t -> resized:Netlist.Circuit.id list -> unit
-(** Incremental equivalent of {!commit}: exact-stop electrical update from
+(** [Production] equivalent of {!commit} (raises [Invalid_argument] on a
+    [Reference] window): exact-stop electrical update from
     the [resized] gates and a change-wavefront resync of the cached base
     arrivals with a bit-equal stop — the state after it is bit-identical to
     {!commit}'s full refresh. Does not touch the FULLSSTA annotation; the
@@ -106,11 +100,3 @@ val take_dirt : t -> Netlist.Circuit.id list
 
 val fassta_stats : t -> Ssta.Fassta.stats
 (** Accumulated cutoff/blend counts across all evaluations. *)
-
-val tolerance_trace : t -> (Netlist.Circuit.id * float) list
-(** Tolerance-regime audit trail: the verdicts accepted on budget rather
-    than proven identical to exact scoring, newest first, as (pivot,
-    certified cost-regret bound). Empty in exact mode ([tolerance = 0]) and
-    whenever every decision certified. The statobs counters
-    [window.tolerance.certified]/[tolerated]/[fallback] tally the three
-    outcomes. *)

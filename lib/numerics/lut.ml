@@ -7,11 +7,9 @@
 
    Storage is a single contiguous row-major float array (stride = column
    count): the four corner reads of a bilinear patch land in at most two
-   cache lines, and the fused two-table [query2] below re-uses one index
-   computation for a (delay, slew) table pair sharing axes — the dominant
-   query pattern of the timing engines. The interpolation arithmetic is
-   unchanged from the seed nested-array implementation, so every query
-   returns bit-identical values. *)
+   cache lines. The interpolation arithmetic is unchanged from the seed
+   nested-array implementation, so every query returns bit-identical
+   values. *)
 
 type t = {
   rows : float array; (* first index, e.g. input slew *)
@@ -73,12 +71,13 @@ let in_range t ~row ~col = in_range_axis t.rows row && in_range_axis t.cols col
 let oob_count t = Atomic.get t.oob_queries
 let reset_oob t = Atomic.set t.oob_queries 0
 
-(* Bilinear combination at an already-located cell. The value reads and the
-   arithmetic replicate the seed nested-array implementation operation for
-   operation, so results are bit-identical to it. *)
-let eval_located t i fr j fc =
-  let base = (i * t.nc) + j in
-  let v00 = t.flat.(base) in
+(* Bilinear interpolation. The value reads and the arithmetic replicate the
+   seed nested-array implementation operation for operation, so results are
+   bit-identical to it. *)
+let eval t ~row ~col =
+  let i, fr = locate t.rows row in
+  let j, fc = locate t.cols col in
+  let v00 = t.flat.((i * t.nc) + j) in
   if t.nr = 1 && t.nc = 1 then v00
   else
     let i1 = Stdlib.min (t.nr - 1) (i + 1) in
@@ -89,40 +88,12 @@ let eval_located t i fr j fc =
     ((1.0 -. fr) *. (((1.0 -. fc) *. v00) +. (fc *. v01)))
     +. (fr *. (((1.0 -. fc) *. v10) +. (fc *. v11)))
 
-let eval t ~row ~col =
-  let i, fr = locate t.rows row in
-  let j, fc = locate t.cols col in
-  eval_located t i fr j fc
-
 let query t ~row ~col =
   if not (in_range t ~row ~col) then begin
     Atomic.incr t.oob_queries;
     Obs.Counters.bump c_clamp
   end;
   eval t ~row ~col
-
-let shares_axes a b = a.rows == b.rows && a.cols == b.cols
-
-(* Fused two-table query: one [locate] pair serves both tables when they
-   share axis arrays (the generated library passes the same slew/load axes
-   to every cell's delay and output-slew tables). Each table's value is the
-   same [eval_located] combination [query] performs, and the out-of-bounds
-   accounting bumps per table exactly as two separate [query] calls would —
-   so the fused path is observationally identical except for the halved
-   index work (and the fused-query counter maintained by the caller). *)
-let query2 a b ~row ~col =
-  if shares_axes a b then begin
-    (if not (in_range a ~row ~col) then begin
-       Atomic.incr a.oob_queries;
-       Obs.Counters.bump c_clamp;
-       Atomic.incr b.oob_queries;
-       Obs.Counters.bump c_clamp
-     end);
-    let i, fr = locate a.rows row in
-    let j, fc = locate a.cols col in
-    (eval_located a i fr j fc, eval_located b i fr j fc)
-  end
-  else (query a ~row ~col, query b ~row ~col)
 
 (* Hull of the interpolated surface over a box of query points. The clamped
    bilinear surface restricted to any axis-aligned box is piecewise bilinear

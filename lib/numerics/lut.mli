@@ -14,20 +14,6 @@ val query : t -> row:float -> col:float -> float
 (** Bilinear interpolation; queries outside the grid clamp to the edge and
     bump the table's out-of-bounds counter (see {!oob_count}). *)
 
-val shares_axes : t -> t -> bool
-(** Whether two tables share their axis arrays physically — the condition
-    under which {!query2} fuses the index computation. Holds for every
-    (delay, output-slew) pair produced by the generated library, which
-    tabulates both from one shared axis pair. *)
-
-val query2 : t -> t -> row:float -> col:float -> float * float
-(** [query2 a b ~row ~col] is [(query a ~row ~col, query b ~row ~col)] —
-    bit-identical values and identical out-of-bounds accounting — but when
-    [shares_axes a b] the axis bisection and interpolation fractions are
-    computed once and reused for both tables. This is the fused kernel for
-    the (delay, slew) pair every timing arc evaluates at the same
-    (input-slew, load) point. *)
-
 val range : t -> row:float * float -> col:float * float -> float * float
 (** [(min, max)] of the clamped bilinear surface over the query box
     [row × col]. Exact for the piecewise-bilinear surface (extremes are

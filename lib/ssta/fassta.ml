@@ -81,82 +81,44 @@ let propagate ?stats ~model ~circuit ~electrical ~boundary nodes =
 
 (* Whole-circuit fast pass into a caller-owned array (no allocation beyond
    the moments themselves) — the sizing inner loop calls this thousands of
-   times per iteration.
-
-   [kernel] (only honoured with [exact]) routes each node's arrival fold
-   through [Numerics.Kernels.fold_into]: arrivals are staged as raw floats
-   and folded in one batched call whose arithmetic replicates
-   [Clark.max_exact] operation-for-operation, so the results are
-   bit-identical to the scalar path — it only skips the per-operand
-   cross-module calls and intermediate moment records. *)
-let propagate_into ?stats ?(exact = false) ?kernel ~model ~circuit ~electrical
-    out =
+   times per iteration. *)
+let propagate_into ?stats ?(exact = false) ~model ~circuit ~electrical out =
   Obs.Counters.add c_propagate_nodes (Netlist.Circuit.size circuit);
   let input_arrival =
     electrical.Sta.Electrical.config.Sta.Electrical.input_arrival
   in
   let input_moments = Numerics.Clark.moments ~mean:input_arrival ~var:0.0 in
-  match kernel with
-  | Some kern when exact ->
-      List.iter
-        (fun id ->
-          let fanins = Netlist.Circuit.fanins circuit id in
-          let nf = Array.length fanins in
-          if nf = 0 then out.(id) <- input_moments
-          else begin
-            let arcs = Sta.Electrical.arc_delays electrical id in
-            let strength =
-              Cells.Cell.strength (Netlist.Circuit.cell_exn circuit id)
+  List.iter
+    (fun id ->
+      let fanins = Netlist.Circuit.fanins circuit id in
+      if Array.length fanins = 0 then out.(id) <- input_moments
+      else begin
+        let arcs = Sta.Electrical.arc_delays electrical id in
+        let strength =
+          Cells.Cell.strength (Netlist.Circuit.cell_exn circuit id)
+        in
+        let acc = ref None in
+        Array.iteri
+          (fun k fi ->
+            let arc =
+              Variation.Model.delay_moments model ~delay:arcs.(k) ~strength
             in
-            Numerics.Kernels.ensure kern nf;
-            let bm = kern.Numerics.Kernels.bm
-            and bv = kern.Numerics.Kernels.bv in
-            for k = 0 to nf - 1 do
-              let m = out.(fanins.(k)) in
-              let s = Variation.Model.sigma model ~delay:arcs.(k) ~strength in
-              (* = Clark.sum (out fi) (delay_moments ...): same adds *)
-              bm.(k) <- m.Numerics.Clark.mean +. arcs.(k);
-              bv.(k) <- m.Numerics.Clark.var +. (s *. s)
-            done;
-            Numerics.Kernels.fold_into kern nf;
-            out.(id) <-
-              Numerics.Clark.moments ~mean:kern.Numerics.Kernels.sc.rm
-                ~var:kern.Numerics.Kernels.sc.rv
-          end)
-        (Netlist.Circuit.topological circuit)
-  | _ ->
-      List.iter
-        (fun id ->
-          let fanins = Netlist.Circuit.fanins circuit id in
-          if Array.length fanins = 0 then out.(id) <- input_moments
-          else begin
-            let arcs = Sta.Electrical.arc_delays electrical id in
-            let strength =
-              Cells.Cell.strength (Netlist.Circuit.cell_exn circuit id)
-            in
-            let acc = ref None in
-            Array.iteri
-              (fun k fi ->
-                let arc =
-                  Variation.Model.delay_moments model ~delay:arcs.(k) ~strength
-                in
-                let arrival = Numerics.Clark.sum out.(fi) arc in
-                match !acc with
-                | None -> acc := Some arrival
-                | Some best ->
-                    if exact then
-                      acc := Some (Numerics.Clark.max_exact best arrival)
-                    else begin
-                      let v, resolution =
-                        Numerics.Clark.max_fast_resolved best arrival
-                      in
-                      Option.iter (fun s -> record s resolution) stats;
-                      acc := Some v
-                    end)
-              fanins;
-            match !acc with Some m -> out.(id) <- m | None -> assert false
-          end)
-        (Netlist.Circuit.topological circuit)
+            let arrival = Numerics.Clark.sum out.(fi) arc in
+            match !acc with
+            | None -> acc := Some arrival
+            | Some best ->
+                if exact then acc := Some (Numerics.Clark.max_exact best arrival)
+                else begin
+                  let v, resolution =
+                    Numerics.Clark.max_fast_resolved best arrival
+                  in
+                  Option.iter (fun s -> record s resolution) stats;
+                  acc := Some v
+                end)
+          fanins;
+        match !acc with Some m -> out.(id) <- m | None -> assert false
+      end)
+    (Netlist.Circuit.topological circuit)
 
 (* Whole-circuit fast pass: useful standalone and for engine-accuracy
    studies against FULLSSTA / Monte Carlo. *)

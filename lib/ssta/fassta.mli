@@ -39,7 +39,6 @@ val propagate :
 val propagate_into :
   ?stats:stats ->
   ?exact:bool ->
-  ?kernel:Numerics.Kernels.t ->
   model:Variation.Model.t ->
   circuit:Netlist.Circuit.t ->
   electrical:Sta.Electrical.t ->
@@ -49,10 +48,7 @@ val propagate_into :
     id) — the allocation-light primitive behind global trial evaluation.
     [exact] (default false) replaces the quadratic-erf Clark max with the
     exact-erf one: the paper's quadratic approximation is built for 2-level
-    windows, and its near-tie slope error compounds over whole circuits.
-    [kernel] (honoured only with [exact]) batches each node's arrival fold
-    through [Numerics.Kernels.fold_into] — bit-identical results, fewer
-    cross-module float calls and intermediate records. *)
+    windows, and its near-tie slope error compounds over whole circuits. *)
 
 val run :
   ?stats:stats ->

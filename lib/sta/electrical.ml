@@ -27,58 +27,11 @@ type t = {
   mutable scratch : float array;
       (* delay staging buffer for [update]; fresh arrays are cut from it
          only when a node's arc delays actually changed *)
-  mutable memo : Cells.Memo.t option;
-      (* fused-kernel regime: serve (delay, slew) pairs through Lut.query2
-         with an exact-repeat memo. [None] is the scalar reference path,
-         byte-for-byte the pre-statkern code; values are bit-identical
-         either way (the memo caches a pure function, and query2 matches
-         the scalar queries bit-for-bit), only the statobs LUT counters
-         tell the lanes apart. *)
 }
 
-let set_fused t fused =
-  match (fused, t.memo) with
-  | true, None -> t.memo <- Some (Cells.Memo.create ())
-  | false, _ -> t.memo <- None
-  | true, Some _ -> ()
-
-(* Fused per-node evaluation: one memoized [query2] per fanin arc yields
-   every arc delay AND the output slew (the slew at the worst fanin's
-   operating point is exactly [Cell.slew cell ~slew:worst ~load], since the
-   worst input slew is attained at some fanin). Returns a fresh arcs array;
-   writes nothing. *)
-let fused_arcs_and_slew memo cell ~slews ~fanins ~load =
-  let nf = Array.length fanins in
-  let h = Cells.Memo.cell_hash cell in
-  let worst = ref 0.0 and kw = ref (-1) in
-  for k = 0 to nf - 1 do
-    let s = slews.(fanins.(k)) in
-    if s > !worst then begin
-      worst := s;
-      kw := k
-    end
-  done;
-  let arcs = Array.make nf 0.0 in
-  let out_slew = ref 0.0 in
-  for k = 0 to nf - 1 do
-    let d, s =
-      Cells.Memo.query2 memo cell ~hash:h ~slew:slews.(fanins.(k)) ~load
-    in
-    arcs.(k) <- d;
-    if k = !kw then out_slew := s
-  done;
-  let out_slew =
-    (* all fanin slews ≤ 0 (possible only with a zero boundary slew): no
-       fanin attains the max, fall back to the scalar query at the
-       accumulated worst (= 0.0), exactly as the reference path does *)
-    if !kw >= 0 then !out_slew else Cells.Cell.slew cell ~slew:!worst ~load
-  in
-  (arcs, out_slew)
-
-let compute ?(config = default_config) ?(fused = false) circuit =
+let compute ?(config = default_config) circuit =
   let n = Netlist.Circuit.size circuit in
   Obs.Counters.add c_compute_nodes n;
-  let memo = if fused then Some (Cells.Memo.create ()) else None in
   let load = Array.make n 0.0 in
   let slew = Array.make n config.input_slew in
   let arc_delay = Array.make n [||] in
@@ -87,31 +40,18 @@ let compute ?(config = default_config) ?(fused = false) circuit =
       load.(id) <- Netlist.Circuit.load circuit id;
       match Netlist.Circuit.cell circuit id with
       | None -> () (* primary input: slew stays at the boundary value *)
-      | Some cell -> (
+      | Some cell ->
           let fanins = Netlist.Circuit.fanins circuit id in
-          match memo with
-          | Some memo ->
-              let arcs, s =
-                fused_arcs_and_slew memo cell ~slews:slew ~fanins
-                  ~load:load.(id)
-              in
-              arc_delay.(id) <- arcs;
-              slew.(id) <- s
-          | None ->
-              let worst_in_slew =
-                Array.fold_left
-                  (fun acc fi -> Float.max acc slew.(fi))
-                  0.0 fanins
-              in
-              arc_delay.(id) <-
-                Array.map
-                  (fun fi ->
-                    Cells.Cell.delay cell ~slew:slew.(fi) ~load:load.(id))
-                  fanins;
-              slew.(id) <-
-                Cells.Cell.slew cell ~slew:worst_in_slew ~load:load.(id)))
+          let worst_in_slew =
+            Array.fold_left (fun acc fi -> Float.max acc slew.(fi)) 0.0 fanins
+          in
+          arc_delay.(id) <-
+            Array.map
+              (fun fi -> Cells.Cell.delay cell ~slew:slew.(fi) ~load:load.(id))
+              fanins;
+          slew.(id) <- Cells.Cell.slew cell ~slew:worst_in_slew ~load:load.(id))
     (Netlist.Circuit.topological circuit);
-  { config; load; slew; arc_delay; wave = None; scratch = [||]; memo }
+  { config; load; slew; arc_delay; wave = None; scratch = [||] }
 
 let load t id = t.load.(id)
 let slew t id = t.slew.(id)
@@ -125,27 +65,16 @@ let recompute_node t circuit id =
   t.load.(id) <- Netlist.Circuit.load circuit id;
   match Netlist.Circuit.cell circuit id with
   | None -> ()
-  | Some cell -> (
+  | Some cell ->
       let fanins = Netlist.Circuit.fanins circuit id in
-      match t.memo with
-      | Some memo ->
-          let arcs, s =
-            fused_arcs_and_slew memo cell ~slews:t.slew ~fanins
-              ~load:t.load.(id)
-          in
-          t.arc_delay.(id) <- arcs;
-          t.slew.(id) <- s
-      | None ->
-          let worst_in_slew =
-            Array.fold_left (fun acc fi -> Float.max acc t.slew.(fi)) 0.0 fanins
-          in
-          t.arc_delay.(id) <-
-            Array.map
-              (fun fi ->
-                Cells.Cell.delay cell ~slew:t.slew.(fi) ~load:t.load.(id))
-              fanins;
-          t.slew.(id) <-
-            Cells.Cell.slew cell ~slew:worst_in_slew ~load:t.load.(id))
+      let worst_in_slew =
+        Array.fold_left (fun acc fi -> Float.max acc t.slew.(fi)) 0.0 fanins
+      in
+      t.arc_delay.(id) <-
+        Array.map
+          (fun fi -> Cells.Cell.delay cell ~slew:t.slew.(fi) ~load:t.load.(id))
+          fanins;
+      t.slew.(id) <- Cells.Cell.slew cell ~slew:worst_in_slew ~load:t.load.(id)
 
 let recompute_nodes t circuit ids =
   Obs.Counters.add c_compute_nodes (Array.length ids);
@@ -255,44 +184,14 @@ let update_core ~slew_tol ~within ~log t circuit ~resized =
           let resized_here = List.mem id resized in
           let old_arcs = t.arc_delay.(id) in
           let equal = ref ((not resized_here) && Array.length old_arcs = nf) in
-          let slew' =
-            match t.memo with
-            | None ->
-                for k = 0 to nf - 1 do
-                  let d =
-                    Cells.Cell.delay cell ~slew:t.slew.(fanins.(k))
-                      ~load:load_id
-                  in
-                  stage.(k) <- d;
-                  if !equal && d <> old_arcs.(k) then equal := false
-                done;
-                Cells.Cell.slew cell ~slew:!worst_in_slew ~load:load_id
-            | Some memo ->
-                (* fused: one memoized query2 per arc covers the delays AND
-                   the output slew (read off the worst fanin's pair) *)
-                let h = Cells.Memo.cell_hash cell in
-                let kw = ref (-1) in
-                let acc = ref 0.0 in
-                for k = 0 to nf - 1 do
-                  let s = t.slew.(fanins.(k)) in
-                  if s > !acc then begin
-                    acc := s;
-                    kw := k
-                  end
-                done;
-                let out = ref 0.0 in
-                for k = 0 to nf - 1 do
-                  let d, s =
-                    Cells.Memo.query2 memo cell ~hash:h
-                      ~slew:t.slew.(fanins.(k)) ~load:load_id
-                  in
-                  stage.(k) <- d;
-                  if !equal && d <> old_arcs.(k) then equal := false;
-                  if k = !kw then out := s
-                done;
-                if !kw >= 0 then !out
-                else Cells.Cell.slew cell ~slew:!worst_in_slew ~load:load_id
-          in
+          for k = 0 to nf - 1 do
+            let d =
+              Cells.Cell.delay cell ~slew:t.slew.(fanins.(k)) ~load:load_id
+            in
+            stage.(k) <- d;
+            if !equal && d <> old_arcs.(k) then equal := false
+          done;
+          let slew' = Cells.Cell.slew cell ~slew:!worst_in_slew ~load:load_id in
           let arcs_equal = !equal in
           let slew_moved = Float.abs (slew' -. t.slew.(id)) > slew_tol in
           if (not arcs_equal) || slew_moved then begin

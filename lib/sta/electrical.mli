@@ -16,22 +16,9 @@ type t = {
       (** scratch queue for [update]; managed internally *)
   mutable scratch : float array;
       (** delay staging buffer for [update]; managed internally *)
-  mutable memo : Cells.Memo.t option;
-      (** fused-kernel regime: when set, (delay, slew) pairs are served
-          through the memoized fused [Cells.Memo.query2]. Bit-transparent —
-          values are identical to the scalar path; only the statobs LUT
-          counters differ. [None] (the default) is the scalar reference
-          path. *)
 }
 
-val compute : ?config:config -> ?fused:bool -> Netlist.Circuit.t -> t
-(** [fused] (default [false]) enables the memoized fused-lookup regime;
-    see {!set_fused}. *)
-
-val set_fused : t -> bool -> unit
-(** Switch the fused-lookup regime on (allocating a fresh memo if none is
-    installed) or off. Purely an execution-strategy toggle: timing values
-    are unaffected. *)
+val compute : ?config:config -> Netlist.Circuit.t -> t
 
 val load : t -> Netlist.Circuit.id -> float
 val slew : t -> Netlist.Circuit.id -> float

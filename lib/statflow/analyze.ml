@@ -26,7 +26,6 @@ let tool =
 let default_hot_entries =
   [
     "Window.trial_cost";
-    "Window.fast_trial_cost";
     "Window.vec_costs";
     "Window.commit_incremental";
     "Electrical.update";
@@ -34,12 +33,6 @@ let default_hot_entries =
     "Discrete_pdf.sum";
     "Discrete_pdf.max2";
     "Lut.query";
-    "Lut.query2";
-    "Memo.query2";
-    "Kernels.fold_into";
-    "Kernels.max_lanes_exact";
-    "Kernels.fold_into_fast";
-    "Kernels.max_lanes_fast";
   ]
 
 (* Everything whose result statserve gates on being bit-identical across

@@ -46,7 +46,7 @@ val tool : Srcmodel.Tool.t
 
 val default_hot_entries : string list
 (** The sizer/SSTA kernels PR-3/PR-4 claim are allocation-lean:
-    [Window.trial_cost]/[fast_trial_cost]/[vec_costs]/[commit_incremental],
+    [Window.trial_cost]/[vec_costs]/[commit_incremental],
     [Electrical.update], [Fullssta.update], [Discrete_pdf.sum]/[max2],
     [Lut.query]. *)
 

@@ -2,7 +2,8 @@
    live FULLSSTA annotation must be indistinguishable from scratch
    recomputation on ANY well-formed netlist under ANY resize sequence — the
    exact stops make that a bit-level claim, and paranoid mode must actually
-   catch a state that violates it. *)
+   catch a state that violates it. At the window and sizer level, the
+   Production engine is held bit-for-bit to the Reference oracle. *)
 
 open Test_util
 
@@ -135,34 +136,116 @@ let test_paranoid_divergence_fires () =
   with Ssta.Fullssta.Divergence d ->
     Alcotest.(check string) "diagnostic code" "STAT005" d.Diag.code
 
-(* The acceptance property in miniature: both sizer engines walk the same
-   trajectory, so the final cell assignment and moments agree bit-for-bit. *)
+let sized name =
+  let c = Benchgen.Iscas_like.build_exn ~lib name in
+  ignore (Core.Initial_sizing.apply ~lib c);
+  c
+
+let bits = Int64.bits_of_float
+let bit_equal a b = Int64.equal (bits a) (bits b)
+
+let cell_names cells = List.map (fun (g, c) -> (g, Cells.Cell.name c)) cells
+
+(* The window-level oracle: on every gate of two quick circuits, a
+   Production window and a Reference window over separate copies of the
+   same sized circuit return the same verdict with bit-equal costs, and
+   price a forced trial (the pivot's strongest size) to the bit, under both
+   scoring modes. Each engine's window is reused across every gate, so a
+   trial that leaked state into the circuit or the window would also
+   surface here. *)
+let test_window_engines_agree () =
+  let objective = Core.Objective.create ~alpha:3.0 in
+  List.iter
+    (fun (name, mode) ->
+      let window engine c =
+        Core.Window.create ~mode ~engine ~circuit:c
+          ~model:Variation.Model.default ~objective ~full:(Ssta.Fullssta.run c)
+          ()
+      in
+      let cp = sized name and cr = sized name in
+      let wp = window Core.Window.Production cp
+      and wr = window Core.Window.Reference cr in
+      List.iter
+        (fun g ->
+          let what =
+            Printf.sprintf "%s %s gate %d: %s" name
+              (match mode with
+              | Core.Window.Global -> "Global"
+              | Core.Window.Windowed -> "Windowed")
+              g
+          in
+          let sub c = Netlist.Cone.extract c ~pivot:g ~depth:2 in
+          let vp = Core.Window.best_size wp ~lib (sub cp)
+          and vr = Core.Window.best_size wr ~lib (sub cr) in
+          Alcotest.(check string)
+            (what "best cell") (Cells.Cell.name vr.Core.Window.best)
+            (Cells.Cell.name vp.Core.Window.best);
+          check_true (what "co-resizes")
+            (cell_names vp.Core.Window.co_resizes
+            = cell_names vr.Core.Window.co_resizes);
+          check_true (what "best_cost bit-equal")
+            (bit_equal vp.Core.Window.best_cost vr.Core.Window.best_cost);
+          check_true (what "current_cost bit-equal")
+            (bit_equal vp.Core.Window.current_cost vr.Core.Window.current_cost);
+          let strongest =
+            Array.fold_left
+              (fun best cell ->
+                if Cells.Cell.strength cell > Cells.Cell.strength best then cell
+                else best)
+              (Netlist.Circuit.cell_exn cp g)
+              (Cells.Library.sizes_of_fn lib
+                 (Cells.Cell.fn (Netlist.Circuit.cell_exn cp g)))
+          in
+          let cost_p, adj_p = Core.Window.cost_with_cell ~lib wp (sub cp) strongest
+          and cost_r, adj_r = Core.Window.cost_with_cell ~lib wr (sub cr) strongest in
+          check_true (what "cost_with_cell bit-equal") (bit_equal cost_p cost_r);
+          check_true (what "cost_with_cell co-resizes")
+            (cell_names adj_p = cell_names adj_r))
+        (Netlist.Circuit.gates cp))
+    (List.concat_map
+       (fun name -> [ (name, Core.Window.Global); (name, Core.Window.Windowed) ])
+       [ "alu2"; "c432" ])
+
+(* The acceptance property in miniature, over Table 1's configurations:
+   both sizer engines walk the same trajectory, so the final cell
+   assignment and moments agree bit-for-bit. *)
 let test_sizer_incremental_bitexact () =
-  let run incremental =
-    let c = Benchgen.Iscas_like.build_exn ~lib "alu2" in
-    let _ = Core.Initial_sizing.apply ~lib c in
-    let config = { Core.Sizer.default_config with Core.Sizer.incremental } in
-    let r = Core.Sizer.optimize ~config ~lib c in
-    ( List.map
-        (fun g -> Cells.Cell.name (Netlist.Circuit.cell_exn c g))
-        (Netlist.Circuit.gates c),
-      r.Core.Sizer.final_moments )
+  let d = Core.Sizer.default_config in
+  let cases =
+    [
+      ("alu2", "default", d);
+      ("alu1", "mean-delay", Core.Sizer.mean_delay_config);
+      ("alu1", "batch commits", { d with Core.Sizer.commit_mode = Core.Sizer.Batch });
+      ("c432", "alpha 9", { d with Core.Sizer.objective = Core.Objective.create ~alpha:9.0 });
+    ]
   in
-  let cells_s, m_s = run false in
-  let cells_i, m_i = run true in
-  check_true "final sizings identical" (cells_s = cells_i);
-  check_true "final moments bit-equal"
-    (m_s.Numerics.Clark.mean = m_i.Numerics.Clark.mean
-    && m_s.Numerics.Clark.var = m_i.Numerics.Clark.var)
+  List.iter
+    (fun (name, label, config) ->
+      let run engine =
+        let c = sized name in
+        let r =
+          Core.Sizer.optimize ~config:{ config with Core.Sizer.engine } ~lib c
+        in
+        ( List.map
+            (fun g -> Cells.Cell.name (Netlist.Circuit.cell_exn c g))
+            (Netlist.Circuit.gates c),
+          r.Core.Sizer.final_moments )
+      in
+      let cells_r, m_r = run Core.Window.Reference in
+      let cells_p, m_p = run Core.Window.Production in
+      let what = Printf.sprintf "%s (%s): %s" name label in
+      check_true (what "final sizings identical") (cells_r = cells_p);
+      check_true (what "final moments bit-equal")
+        (bit_equal m_r.Numerics.Clark.mean m_p.Numerics.Clark.mean
+        && bit_equal m_r.Numerics.Clark.var m_p.Numerics.Clark.var))
+    cases
 
 (* Paranoid mode across a whole sizing run: every per-iteration update is
    cross-checked against a scratch rebuild and none may diverge. *)
 let test_sizer_paranoid_run_clean () =
   let c = Benchgen.Iscas_like.build_exn ~lib "alu1" in
   let _ = Core.Initial_sizing.apply ~lib c in
-  let config =
-    { Core.Sizer.default_config with Core.Sizer.incremental = true; paranoid = true }
-  in
+  let config = { Core.Sizer.default_config with Core.Sizer.paranoid = true } in
   let r = Core.Sizer.optimize ~config ~lib c in
   check_true "run completed" (r.Core.Sizer.total_resizes >= 0)
 
@@ -185,5 +268,7 @@ let () =
         [
           Alcotest.test_case "scratch and incremental sizers agree bit-exactly"
             `Quick test_sizer_incremental_bitexact;
+          Alcotest.test_case "Production and Reference windows agree per gate"
+            `Quick test_window_engines_agree;
         ] );
     ]

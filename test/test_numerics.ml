@@ -377,6 +377,70 @@ let lut_validation () =
         (Numerics.Lut.create ~rows:[| 1.0; 2.0 |] ~cols:[| 1.0 |]
            ~values:[| [| 1.0 |] |]))
 
+(* The seed nested-array bilinear implementation, replicated operation for
+   operation (same locate, same combination order), as the oracle the
+   flattened row-major storage must match bit for bit. *)
+let oracle_locate axis x =
+  let n = Array.length axis in
+  if n = 1 || x <= axis.(0) then (0, 0.0)
+  else if x >= axis.(n - 1) then (Stdlib.max 0 (n - 2), 1.0)
+  else
+    let rec bisect lo hi =
+      if hi - lo <= 1 then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if x < axis.(mid) then bisect lo mid else bisect mid hi
+    in
+    let i = bisect 0 (n - 1) in
+    (i, (x -. axis.(i)) /. (axis.(i + 1) -. axis.(i)))
+
+let oracle_query ~rows ~cols ~values ~row ~col =
+  let nr = Array.length rows and nc = Array.length cols in
+  let i, fr = oracle_locate rows row in
+  let j, fc = oracle_locate cols col in
+  let v00 = values.(i).(j) in
+  if nr = 1 && nc = 1 then v00
+  else
+    let i1 = Stdlib.min (nr - 1) (i + 1) in
+    let j1 = Stdlib.min (nc - 1) (j + 1) in
+    let v01 = values.(i).(j1)
+    and v10 = values.(i1).(j)
+    and v11 = values.(i1).(j1) in
+    ((1.0 -. fr) *. (((1.0 -. fc) *. v00) +. (fc *. v01)))
+    +. (fr *. (((1.0 -. fc) *. v10) +. (fc *. v11)))
+
+let lut_fixture () =
+  let rows = [| 0.5; 1.0; 2.0; 4.0; 8.0 |]
+  and cols = [| 1.0; 3.0; 9.0; 27.0 |] in
+  let f r c = (r *. 3.1) +. (c *. 0.7) +. (r *. c *. 0.013) in
+  let values = Array.map (fun r -> Array.map (f r) cols) rows in
+  (rows, cols, values, Numerics.Lut.create ~rows ~cols ~values)
+
+let prop_flat_lut_matches_seed_bilinear =
+  qcheck ~count:500 "flat LUT query ≡ seed nested bilinear, bit for bit"
+    QCheck.(pair (int_bound 2000) (int_bound 2000))
+    (fun (ri, ci) ->
+      let rows, cols, values, lut = lut_fixture () in
+      (* sweep inside, on, and beyond both axes, including the clamp zone *)
+      let row = -1.0 +. (float_of_int ri /. 200.0)
+      and col = -1.0 +. (float_of_int ci /. 60.0) in
+      Numerics.Lut.query lut ~row ~col = oracle_query ~rows ~cols ~values ~row ~col)
+
+(* The grid corners and the four clamp quadrants beyond them, where the
+   flat index arithmetic is most likely to slip a row. *)
+let lut_clamp_corners () =
+  let rows, cols, values, lut = lut_fixture () in
+  List.iter
+    (fun (row, col) ->
+      check_true
+        (Printf.sprintf "flat = seed oracle at (%g, %g)" row col)
+        (Numerics.Lut.query lut ~row ~col
+        = oracle_query ~rows ~cols ~values ~row ~col))
+    [
+      (-5.0, -5.0); (100.0, 100.0); (-5.0, 100.0); (100.0, -5.0);
+      (0.5, 1.0); (8.0, 27.0); (1.0, 100.0); (100.0, 3.0);
+    ]
+
 (* ---- Rng ---------------------------------------------------------------- *)
 
 let rng_deterministic () =
@@ -517,6 +581,8 @@ let () =
           Alcotest.test_case "clamps" `Quick lut_clamps;
           Alcotest.test_case "of_function" `Quick lut_of_function;
           Alcotest.test_case "validation" `Quick lut_validation;
+          prop_flat_lut_matches_seed_bilinear;
+          Alcotest.test_case "clamp corners" `Quick lut_clamp_corners;
         ] );
       ( "rng",
         [

@@ -236,7 +236,7 @@ let real_tree_agrees_with_gc_budget () =
   | Some roots ->
       let r = Statflow.Analyze.run_dirs [ roots |> List.hd ] in
       Alcotest.(check int)
-        "all fifteen hot entries resolve" 15
+        "all eight hot entries resolve" 8
         (List.length r.Statflow.Analyze.hot_entries);
       List.iter
         (fun (d : Diag.t) ->
