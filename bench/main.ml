@@ -175,6 +175,12 @@ let micro_tests () =
   let pb = Numerics.Discrete_pdf.of_normal ~samples:12 ~mean:104.0 ~sigma:12.0 () in
   let pa48 = Numerics.Discrete_pdf.of_normal ~samples:48 ~mean:100.0 ~sigma:9.0 () in
   let pb48 = Numerics.Discrete_pdf.of_normal ~samples:48 ~mean:104.0 ~sigma:12.0 () in
+  (* FULLSSTA's arc step at its real shape: a resampled arrival (24 points,
+     built as FULLSSTA builds one) plus a 12-point arc. Its 288 cross points
+     are past the 256-word limit where a materialized sum would leave the
+     minor heap; two 12-point pdfs (144 points) stay under it. *)
+  let arrival = Numerics.Discrete_pdf.sum ~samples:12 pa pb in
+  let arc = Numerics.Discrete_pdf.of_normal ~samples:12 ~mean:20.0 ~sigma:3.0 () in
   [
     (* Table 1's engines: the nested-analysis speed gap FASSTA exists for *)
     Test.make ~name:"fassta_c432_pass"
@@ -205,10 +211,7 @@ let micro_tests () =
       (Staged.stage (fun () -> ignore (Numerics.Discrete_pdf.max2 pa48 pb48)));
     Test.make ~name:"discrete_pdf_sum_resample"
       (Staged.stage (fun () ->
-           ignore
-             (Numerics.Discrete_pdf.resample
-                (Numerics.Discrete_pdf.sum pa pb)
-                ~samples:12)));
+           ignore (Numerics.Discrete_pdf.sum ~samples:12 arrival arc)));
     (* Fig. 3's primitive: one WNSS trace (including its FULLSSTA pass) *)
     Test.make ~name:"wnss_trace_c432"
       (Staged.stage (fun () ->

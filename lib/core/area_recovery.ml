@@ -60,6 +60,7 @@ let full_cost config circuit =
   Objective.circuit_cost config.objective full
 
 let recover ?(config = default_config) ~lib circuit =
+  Obs.Span.with_ "area_recovery.recover" @@ fun () ->
   let area_before = Netlist.Circuit.total_area circuit in
   let cost_before = full_cost config circuit in
   (* Budget anchored on the *fast* engine so accept/reject is consistent

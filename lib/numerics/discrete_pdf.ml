@@ -1,9 +1,9 @@
 (* Discrete probability distributions: the FULLSSTA representation.
 
    Following Liou et al. (DAC'01), a pdf is a finite list of (value, mass)
-   points. The SSTA engine keeps 10-15 points per pdf; [sum] and [max] expand
-   the support (cross sums, support union) and the engine re-samples back to
-   its budget afterwards.
+   points. The SSTA engine keeps 10-15 points per pdf; [max] expands the
+   support (support union) and the engine re-samples back to its budget
+   afterwards, while [sum] re-bins its cross sums to the budget itself.
 
    Invariants: support strictly increasing, masses non-negative, masses sum
    to 1 (up to float round-off; constructors renormalize). *)
@@ -11,6 +11,10 @@
 type t = { xs : float array; ps : float array }
 
 let epsilon_mass = 1e-12
+
+(* [Stdlib.min] is polymorphic, so each call is a C comparison; the
+   kernels clamp indices per point and per merged run with this one. *)
+let imin (a : int) b = if a <= b then a else b
 
 (* statobs counters for the pdf kernels: calls count invocations, points
    count the work each invocation actually did (na·nb for the cross-product
@@ -26,33 +30,45 @@ let c_of_normal_calls = Obs.Counters.make "pdf.of_normal.calls"
 (* Per-domain scratch buffers for the hot kernels: [sum], [resample] and
    [of_normal] run hundreds of times per SSTA pass, and their intermediates
    (cross-product points, merge temporaries, bin accumulators) would
-   otherwise churn the minor heap at several MB per pass. Domain-local so
-   the experiment runners can fan out over domains without sharing. Only
-   intermediates live here — every returned pdf is built from fresh
-   arrays, so results never alias the pool. *)
+   otherwise churn the heap — one FULLSSTA arc step's 288 cross points
+   already exceed the 256-word limit above which OCaml allocates straight
+   in the major heap. Domain-local so the experiment runners can fan out
+   over domains without sharing. Three groups, each grown on its own so
+   that growing one never drops another's live contents: [merge] holds
+   [sum]'s cross products and their merge (and [of_normal]'s bins), [bins]
+   the re-binning accumulators and emitted points, and [sort]
+   [sort_points]' merge temporaries; [total] is the cell [cluster] leaves
+   its mass total in. Only intermediates live here — every returned pdf is
+   built from fresh arrays, so results never alias the pool. *)
 type scratch = {
-  mutable s1 : float array;
-  mutable s2 : float array;
-  mutable s3 : float array;
-  mutable s4 : float array;
-  mutable s5 : float array;
+  merge : float array array;
+  bins : float array array;
+  sort : float array array;
+  total : float array;
 }
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
-      { s1 = [||]; s2 = [||]; s3 = [||]; s4 = [||]; s5 = [||] })
+      {
+        merge = Array.make 4 [||];
+        bins = Array.make 5 [||];
+        sort = Array.make 2 [||];
+        total = [| 0.0 |];
+      })
 
-let scratch_get n =
-  let s = Domain.DLS.get scratch_key in
-  if Array.length s.s1 < n then begin
-    let m = Stdlib.max n (2 * Array.length s.s1) in
-    s.s1 <- Array.make m 0.0;
-    s.s2 <- Array.make m 0.0;
-    s.s3 <- Array.make m 0.0;
-    s.s4 <- Array.make m 0.0;
-    s.s5 <- Array.make m 0.0
+(* Grow a group of equal-length buffers to hold [n] points (doubling, never
+   shrinking). Growth drops the group's contents, so callers grow a group
+   before they write to it. *)
+let grow group n =
+  if Array.length group.(0) < n then begin
+    let m = Stdlib.max n (2 * Array.length group.(0)) in
+    for i = 0 to Array.length group - 1 do
+      group.(i) <- Array.make m 0.0
+    done
   end;
-  s
+  group
+
+let constant x = { xs = [| x |]; ps = [| 1.0 |] }
 
 let check_invariants t =
   let n = Array.length t.xs in
@@ -65,107 +81,142 @@ let check_invariants t =
   let total = Array.fold_left ( +. ) 0.0 t.ps in
   Float.abs (total -. 1.0) < 1e-6
 
-(* Stable bottom-up merge sort of the first [n] entries of the parallel
-   point arrays, ascending by support value. Stability (equal values keep
-   their arrival order) matters: duplicate support points are later merged
-   by sequential mass addition, and float addition is not associative, so
-   the accumulation order is part of the kernel's observable semantics.
-   A sortedness pre-scan makes the common already-sorted case (max, resample
-   bins) a single pass. *)
+(* Stable bottom-up merge sort of the first [n] points of the parallel
+   arrays ([xs], [ps]), ascending by support value, given that each run of
+   [run] consecutive points is already ascending. Each pass merges pairs of
+   adjacent runs from one buffer pair into the other, so the passes
+   ping-pong with ([tx], [tp]); the result is true when the sorted points
+   end in ([tx], [tp]). Stability (equal values keep their input order)
+   matters: duplicate support points are later merged by sequential mass
+   addition, and float addition is not associative, so the accumulation
+   order is part of the kernels' observable semantics. Every stable sort
+   yields the same permutation, so [run] only sets how many passes it
+   takes: 1 for arbitrary input, [nb] for [sum]'s cross products. Once all
+   four buffers are known to hold [n] points, every index the merge
+   touches lies in [0, n), so the inner loop skips the bounds checks. *)
+let merge_sort ~run (xs : float array) (ps : float array) tx tp n =
+  if
+    Array.length xs < n || Array.length ps < n || Array.length tx < n
+    || Array.length tp < n
+  then invalid_arg "Discrete_pdf.merge_sort: buffer shorter than n";
+  let src_x = ref xs
+  and src_p = ref ps
+  and dst_x = ref tx
+  and dst_p = ref tp in
+  let width = ref run in
+  while !width < n do
+    let w = !width in
+    let sx = !src_x and sp = !src_p and dx = !dst_x and dp = !dst_p in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = imin (!lo + w) n and hi = imin (!lo + (2 * w)) n in
+      let i = ref !lo and j = ref mid and k = ref !lo in
+      while !i < mid && !j < hi do
+        let xi = Array.unsafe_get sx !i and xj = Array.unsafe_get sx !j in
+        (* raw [<=] is exact here: supports are finite and non-NaN *)
+        if xi <= xj then begin
+          Array.unsafe_set dx !k xi;
+          Array.unsafe_set dp !k (Array.unsafe_get sp !i);
+          incr i
+        end
+        else begin
+          Array.unsafe_set dx !k xj;
+          Array.unsafe_set dp !k (Array.unsafe_get sp !j);
+          incr j
+        end;
+        incr k
+      done;
+      (* one run is spent; the other's tail is already in order *)
+      Array.blit sx !i dx !k (mid - !i);
+      Array.blit sp !i dp !k (mid - !i);
+      k := !k + (mid - !i);
+      Array.blit sx !j dx !k (hi - !j);
+      Array.blit sp !j dp !k (hi - !j);
+      lo := !lo + (2 * w)
+    done;
+    let x = !src_x and p = !src_p in
+    src_x := !dst_x;
+    src_p := !dst_p;
+    dst_x := x;
+    dst_p := p;
+    width := 2 * w
+  done;
+  !src_x != xs
+
+(* Sort the first [n] points in place. A sortedness pre-scan makes the
+   common already-sorted case (max, of_normal) a single pass; the rest
+   (re-binned points, arbitrary constructors) merge through the [sort]
+   scratch group. *)
 let sort_points xs ps n =
-  (* supports are finite and non-NaN (module invariant), so the raw float
-     comparison is exact and avoids an external call per element *)
   let sorted = ref true in
   for i = 1 to n - 1 do
     if xs.(i - 1) > xs.(i) then sorted := false
   done;
   if not !sorted then begin
-    let idx = Array.init n Fun.id in
-    let tmp = Array.make n 0 in
-    let width = ref 1 in
-    while !width < n do
-      let w = !width in
-      let lo = ref 0 in
-      while !lo < n - w do
-        let mid = !lo + w and hi = Stdlib.min (!lo + (2 * w)) n in
-        Array.blit idx !lo tmp !lo (hi - !lo);
-        let i = ref !lo and j = ref mid and k = ref !lo in
-        while !i < mid && !j < hi do
-          if Float.compare xs.(tmp.(!i)) xs.(tmp.(!j)) <= 0 then begin
-            idx.(!k) <- tmp.(!i);
-            incr i
-          end
-          else begin
-            idx.(!k) <- tmp.(!j);
-            incr j
-          end;
-          incr k
-        done;
-        while !i < mid do
-          idx.(!k) <- tmp.(!i);
-          incr i;
-          incr k
-        done;
-        while !j < hi do
-          idx.(!k) <- tmp.(!j);
-          incr j;
-          incr k
-        done;
-        lo := !lo + (2 * w)
-      done;
-      width := 2 * w
-    done;
-    let xs' = Array.make n 0.0 and ps' = Array.make n 0.0 in
-    for i = 0 to n - 1 do
-      xs'.(i) <- xs.(idx.(i));
-      ps'.(i) <- ps.(idx.(i))
-    done;
-    Array.blit xs' 0 xs 0 n;
-    Array.blit ps' 0 ps 0 n
+    let t = grow (Domain.DLS.get scratch_key).sort n in
+    if merge_sort ~run:1 xs ps t.(0) t.(1) n then begin
+      Array.blit t.(0) 0 xs 0 n;
+      Array.blit t.(1) 0 ps 0 n
+    end
   end
 
-(* Collapse duplicate support points, drop negligible masses, renormalize.
-   Works in place on the first [n] entries of the scratch arrays (which the
-   caller surrenders); the cluster write index never overtakes the read
-   index, so compaction and merging are single in-place passes. *)
-let normalize_arrays xs ps n =
-  let k = ref 0 in
+(* Filter, duplicate merge and mass total in one pass over the sorted first
+   [n] points: drop masses at or below [epsilon_mass], merge clusters of
+   points within 1e-12 relative distance of the cluster's first point
+   (accumulating mass in ascending order), and compact the clusters in
+   place — the write index never overtakes the read index. Each cluster's
+   mass joins the total when the next cluster opens, so the total's
+   additions run in cluster order, as a separate summing pass would make
+   them. Returns the cluster count and leaves the total in [cell.(0)].
+   Indices stay below [n] once both arrays are known to hold [n] points,
+   so the loop skips the bounds checks. *)
+let cluster cell xs ps n =
+  if Array.length xs < n || Array.length ps < n then
+    invalid_arg "Discrete_pdf.cluster: buffer shorter than n";
+  let m = ref 0 and total = ref 0.0 in
   for i = 0 to n - 1 do
-    if ps.(i) > epsilon_mass then begin
-      xs.(!k) <- xs.(i);
-      ps.(!k) <- ps.(i);
-      incr k
+    let p = Array.unsafe_get ps i in
+    if p > epsilon_mass then begin
+      let head = !m - 1 in
+      let x = Array.unsafe_get xs i in
+      if
+        head >= 0
+        && Float.abs (x -. Array.unsafe_get xs head)
+           <= 1e-12 *. (1.0 +. Float.abs (Array.unsafe_get xs head))
+      then Array.unsafe_set ps head (Array.unsafe_get ps head +. p)
+      else begin
+        if head >= 0 then total := !total +. Array.unsafe_get ps head;
+        Array.unsafe_set xs !m x;
+        Array.unsafe_set ps !m p;
+        incr m
+      end
     end
   done;
-  let n = !k in
-  sort_points xs ps n;
-  (* Merge clusters of support points within 1e-12 relative distance of the
-     cluster's first point, accumulating mass in ascending order. *)
-  let m = ref 0 in
-  for i = 0 to n - 1 do
-    if
-      !m > 0
-      && Float.abs (xs.(i) -. xs.(!m - 1))
-         <= 1e-12 *. (1.0 +. Float.abs xs.(!m - 1))
-    then ps.(!m - 1) <- ps.(!m - 1) +. ps.(i)
-    else begin
-      xs.(!m) <- xs.(i);
-      ps.(!m) <- ps.(i);
-      incr m
-    end
-  done;
-  let m = !m in
-  let total = ref 0.0 in
-  for i = 0 to m - 1 do
-    total := !total +. ps.(i)
-  done;
+  if !m > 0 then total := !total +. ps.(!m - 1);
   if !total <= 0.0 then invalid_arg "Discrete_pdf: no probability mass";
+  cell.(0) <- !total;
+  !m
+
+(* The normalized pdf of [m] clusters whose masses sum to [total]. Past
+   scratch growth it is the kernels' only allocation; inlined, so [total]
+   reaches it unboxed. *)
+let[@inline] of_clusters xs ps m total =
   let rxs = Array.sub xs 0 m in
   let rps = Array.make m 0.0 in
   for i = 0 to m - 1 do
-    rps.(i) <- ps.(i) /. !total
+    rps.(i) <- ps.(i) /. total
   done;
   { xs = rxs; ps = rps }
+
+(* Collapse duplicate support points, drop negligible masses, renormalize.
+   Works on the first [n] entries of arrays the caller surrenders. Sorting
+   before the filter yields the same sequence as filtering first: a stable
+   sort keeps the survivors' relative order. *)
+let normalize_arrays xs ps n =
+  sort_points xs ps n;
+  let cell = (Domain.DLS.get scratch_key).total in
+  let m = cluster cell xs ps n in
+  of_clusters xs ps m cell.(0)
 
 let normalize points =
   let n = List.length points in
@@ -187,8 +238,6 @@ let equal a b =
   || (Array.length a.xs = Array.length b.xs
      && Array.for_all2 Float.equal a.xs b.xs
      && Array.for_all2 Float.equal a.ps b.ps)
-
-let constant x = { xs = [| x |]; ps = [| 1.0 |] }
 
 let support_size t = Array.length t.xs
 let min_value t = t.xs.(0)
@@ -228,8 +277,8 @@ let of_normal ?(span = 4.0) ~samples ~mean ~sigma () =
     (* both boundary CDF evaluations stay per bin: [left +. step] of one bin
        and [lo +. i *. step] of the next are not bitwise equal, so sharing
        them would perturb the masses in the last ulp *)
-    let s = scratch_get samples in
-    let xs = s.s1 and ps = s.s2 in
+    let g = grow (Domain.DLS.get scratch_key).merge samples in
+    let xs = g.(0) and ps = g.(1) in
     for i = 0 to samples - 1 do
       let left = lo +. (float_of_int i *. step) in
       let right = left +. step in
@@ -269,78 +318,88 @@ let quantile t p =
   in
   walk 0 0.0
 
-(* Re-bin onto a uniform grid of [samples] bins spanning the support. Each
-   bin's mass is split across two points at its centroid ± its within-bin
-   standard deviation, so both the mean and the variance are preserved
-   exactly — naive centroid binning leaks variance at every propagation
-   step, which compounds badly along deep paths. Resulting support is at
-   most 2·samples points. *)
-let resample t ~samples =
-  Obs.Counters.bump c_resample_calls;
-  if samples < 1 then invalid_arg "Discrete_pdf.resample: samples < 1";
-  let n = Array.length t.xs in
-  if n <= 2 * samples then t
+(* Re-bin onto a uniform grid of [samples] bins spanning the first [n]
+   points of a strictly ascending support whose masses are
+   [ps.(i) /. total]. Each bin's mass is split across two points at its
+   centroid ± its within-bin standard deviation, so both the mean and the
+   variance are preserved up to rounding — naive centroid binning leaks
+   variance at every propagation step, which compounds badly along deep
+   paths. The result has at most 2·samples points. Masses are divided by
+   [total] as they are read, so the fused [sum] bins its clusters without
+   materializing the normalized sum first; [resample] passes a total of
+   1.0, which divides exactly. *)
+let rebin ~samples ~total xs ps n =
+  let lo = xs.(0) and hi = xs.(n - 1) in
+  if hi <= lo then constant lo
   else
-    let lo = min_value t and hi = max_value t in
-    if hi <= lo then constant lo
-    else
-      let width = (hi -. lo) /. float_of_int samples in
-      let s = scratch_get (2 * samples) in
-      let mass = s.s1 and m1 = s.s2 and m2 = s.s3 in
-      Array.fill mass 0 samples 0.0;
-      Array.fill m1 0 samples 0.0;
-      Array.fill m2 0 samples 0.0;
-      for i = 0 to n - 1 do
-        let x = t.xs.(i) in
-        let p = t.ps.(i) in
-        let b =
-          Stdlib.min (samples - 1) (int_of_float ((x -. lo) /. width))
-        in
-        mass.(b) <- mass.(b) +. p;
-        m1.(b) <- m1.(b) +. (p *. x);
-        m2.(b) <- m2.(b) +. (p *. x *. x)
-      done;
-      let bxs = s.s4 and bps = s.s5 in
-      let k = ref 0 in
-      for b = 0 to samples - 1 do
-        if mass.(b) > epsilon_mass then begin
-          let mu = m1.(b) /. mass.(b) in
-          let var = Float.max ((m2.(b) /. mass.(b)) -. (mu *. mu)) 0.0 in
-          let sd = Float.sqrt var in
-          if sd > 1e-9 *. (1.0 +. Float.abs mu) then begin
-            bxs.(!k) <- mu -. sd;
-            bps.(!k) <- 0.5 *. mass.(b);
-            incr k;
-            bxs.(!k) <- mu +. sd;
-            bps.(!k) <- 0.5 *. mass.(b);
-            incr k
-          end
-          else begin
-            bxs.(!k) <- mu;
-            bps.(!k) <- mass.(b);
-            incr k
-          end
+    let width = (hi -. lo) /. float_of_int samples in
+    let g = grow (Domain.DLS.get scratch_key).bins (2 * samples) in
+    let mass = g.(0) and m1 = g.(1) and m2 = g.(2) in
+    Array.fill mass 0 samples 0.0;
+    Array.fill m1 0 samples 0.0;
+    Array.fill m2 0 samples 0.0;
+    for i = 0 to n - 1 do
+      let x = xs.(i) in
+      let p = ps.(i) /. total in
+      let b = imin (samples - 1) (int_of_float ((x -. lo) /. width)) in
+      mass.(b) <- mass.(b) +. p;
+      m1.(b) <- m1.(b) +. (p *. x);
+      m2.(b) <- m2.(b) +. (p *. x *. x)
+    done;
+    let bxs = g.(3) and bps = g.(4) in
+    let k = ref 0 in
+    for b = 0 to samples - 1 do
+      if mass.(b) > epsilon_mass then begin
+        let mu = m1.(b) /. mass.(b) in
+        let var = Float.max ((m2.(b) /. mass.(b)) -. (mu *. mu)) 0.0 in
+        let sd = Float.sqrt var in
+        if sd > 1e-9 *. (1.0 +. Float.abs mu) then begin
+          bxs.(!k) <- mu -. sd;
+          bps.(!k) <- 0.5 *. mass.(b);
+          incr k;
+          bxs.(!k) <- mu +. sd;
+          bps.(!k) <- 0.5 *. mass.(b);
+          incr k
         end
-      done;
-      normalize_arrays bxs bps !k
+        else begin
+          bxs.(!k) <- mu;
+          bps.(!k) <- mass.(b);
+          incr k
+        end
+      end
+    done;
+    normalize_arrays bxs bps !k
 
-(* Sum of independent discrete random variables: cross sums of supports
-   with product masses. The cross product is generated as [na] runs that
-   are already ascending (fixed outer point, inner support is strictly
-   increasing), so a stable bottom-up merge starting at run width [nb]
-   reaches the sorted order in log(na) passes with no index indirection —
-   the hot kernel of every pdf propagation step. The result order is the
-   unique stable ascending permutation, exactly what [sort_points] would
-   produce, and filtering commutes with stable sorting, so the digest in
-   [normalize_arrays] sees bit-identical data. Callers resample afterwards
-   to bound growth. *)
-let sum a b =
+(* [resample]'s entry, shared with the fused [sum]: count the call, then
+   vet the budget. *)
+let enter_resample samples =
+  Obs.Counters.bump c_resample_calls;
+  if samples < 1 then invalid_arg "Discrete_pdf.resample: samples < 1"
+
+let resample t ~samples =
+  enter_resample samples;
+  let n = Array.length t.xs in
+  if n <= 2 * samples then t else rebin ~samples ~total:1.0 t.xs t.ps n
+
+(* Sum of independent discrete random variables, re-binned to [samples]:
+   one kernel that returns, bit for bit, what re-binning the unresampled
+   sum returns, without building that sum. Cross sums of supports with
+   product masses are generated as [na] runs that are already ascending
+   (fixed outer point, inner support strictly increasing), so the stable
+   merge starting at run width [nb] reaches the sorted order in log(na)
+   passes. Filtering commutes with a stable sort, so [cluster] can filter,
+   merge duplicates and total the masses of the merged points in one pass,
+   leaving exactly the support a normalizing pass would have built. Only
+   the result is allocated: at most 2·samples points, either those
+   clusters normalized (when few enough) or their re-binning. *)
+let sum ~samples a b =
   let na = Array.length a.xs and nb = Array.length b.xs in
   let n = na * nb in
   Obs.Counters.bump c_sum_calls;
   Obs.Counters.add c_sum_points n;
-  let s = scratch_get n in
-  let xs = s.s1 and ps = s.s2 in
+  let s = Domain.DLS.get scratch_key in
+  let g = grow s.merge n in
+  let xs = g.(0) and ps = g.(1) in
   (* runs keep the historical outer order (descending index) so equal
      support values across runs retain their generation order for the
      stable merge; within a run values are strictly increasing, so the
@@ -354,59 +413,12 @@ let sum a b =
       incr k
     done
   done;
-  if na > 1 then begin
-    let tx = s.s3 and tp = s.s4 in
-    let src_x = ref xs
-    and src_p = ref ps
-    and dst_x = ref tx
-    and dst_p = ref tp in
-    let width = ref nb in
-    while !width < n do
-      let w = !width in
-      let sx = !src_x and sp = !src_p and dx = !dst_x and dp = !dst_p in
-      let lo = ref 0 in
-      while !lo < n do
-        let mid = Stdlib.min (!lo + w) n
-        and hi = Stdlib.min (!lo + (2 * w)) n in
-        let i = ref !lo and j = ref mid and k = ref !lo in
-        while !i < mid && !j < hi do
-          (* raw [<=] is exact here: supports are finite and non-NaN *)
-          if sx.(!i) <= sx.(!j) then begin
-            dx.(!k) <- sx.(!i);
-            dp.(!k) <- sp.(!i);
-            incr i
-          end
-          else begin
-            dx.(!k) <- sx.(!j);
-            dp.(!k) <- sp.(!j);
-            incr j
-          end;
-          incr k
-        done;
-        while !i < mid do
-          dx.(!k) <- sx.(!i);
-          dp.(!k) <- sp.(!i);
-          incr i;
-          incr k
-        done;
-        while !j < hi do
-          dx.(!k) <- sx.(!j);
-          dp.(!k) <- sp.(!j);
-          incr j;
-          incr k
-        done;
-        lo := !lo + (2 * w)
-      done;
-      let x = !src_x and p = !src_p in
-      src_x := !dst_x;
-      src_p := !dst_p;
-      dst_x := x;
-      dst_p := p;
-      width := 2 * w
-    done;
-    normalize_arrays !src_x !src_p n
-  end
-  else normalize_arrays xs ps n
+  let in_tmp = merge_sort ~run:nb xs ps g.(2) g.(3) n in
+  let xs = if in_tmp then g.(2) else xs and ps = if in_tmp then g.(3) else ps in
+  let m = cluster s.total xs ps n in
+  enter_resample samples;
+  if m <= 2 * samples then of_clusters xs ps m s.total.(0)
+  else rebin ~samples ~total:s.total.(0) xs ps m
 
 (* Max of independent discrete random variables via the CDF product
    F_max(x) = F_A(x) · F_B(x) evaluated on the union of supports: a single

@@ -1,6 +1,7 @@
 (** Discrete probability distributions — the FULLSSTA pdf representation
     (Liou et al., DAC'01): finitely many (value, mass) points with [sum] by
-    cross sums, [max] by CDF products, and re-sampling to a point budget. *)
+    cross sums re-binned to a point budget, [max] by CDF products, and
+    re-sampling to a point budget. *)
 
 type t
 
@@ -42,9 +43,14 @@ val quantile : t -> float -> float
 val shift : t -> float -> t
 val scale : t -> float -> t
 
-val sum : t -> t -> t
-(** Distribution of the sum of independent variables (support grows to the
-    product of sizes; follow with {!resample}). *)
+val sum : samples:int -> t -> t -> t
+(** [sum ~samples a b] is the distribution of the sum of independent
+    variables, re-binned to [samples] bins: bit for bit what {!resample}
+    [~samples] returns on the unresampled cross-sum distribution (whose
+    support would grow to the product of the sizes), which this kernel
+    never builds. It counts one [pdf.sum] call of
+    [support_size a * support_size b] points and one [pdf.resample] call,
+    and raises [Invalid_argument] like {!resample} when [samples < 1]. *)
 
 val max2 : t -> t -> t
 (** Distribution of the max of independent variables. *)
@@ -53,7 +59,11 @@ val max_list : t list -> t
 (** Left fold of {!max2}; raises on the empty list. *)
 
 val resample : t -> samples:int -> t
-(** Re-bin to at most [samples] points, preserving the mean exactly. *)
+(** Re-bin onto [samples] equal-width bins spanning the support, each bin's
+    mass split over two points at its centroid ± its within-bin standard
+    deviation: at most 2·samples points, with the mean and variance kept up
+    to rounding. A pdf of at most 2·samples points is returned unchanged.
+    Raises [Invalid_argument] when [samples < 1]. *)
 
 val check_invariants : t -> bool
 (** Structural invariants (sorted support, masses ≥ 0 summing to 1). *)

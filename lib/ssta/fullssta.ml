@@ -54,9 +54,7 @@ let arc_pdf config circuit electrical id k =
 (* Resampled arrival pdf through one fanin arc: fanin arrival + arc delay. *)
 let arc_arrival config circuit electrical pdfs id k fi =
   let arc = arc_pdf config circuit electrical id k in
-  Numerics.Discrete_pdf.resample
-    (Numerics.Discrete_pdf.sum pdfs.(fi) arc)
-    ~samples:config.samples
+  Numerics.Discrete_pdf.sum ~samples:config.samples pdfs.(fi) arc
 
 let node_strength circuit id =
   match Netlist.Circuit.cell circuit id with

@@ -253,7 +253,7 @@ let pdf_of_normal_moments () =
 let pdf_sum_moments () =
   let a = Numerics.Discrete_pdf.of_normal ~samples:12 ~mean:10.0 ~sigma:3.0 () in
   let b = Numerics.Discrete_pdf.of_normal ~samples:12 ~mean:20.0 ~sigma:4.0 () in
-  let s = Numerics.Discrete_pdf.sum a b in
+  let s = Numerics.Discrete_pdf.sum ~samples:12 a b in
   close ~tol:0.01 "sum mean" 30.0 (Numerics.Discrete_pdf.mean s);
   close ~tol:0.05 "sum sigma" 5.0 (Numerics.Discrete_pdf.std s);
   check_true "invariants" (Numerics.Discrete_pdf.check_invariants s)
@@ -272,9 +272,7 @@ let pdf_max_matches_clark () =
     (Numerics.Discrete_pdf.std m)
 
 let pdf_resample_preserves_moments () =
-  let a = Numerics.Discrete_pdf.of_normal ~samples:40 ~mean:50.0 ~sigma:5.0 () in
-  let b = Numerics.Discrete_pdf.of_normal ~samples:40 ~mean:51.0 ~sigma:5.0 () in
-  let s = Numerics.Discrete_pdf.sum a b in
+  let s = Numerics.Discrete_pdf.of_normal ~samples:100 ~mean:101.0 ~sigma:7.0 () in
   let r = Numerics.Discrete_pdf.resample s ~samples:12 in
   check_true "support bounded" (Numerics.Discrete_pdf.support_size r <= 24);
   close ~tol:1e-9 "resample preserves mean" (Numerics.Discrete_pdf.mean s)
@@ -323,11 +321,15 @@ let gen_pdf =
 let pdf_ops_keep_invariants =
   qcheck ~count:100 "sum/max keep invariants" (QCheck.pair gen_pdf gen_pdf)
     (fun (a, b) ->
-      Numerics.Discrete_pdf.check_invariants (Numerics.Discrete_pdf.sum a b)
+      (* a budget of na·nb keeps every cross point: the unresampled sum *)
+      let all =
+        Numerics.Discrete_pdf.(support_size a * support_size b)
+      in
+      Numerics.Discrete_pdf.check_invariants
+        (Numerics.Discrete_pdf.sum ~samples:all a b)
       && Numerics.Discrete_pdf.check_invariants (Numerics.Discrete_pdf.max2 a b)
       && Numerics.Discrete_pdf.check_invariants
-           (Numerics.Discrete_pdf.resample (Numerics.Discrete_pdf.sum a b)
-              ~samples:10))
+           (Numerics.Discrete_pdf.sum ~samples:10 a b))
 
 let pdf_max_ge_means =
   qcheck ~count:100 "E[max] >= both means" (QCheck.pair gen_pdf gen_pdf)
@@ -336,6 +338,538 @@ let pdf_max_ge_means =
       Numerics.Discrete_pdf.mean m
       >= Float.max (Numerics.Discrete_pdf.mean a) (Numerics.Discrete_pdf.mean b)
          -. 1e-6)
+
+(* ---- Discrete_pdf kernels vs the composition they replaced -------------- *)
+
+(* The pdf kernels as they stood when FULLSSTA's arc step was the
+   composition [resample (sum a b) ~samples]: [sort_points],
+   [normalize_arrays], the unresampled [sum] and [resample], copied verbatim
+   bar the statobs counters and the domain-local pool, as the oracle the
+   fused [Discrete_pdf.sum ~samples] and [resample]'s shared binning must
+   match bit for bit. [normalize] (behind [of_points]), [of_normal] and
+   [max2] come along unchanged, so that the constructors built on the
+   shared sort and cluster steps are checked too and a whole FULLSSTA pass
+   can be rebuilt in the oracle's representation. *)
+module Oracle_pdf = struct
+  type t = { xs : float array; ps : float array }
+
+  let epsilon_mass = 1e-12
+
+  type scratch = {
+    mutable s1 : float array;
+    mutable s2 : float array;
+    mutable s3 : float array;
+    mutable s4 : float array;
+    mutable s5 : float array;
+  }
+
+  let pool = { s1 = [||]; s2 = [||]; s3 = [||]; s4 = [||]; s5 = [||] }
+
+  let scratch_get n =
+    let s = pool in
+    if Array.length s.s1 < n then begin
+      let m = Stdlib.max n (2 * Array.length s.s1) in
+      s.s1 <- Array.make m 0.0;
+      s.s2 <- Array.make m 0.0;
+      s.s3 <- Array.make m 0.0;
+      s.s4 <- Array.make m 0.0;
+      s.s5 <- Array.make m 0.0
+    end;
+    s
+
+  let sort_points xs ps n =
+    (* supports are finite and non-NaN (module invariant), so the raw float
+       comparison is exact and avoids an external call per element *)
+    let sorted = ref true in
+    for i = 1 to n - 1 do
+      if xs.(i - 1) > xs.(i) then sorted := false
+    done;
+    if not !sorted then begin
+      let idx = Array.init n Fun.id in
+      let tmp = Array.make n 0 in
+      let width = ref 1 in
+      while !width < n do
+        let w = !width in
+        let lo = ref 0 in
+        while !lo < n - w do
+          let mid = !lo + w and hi = Stdlib.min (!lo + (2 * w)) n in
+          Array.blit idx !lo tmp !lo (hi - !lo);
+          let i = ref !lo and j = ref mid and k = ref !lo in
+          while !i < mid && !j < hi do
+            if Float.compare xs.(tmp.(!i)) xs.(tmp.(!j)) <= 0 then begin
+              idx.(!k) <- tmp.(!i);
+              incr i
+            end
+            else begin
+              idx.(!k) <- tmp.(!j);
+              incr j
+            end;
+            incr k
+          done;
+          while !i < mid do
+            idx.(!k) <- tmp.(!i);
+            incr i;
+            incr k
+          done;
+          while !j < hi do
+            idx.(!k) <- tmp.(!j);
+            incr j;
+            incr k
+          done;
+          lo := !lo + (2 * w)
+        done;
+        width := 2 * w
+      done;
+      let xs' = Array.make n 0.0 and ps' = Array.make n 0.0 in
+      for i = 0 to n - 1 do
+        xs'.(i) <- xs.(idx.(i));
+        ps'.(i) <- ps.(idx.(i))
+      done;
+      Array.blit xs' 0 xs 0 n;
+      Array.blit ps' 0 ps 0 n
+    end
+
+  let normalize_arrays xs ps n =
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      if ps.(i) > epsilon_mass then begin
+        xs.(!k) <- xs.(i);
+        ps.(!k) <- ps.(i);
+        incr k
+      end
+    done;
+    let n = !k in
+    sort_points xs ps n;
+    (* Merge clusters of support points within 1e-12 relative distance of the
+       cluster's first point, accumulating mass in ascending order. *)
+    let m = ref 0 in
+    for i = 0 to n - 1 do
+      if
+        !m > 0
+        && Float.abs (xs.(i) -. xs.(!m - 1))
+           <= 1e-12 *. (1.0 +. Float.abs xs.(!m - 1))
+      then ps.(!m - 1) <- ps.(!m - 1) +. ps.(i)
+      else begin
+        xs.(!m) <- xs.(i);
+        ps.(!m) <- ps.(i);
+        incr m
+      end
+    done;
+    let m = !m in
+    let total = ref 0.0 in
+    for i = 0 to m - 1 do
+      total := !total +. ps.(i)
+    done;
+    if !total <= 0.0 then invalid_arg "Discrete_pdf: no probability mass";
+    let rxs = Array.sub xs 0 m in
+    let rps = Array.make m 0.0 in
+    for i = 0 to m - 1 do
+      rps.(i) <- ps.(i) /. !total
+    done;
+    { xs = rxs; ps = rps }
+
+  let normalize points =
+    let n = List.length points in
+    let xs = Array.make (Stdlib.max n 1) 0.0
+    and ps = Array.make (Stdlib.max n 1) 0.0 in
+    List.iteri
+      (fun i (x, p) ->
+        xs.(i) <- x;
+        ps.(i) <- p)
+      points;
+    normalize_arrays xs ps n
+
+  let constant x = { xs = [| x |]; ps = [| 1.0 |] }
+  let min_value t = t.xs.(0)
+  let max_value t = t.xs.(Array.length t.xs - 1)
+
+  let of_normal ?(span = 4.0) ~samples ~mean ~sigma () =
+    if samples < 1 then invalid_arg "Discrete_pdf.of_normal: samples < 1";
+    if sigma <= 0.0 then constant mean
+    else
+      let lo = mean -. (span *. sigma) and hi = mean +. (span *. sigma) in
+      let step = (hi -. lo) /. float_of_int samples in
+      (* both boundary CDF evaluations stay per bin: [left +. step] of one bin
+         and [lo +. i *. step] of the next are not bitwise equal, so sharing
+         them would perturb the masses in the last ulp *)
+      let s = scratch_get samples in
+      let xs = s.s1 and ps = s.s2 in
+      for i = 0 to samples - 1 do
+        let left = lo +. (float_of_int i *. step) in
+        let right = left +. step in
+        xs.(i) <- 0.5 *. (left +. right);
+        ps.(i) <-
+          Numerics.Normal.cdf_at ~mean ~sigma right -. Numerics.Normal.cdf_at ~mean ~sigma left
+      done;
+      normalize_arrays xs ps samples
+
+  let resample t ~samples =
+    if samples < 1 then invalid_arg "Discrete_pdf.resample: samples < 1";
+    let n = Array.length t.xs in
+    if n <= 2 * samples then t
+    else
+      let lo = min_value t and hi = max_value t in
+      if hi <= lo then constant lo
+      else
+        let width = (hi -. lo) /. float_of_int samples in
+        let s = scratch_get (2 * samples) in
+        let mass = s.s1 and m1 = s.s2 and m2 = s.s3 in
+        Array.fill mass 0 samples 0.0;
+        Array.fill m1 0 samples 0.0;
+        Array.fill m2 0 samples 0.0;
+        for i = 0 to n - 1 do
+          let x = t.xs.(i) in
+          let p = t.ps.(i) in
+          let b =
+            Stdlib.min (samples - 1) (int_of_float ((x -. lo) /. width))
+          in
+          mass.(b) <- mass.(b) +. p;
+          m1.(b) <- m1.(b) +. (p *. x);
+          m2.(b) <- m2.(b) +. (p *. x *. x)
+        done;
+        let bxs = s.s4 and bps = s.s5 in
+        let k = ref 0 in
+        for b = 0 to samples - 1 do
+          if mass.(b) > epsilon_mass then begin
+            let mu = m1.(b) /. mass.(b) in
+            let var = Float.max ((m2.(b) /. mass.(b)) -. (mu *. mu)) 0.0 in
+            let sd = Float.sqrt var in
+            if sd > 1e-9 *. (1.0 +. Float.abs mu) then begin
+              bxs.(!k) <- mu -. sd;
+              bps.(!k) <- 0.5 *. mass.(b);
+              incr k;
+              bxs.(!k) <- mu +. sd;
+              bps.(!k) <- 0.5 *. mass.(b);
+              incr k
+            end
+            else begin
+              bxs.(!k) <- mu;
+              bps.(!k) <- mass.(b);
+              incr k
+            end
+          end
+        done;
+        normalize_arrays bxs bps !k
+
+  let sum a b =
+    let na = Array.length a.xs and nb = Array.length b.xs in
+    let n = na * nb in
+    let s = scratch_get n in
+    let xs = s.s1 and ps = s.s2 in
+    (* runs keep the historical outer order (descending index) so equal
+       support values across runs retain their generation order for the
+       stable merge; within a run values are strictly increasing, so the
+       ascending inner traversal cannot reorder ties *)
+    let k = ref 0 in
+    for i = na - 1 downto 0 do
+      let xa = a.xs.(i) and pa = a.ps.(i) in
+      for j = 0 to nb - 1 do
+        xs.(!k) <- xa +. b.xs.(j);
+        ps.(!k) <- pa *. b.ps.(j);
+        incr k
+      done
+    done;
+    if na > 1 then begin
+      let tx = s.s3 and tp = s.s4 in
+      let src_x = ref xs
+      and src_p = ref ps
+      and dst_x = ref tx
+      and dst_p = ref tp in
+      let width = ref nb in
+      while !width < n do
+        let w = !width in
+        let sx = !src_x and sp = !src_p and dx = !dst_x and dp = !dst_p in
+        let lo = ref 0 in
+        while !lo < n do
+          let mid = Stdlib.min (!lo + w) n
+          and hi = Stdlib.min (!lo + (2 * w)) n in
+          let i = ref !lo and j = ref mid and k = ref !lo in
+          while !i < mid && !j < hi do
+            (* raw [<=] is exact here: supports are finite and non-NaN *)
+            if sx.(!i) <= sx.(!j) then begin
+              dx.(!k) <- sx.(!i);
+              dp.(!k) <- sp.(!i);
+              incr i
+            end
+            else begin
+              dx.(!k) <- sx.(!j);
+              dp.(!k) <- sp.(!j);
+              incr j
+            end;
+            incr k
+          done;
+          while !i < mid do
+            dx.(!k) <- sx.(!i);
+            dp.(!k) <- sp.(!i);
+            incr i;
+            incr k
+          done;
+          while !j < hi do
+            dx.(!k) <- sx.(!j);
+            dp.(!k) <- sp.(!j);
+            incr j;
+            incr k
+          done;
+          lo := !lo + (2 * w)
+        done;
+        let x = !src_x and p = !src_p in
+        src_x := !dst_x;
+        src_p := !dst_p;
+        dst_x := x;
+        dst_p := p;
+        width := 2 * w
+      done;
+      normalize_arrays !src_x !src_p n
+    end
+    else normalize_arrays xs ps n
+
+  let max2 a b =
+    let na = Array.length a.xs and nb = Array.length b.xs in
+    let xs = Array.make (na + nb) 0.0 and ps = Array.make (na + nb) 0.0 in
+    let m = ref 0 in
+    let ia = ref 0 and ib = ref 0 in
+    let fa = ref 0.0 and fb = ref 0.0 in
+    let prev = ref 0.0 in
+    while !ia < na || !ib < nb do
+      let x =
+        if !ia >= na then b.xs.(!ib)
+        else if !ib >= nb then a.xs.(!ia)
+        else Float.min a.xs.(!ia) b.xs.(!ib)
+      in
+      while !ia < na && a.xs.(!ia) <= x do
+        fa := !fa +. a.ps.(!ia);
+        incr ia
+      done;
+      while !ib < nb && b.xs.(!ib) <= x do
+        fb := !fb +. b.ps.(!ib);
+        incr ib
+      done;
+      let f = Float.min !fa 1.0 *. Float.min !fb 1.0 in
+      let mass = f -. !prev in
+      prev := f;
+      if mass > epsilon_mass then begin
+        xs.(!m) <- x;
+        ps.(!m) <- mass;
+        incr m
+      end
+    done;
+    normalize_arrays xs ps !m
+
+  let max_list = function
+    | [] -> invalid_arg "Discrete_pdf.max_list: empty"
+    | t :: rest -> List.fold_left max2 t rest
+
+  let of_pdf p =
+    let pts = Numerics.Discrete_pdf.points p in
+    {
+      xs = Array.of_list (List.map fst pts);
+      ps = Array.of_list (List.map snd pts);
+    }
+end
+
+(* [Discrete_pdf.t] is abstract, so kernel results are compared with oracle
+   pdfs point by point at the bit level — stricter than
+   [Discrete_pdf.equal], which also identifies 0.0 with -0.0. *)
+let same_bits p (o : Oracle_pdf.t) =
+  let bits x = Int64.bits_of_float x in
+  let pts = Numerics.Discrete_pdf.points p in
+  List.length pts = Array.length o.xs
+  && List.for_all2
+       (fun (x, p) (ox, op) ->
+         Int64.equal (bits x) (bits ox) && Int64.equal (bits p) (bits op))
+       pts
+       (Array.to_list (Array.map2 (fun x p -> (x, p)) o.xs o.ps))
+
+(* Pdfs that reach the kernels' edge cases: integer supports (exact cross-sum
+   ties across runs), supports jittered by multiples of 3e-13 (cross sums
+   within the 1e-12 cluster radius of one another), tiny masses (cross
+   products at or below epsilon_mass, and normalized masses at or below it
+   when the raw total exceeds 2), constants, and discretized normals. *)
+let gen_edge_value =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map float_of_int (int_range (-4) 24));
+        ( 2,
+          map2
+            (fun i j -> float_of_int i +. (float_of_int j *. 3e-13))
+            (int_range 0 24) (int_range (-3) 3) );
+        (1, float_range (-50.0) 250.0);
+      ])
+
+let gen_edge_mass =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, float_range 0.0 1.0);
+        (1, oneofl [ 0.0; 1e-13; 1e-12; 2e-12; 3e-12; 1e-7; 1e-6; 1e-3 ]);
+      ])
+
+(* Raw (value, mass) lists in arbitrary order, one point of mass 1 first so
+   some mass always survives the filter. *)
+let gen_edge_points =
+  QCheck.Gen.(
+    map2
+      (fun v pts -> (v, 1.0) :: pts)
+      gen_edge_value
+      (list_size (int_range 0 30) (pair gen_edge_value gen_edge_mass)))
+
+let gen_edge_pdf =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, map Numerics.Discrete_pdf.constant gen_edge_value);
+      ( 1,
+        map3
+          (fun mean sigma samples ->
+            Numerics.Discrete_pdf.of_normal ~samples ~mean ~sigma ())
+          (float_range 0.0 200.0) (float_range 0.0 20.0) (int_range 1 30) );
+      (5, map Numerics.Discrete_pdf.of_points gen_edge_points);
+    ]
+
+(* (a, b, samples) with b == a about one case in seven (every cross-sum tie
+   pattern at once) and samples over 1..20, so supports of at most
+   2·samples cross points (the early return) are common too. *)
+let arb_kernel_case =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (a, b, samples) ->
+      Printf.sprintf "samples=%d a=%s b=%s%s" samples
+        (Fmt.str "%a" Numerics.Discrete_pdf.pp a)
+        (Fmt.str "%a" Numerics.Discrete_pdf.pp b)
+        (if a == b then " (a == b)" else ""))
+    (map3
+       (fun a b samples ->
+         ((a, (match b with Some b -> b | None -> a)), samples))
+       gen_edge_pdf (opt ~ratio:0.85 gen_edge_pdf) (int_range 1 20)
+    |> map (fun ((a, b), samples) -> (a, b, samples)))
+
+let prop_sum_matches_composition =
+  qcheck ~count:1000 "sum ~samples ≡ oracle resample (sum a b), bit for bit"
+    arb_kernel_case (fun (a, b, samples) ->
+      let open Numerics.Discrete_pdf in
+      let oa = Oracle_pdf.of_pdf a and ob = Oracle_pdf.of_pdf b in
+      let unresampled = Oracle_pdf.sum oa ob in
+      (* a budget of na·nb keeps every cross point: the unresampled sum *)
+      let all = sum ~samples:(support_size a * support_size b) a b in
+      same_bits (sum ~samples a b) (Oracle_pdf.resample unresampled ~samples)
+      && same_bits all unresampled
+      && same_bits (resample all ~samples)
+           (Oracle_pdf.resample unresampled ~samples)
+      && same_bits (resample a ~samples) (Oracle_pdf.resample oa ~samples)
+      && same_bits (max2 a b) (Oracle_pdf.max2 oa ob))
+
+let prop_of_points_matches_oracle =
+  qcheck ~count:500 "of_points ≡ oracle normalize, bit for bit"
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair float float))
+       gen_edge_points)
+    (fun pts ->
+      same_bits (Numerics.Discrete_pdf.of_points pts) (Oracle_pdf.normalize pts))
+
+let prop_of_normal_matches_oracle =
+  qcheck ~count:300 "of_normal ≡ oracle of_normal, bit for bit"
+    QCheck.(
+      triple (float_range (-100.0) 400.0) (float_range 0.0 30.0)
+        (int_range 1 60))
+    (fun (mean, sigma, samples) ->
+      same_bits
+        (Numerics.Discrete_pdf.of_normal ~samples ~mean ~sigma ())
+        (Oracle_pdf.of_normal ~samples ~mean ~sigma ()))
+
+(* The composition checked its budget in [resample], after the sum, so the
+   fused kernel raises resample's error. *)
+let pdf_sum_rejects_zero_samples () =
+  let a = Numerics.Discrete_pdf.of_normal ~samples:12 ~mean:10.0 ~sigma:3.0 () in
+  Alcotest.check_raises "samples < 1"
+    (Invalid_argument "Discrete_pdf.resample: samples < 1") (fun () ->
+      ignore (Numerics.Discrete_pdf.sum ~samples:0 a a))
+
+(* FULLSSTA's arc step at its real shape — a 24-point resampled arrival plus
+   a 12-point arc, 288 cross points — allocates nothing directly in the
+   major heap and little more than its 24-point result on the minor heap.
+   The composition it replaced built the 288-point sum, whose arrays are
+   past the 256-word minor-heap limit: 58 minor and 578 direct major words
+   per call. Full majors before each reading flush the runtime's major
+   allocation statistics. *)
+let pdf_sum_allocation_pin () =
+  let open Numerics.Discrete_pdf in
+  let arrival =
+    sum ~samples:12
+      (of_normal ~samples:12 ~mean:100.0 ~sigma:9.0 ())
+      (of_normal ~samples:12 ~mean:104.0 ~sigma:12.0 ())
+  in
+  check_int "24-point resampled arrival" 24 (support_size arrival);
+  let arc = of_normal ~samples:12 ~mean:20.0 ~sigma:3.0 () in
+  ignore (sum ~samples:12 arrival arc);
+  let calls = 100 in
+  let direct (q : Gc.stat) = q.major_words -. q.promoted_words in
+  Gc.full_major ();
+  let q0 = Gc.quick_stat () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (sum ~samples:12 arrival arc))
+  done;
+  let w1 = Gc.minor_words () in
+  Gc.full_major ();
+  let q1 = Gc.quick_stat () in
+  let per_call x = x /. float_of_int calls in
+  close_abs ~tol:0.0 "direct major words per call" 0.0
+    (per_call (direct q1 -. direct q0));
+  let minor = per_call (w1 -. w0) in
+  check_true (Printf.sprintf "minor words per call %.1f <= 64" minor)
+    (minor <= 64.0)
+
+(* Every node pdf of FULLSSTA equals a pass rebuilt from the oracle kernels:
+   the same topological sweep, arcs discretized by the oracle's [of_normal],
+   each arc step the composition [resample (sum …)], each node step
+   [resample (max_list …)]. *)
+let fullssta_matches_oracle_pass () =
+  List.iter
+    (fun name ->
+      let c = Benchgen.Iscas_like.build_exn ~lib name in
+      let _ = Core.Initial_sizing.apply ~lib c in
+      let full = Ssta.Fullssta.run c in
+      let config = Ssta.Fullssta.default_config in
+      let samples = config.Ssta.Fullssta.samples in
+      let electrical = Ssta.Fullssta.electrical full in
+      let pdfs =
+        Array.make (Netlist.Circuit.size c)
+          (Oracle_pdf.constant
+             config.Ssta.Fullssta.electrical.Sta.Electrical.input_arrival)
+      in
+      List.iter
+        (fun id ->
+          let fanins = Netlist.Circuit.fanins c id in
+          if Array.length fanins > 0 then begin
+            let strength = Cells.Cell.strength (Netlist.Circuit.cell_exn c id) in
+            let arrivals =
+              Array.mapi
+                (fun k fi ->
+                  let delay = (Sta.Electrical.arc_delays electrical id).(k) in
+                  let sigma =
+                    Variation.Model.sigma config.Ssta.Fullssta.model ~delay
+                      ~strength
+                  in
+                  let arc =
+                    Oracle_pdf.of_normal ~samples ~mean:delay ~sigma ()
+                  in
+                  Oracle_pdf.resample (Oracle_pdf.sum pdfs.(fi) arc) ~samples)
+                fanins
+            in
+            pdfs.(id) <-
+              Oracle_pdf.resample
+                (Oracle_pdf.max_list (Array.to_list arrivals))
+                ~samples
+          end)
+        (Netlist.Circuit.topological c);
+      Array.iteri
+        (fun id o ->
+          if not (same_bits (Ssta.Fullssta.pdf full id) o) then
+            Alcotest.failf "%s: node %s differs from the oracle pass" name
+              (Netlist.Circuit.node_name c id))
+        pdfs)
+    [ "c432"; "c880" ]
 
 (* ---- Lut ---------------------------------------------------------------- *)
 
@@ -574,6 +1108,14 @@ let () =
           Alcotest.test_case "empty rejected" `Quick pdf_empty_rejected;
           pdf_ops_keep_invariants;
           pdf_max_ge_means;
+          prop_sum_matches_composition;
+          prop_of_points_matches_oracle;
+          prop_of_normal_matches_oracle;
+          Alcotest.test_case "sum rejects zero samples" `Quick
+            pdf_sum_rejects_zero_samples;
+          Alcotest.test_case "sum allocation pin" `Quick pdf_sum_allocation_pin;
+          Alcotest.test_case "fullssta = oracle pass" `Quick
+            fullssta_matches_oracle_pass;
         ] );
       ( "lut",
         [

@@ -20,7 +20,7 @@ let resample_chain_keeps_sigma () =
   let total_sigma = 2.0 *. Float.sqrt 25.0 in
   for _ = 1 to 24 do
     let arc = Numerics.Discrete_pdf.of_normal ~samples:12 ~mean:10.0 ~sigma:2.0 () in
-    p := Numerics.Discrete_pdf.resample (Numerics.Discrete_pdf.sum !p arc) ~samples:12
+    p := Numerics.Discrete_pdf.sum ~samples:12 !p arc
   done;
   close ~tol:0.04 "sigma after 24 sums+resamples" total_sigma
     (Numerics.Discrete_pdf.std !p)

@@ -94,6 +94,32 @@ let fullssta_samples_config () =
   (* both resolutions agree on the mean to within a fraction of a percent *)
   close ~tol:0.02 "resolutions agree" mf.Numerics.Clark.mean mc.Numerics.Clark.mean
 
+(* Two domains each propagate their own copy of c432 at the same time. The
+   pdf kernels keep their intermediates in domain-local scratch, so every
+   node pdf must still equal the serial run's. *)
+let fullssta_domains_match_serial () =
+  let c = Benchgen.Iscas_like.build_exn ~lib "c432" in
+  let serial = Ssta.Fullssta.run c in
+  let spawn () =
+    let copy = Netlist.Circuit.copy c in
+    Domain.spawn (fun () -> Ssta.Fullssta.run copy)
+  in
+  let d1 = spawn () in
+  let d2 = spawn () in
+  let runs = [ Domain.join d1; Domain.join d2 ] in
+  for id = 0 to Netlist.Circuit.size c - 1 do
+    List.iter
+      (fun run ->
+        if
+          not
+            (Numerics.Discrete_pdf.equal (Ssta.Fullssta.pdf serial id)
+               (Ssta.Fullssta.pdf run id))
+        then
+          Alcotest.failf "node %s differs from the serial run"
+            (Netlist.Circuit.node_name c id))
+      runs
+  done
+
 (* ---- FASSTA --------------------------------------------------------------- *)
 
 let fassta_chain_is_exact () =
@@ -249,6 +275,8 @@ let () =
           Alcotest.test_case "yield monotone" `Quick fullssta_yield_monotone;
           Alcotest.test_case "sampling resolutions agree" `Quick
             fullssta_samples_config;
+          Alcotest.test_case "two domains match serial" `Quick
+            fullssta_domains_match_serial;
         ] );
       ( "fassta",
         [
