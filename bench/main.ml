@@ -181,6 +181,8 @@ let micro_tests () =
      minor heap; two 12-point pdfs (144 points) stay under it. *)
   let arrival = Numerics.Discrete_pdf.sum ~samples:12 pa pb in
   let arc = Numerics.Discrete_pdf.of_normal ~samples:12 ~mean:20.0 ~sigma:3.0 () in
+  let rng = Numerics.Rng.create ~seed:77 in
+  let draws = Array.make 1000 0.0 in
   [
     (* Table 1's engines: the nested-analysis speed gap FASSTA exists for *)
     Test.make ~name:"fassta_c432_pass"
@@ -197,6 +199,11 @@ let micro_tests () =
              (Ssta.Monte_carlo.run
                 ~config:{ Ssta.Monte_carlo.default_config with trials = 100 }
                 alu)));
+    (* the floor under a stream-identical Monte Carlo: Box–Muller's libm
+       log and cos per draw, which the trial loop calls once per trial *)
+    Test.make ~name:"rng_fill_gaussian_1000"
+      (Staged.stage (fun () ->
+           Numerics.Rng.fill_gaussian rng draws ~pos:0 ~len:1000));
     (* Sec. 4.3's max operator: quadratic-cutoff Clark vs exact vs discrete *)
     Test.make ~name:"clark_max_fast"
       (Staged.stage (fun () -> ignore (Numerics.Clark.max_fast a b)));

@@ -69,8 +69,24 @@ let info_cmd =
   Cmd.v (Cmd.info "info" ~doc:"Show structural metrics for a circuit")
     Term.(const run $ circuit_arg)
 
+(* [base]'s values that satisfy [valid]; any other value is a usage error
+   (exit 124), raised while parsing the command line, before any engine
+   runs. *)
+let checked_conv base ~expected valid =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when valid v -> Ok v
+    | Ok _ ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
 let trials_arg =
-  Arg.(value & opt int 2000 & info [ "trials" ] ~doc:"Monte-Carlo trials.")
+  let positive =
+    checked_conv Arg.int ~expected:"a positive integer" (fun n -> n >= 1)
+  in
+  Arg.(value & opt positive 2000 & info [ "trials" ] ~doc:"Monte-Carlo trials.")
 
 let analyze_cmd =
   let run name trials =
@@ -339,8 +355,12 @@ let slack_cmd =
 
 let pca_cmd =
   let share_arg =
-    Arg.(value & opt float 0.5
-         & info [ "global-share" ] ~doc:"Die-to-die variance share.")
+    let share =
+      checked_conv Arg.float ~expected:"a number in [0, 1]" (fun x ->
+          x >= 0.0 && x <= 1.0)
+    in
+    Arg.(value & opt share 0.5
+         & info [ "global-share" ] ~doc:"Die-to-die variance share, in [0, 1].")
   in
   let run name share trials =
     let c = build_circuit name in

@@ -11,7 +11,20 @@
      within-gate correlation real silicon has (and SSTA ignores) — used by
      the correlation study.
    A [Variation.Correlated] structure layers die-level and regional factors
-   on top of either mode. *)
+   on top of either mode.
+
+   The draw order is the contract every Monte Carlo figure depends on. Each
+   trial draws, from one [Numerics.Rng] stream seeded with [config.seed]:
+   - the global factor [g];
+   - [regions] regional factors, on every trial, even when the regional
+     share is zero;
+   - then, for each node with fanins in [Circuit.topological] order, one
+     gate deviation before its arcs ([Per_gate]) or one deviation per arc
+     in fanin order ([Per_arc]).
+   Primary inputs draw nothing. So a trial takes a fixed number of draws,
+   and [run] fetches them with one [Rng.fill_gaussian] into a reused buffer,
+   then reads that buffer in order in an arrival pass over flat per-arc
+   arrays. The trial loop allocates nothing. *)
 
 type sharing = Per_arc | Per_gate
 
@@ -40,76 +53,105 @@ type result = {
   per_output : (Netlist.Circuit.id * float array) list;
 }
 
+(* Modeled sigma of each arc of a gate, in fanin order. *)
+let arc_sigmas model cell arcs =
+  let strength = Cells.Cell.strength cell in
+  Array.map (fun delay -> Variation.Model.sigma model ~delay ~strength) arcs
+
 let run ?(config = default_config) circuit =
   if config.trials < 1 then invalid_arg "Monte_carlo.run: trials < 1";
   let electrical = Sta.Electrical.compute ~config:config.electrical circuit in
-  let n = Netlist.Circuit.size circuit in
+  let fanins id = Netlist.Circuit.fanins circuit id in
   let order = Netlist.Circuit.topological circuit in
-  let outputs = Netlist.Circuit.outputs circuit in
-  (* Pre-compute per-arc (nominal delay, sigma). *)
-  let arc_sigma =
-    Array.init n (fun id ->
-        match Netlist.Circuit.cell circuit id with
-        | None -> [||]
-        | Some cell ->
-            let strength = Cells.Cell.strength cell in
-            Array.map
-              (fun delay -> Variation.Model.sigma config.model ~delay ~strength)
-              (Sta.Electrical.arc_delays electrical id))
-  in
-  let rng = Numerics.Rng.create ~seed:config.seed in
   let structure = config.structure in
   let wg = Float.sqrt structure.Variation.Correlated.global_share in
   let wr = Float.sqrt structure.Variation.Correlated.regional_share in
   let we = Float.sqrt (Variation.Correlated.residual_share structure) in
   let regions = structure.Variation.Correlated.regions in
-  let arrival = Array.make n 0.0 in
+  (* Primary inputs arrive at the same time on every trial. *)
+  let arrival = Array.make (Netlist.Circuit.size circuit) 0.0 in
+  List.iter
+    (fun id ->
+      if Array.length (fanins id) = 0 then
+        arrival.(id) <- config.electrical.Sta.Electrical.input_arrival)
+    order;
+  (* Gate [j], the [j]-th node with fanins in topological order, owns arcs
+     [first.(j)] .. [first.(j + 1) - 1]: their source node, nominal delay
+     and sigma. *)
+  let gates =
+    Array.of_list (List.filter (fun id -> Array.length (fanins id) > 0) order)
+  in
+  let first = Array.make (Array.length gates + 1) 0 in
+  Array.iteri
+    (fun j id -> first.(j + 1) <- first.(j) + Array.length (fanins id))
+    gates;
+  let arcs = first.(Array.length gates) in
+  let source = Array.make arcs 0 in
+  let nominal = Array.make arcs 0.0 in
+  let sigma = Array.make arcs 0.0 in
+  Array.iteri
+    (fun j id ->
+      let len = Array.length (fanins id) in
+      let delays = Sta.Electrical.arc_delays electrical id in
+      let sigmas =
+        arc_sigmas config.model (Netlist.Circuit.cell_exn circuit id) delays
+      in
+      Array.blit (fanins id) 0 source first.(j) len;
+      Array.blit delays 0 nominal first.(j) len;
+      Array.blit sigmas 0 sigma first.(j) len)
+    gates;
+  let region = Array.map (fun id -> id mod regions) gates in
+  let outputs = Array.of_list (Netlist.Circuit.outputs circuit) in
+  let rows = Array.make_matrix (Array.length outputs) config.trials 0.0 in
   let circuit_delay = Array.make config.trials 0.0 in
-  let per_output = List.map (fun o -> (o, Array.make config.trials 0.0)) outputs in
+  let per_gate = config.sharing = Per_gate in
+  let draws = 1 + regions + if per_gate then Array.length gates else arcs in
+  let buf = Array.make draws 0.0 in
+  (* [common.(r)]: the global plus regional term of region [r] this trial. *)
+  let common = Array.make regions 0.0 in
+  let rng = Numerics.Rng.create ~seed:config.seed in
+  let next = ref 0 and eps = ref 0.0 and at = ref 0.0 and worst = ref 0.0 in
   for trial = 0 to config.trials - 1 do
-    let g = Numerics.Rng.gaussian rng in
-    let regional = Array.init regions (fun _ -> Numerics.Rng.gaussian rng) in
-    let common id = (wg *. g) +. (wr *. regional.(id mod regions)) in
-    List.iter
-      (fun id ->
-        let fanins = Netlist.Circuit.fanins circuit id in
-        if Array.length fanins = 0 then
-          arrival.(id) <- config.electrical.Sta.Electrical.input_arrival
-        else begin
-          let arcs = Sta.Electrical.arc_delays electrical id in
-          let sigmas = arc_sigma.(id) in
-          let base = common id in
-          let gate_eps =
-            match config.sharing with
-            | Per_gate -> Numerics.Rng.gaussian rng
-            | Per_arc -> 0.0
-          in
-          let at = ref Float.neg_infinity in
-          Array.iteri
-            (fun k fi ->
-              let eps =
-                match config.sharing with
-                | Per_gate -> gate_eps
-                | Per_arc -> Numerics.Rng.gaussian rng
-              in
-              let z = base +. (we *. eps) in
-              (* No clamping at zero: the variation model is normal by
-                 construction (as in the paper and in both SSTA engines), so
-                 the reference keeps the full normal tail for consistency. *)
-              let d = arcs.(k) +. (sigmas.(k) *. z) in
-              at := Float.max !at (arrival.(fi) +. d))
-            fanins;
-          arrival.(id) <- !at
-        end)
-      order;
-    let worst =
-      List.fold_left (fun acc o -> Float.max acc arrival.(o)) Float.neg_infinity
-        outputs
-    in
-    circuit_delay.(trial) <- worst;
-    List.iter (fun (o, arr) -> arr.(trial) <- arrival.(o)) per_output
+    Numerics.Rng.fill_gaussian rng buf ~pos:0 ~len:draws;
+    let g = buf.(0) in
+    for r = 0 to regions - 1 do
+      common.(r) <- (wg *. g) +. (wr *. buf.(1 + r))
+    done;
+    next := 1 + regions;
+    for j = 0 to Array.length gates - 1 do
+      let base = common.(region.(j)) in
+      if per_gate then begin
+        eps := buf.(!next);
+        incr next
+      end;
+      at := Float.neg_infinity;
+      for k = first.(j) to first.(j + 1) - 1 do
+        if not per_gate then begin
+          eps := buf.(!next);
+          incr next
+        end;
+        let z = base +. (we *. !eps) in
+        (* No clamping at zero: the variation model is normal by
+           construction (as in the paper and in both SSTA engines), so the
+           reference keeps the full normal tail for consistency. *)
+        let d = nominal.(k) +. (sigma.(k) *. z) in
+        at := Float.max !at (arrival.(source.(k)) +. d)
+      done;
+      arrival.(gates.(j)) <- !at
+    done;
+    worst := Float.neg_infinity;
+    for o = 0 to Array.length outputs - 1 do
+      let a = arrival.(outputs.(o)) in
+      worst := Float.max !worst a;
+      rows.(o).(trial) <- a
+    done;
+    circuit_delay.(trial) <- !worst
   done;
-  { config; circuit_delay; per_output }
+  {
+    config;
+    circuit_delay;
+    per_output = List.combine (Array.to_list outputs) (Array.to_list rows);
+  }
 
 let circuit_stats r = Numerics.Stats.of_list (Array.to_list r.circuit_delay)
 

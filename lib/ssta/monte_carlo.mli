@@ -1,5 +1,21 @@
 (** Monte-Carlo timing — the ground truth the SSTA engines are validated
-    against, and the yield model behind Fig. 1. *)
+    against, and the yield model behind Fig. 1.
+
+    {b The draw order is a contract.} Every Monte Carlo figure depends on
+    it. [run] draws from one [Numerics.Rng] stream seeded with
+    [config.seed]. Each trial draws, in this order:
+    - the global factor;
+    - [structure.regions] regional factors, on every trial, even when the
+      regional share is zero;
+    - then, for each node with fanins in [Circuit.topological] order,
+      either one deviation before its arcs ([Per_gate]) or one deviation
+      per arc in fanin order ([Per_arc]).
+
+    Primary inputs draw nothing. An arc's delay is
+    [nominal + sigma * ((wg * g + wr * r) + we * eps)], where the weights
+    are the square roots of the structure's shares. A node's arrival is
+    the [Float.max] fold over its arcs, starting from [neg_infinity]; the
+    circuit delay is the same fold over [Circuit.outputs], in order. *)
 
 type sharing =
   | Per_arc  (** independent draw per arc — matches the SSTA assumption *)
@@ -24,6 +40,10 @@ type result = {
 }
 
 val run : ?config:config -> Netlist.Circuit.t -> result
+(** [per_output] lists the outputs in [Circuit.outputs] order. The trial
+    loop allocates nothing: each trial takes its draws with one
+    [Rng.fill_gaussian] into a buffer reused across trials. Raises
+    [Invalid_argument] if [config.trials < 1]. *)
 
 val circuit_stats : result -> Numerics.Stats.t
 val output_stats : result -> Netlist.Circuit.id -> Numerics.Stats.t option

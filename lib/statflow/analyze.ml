@@ -21,8 +21,10 @@ let tool =
     stale_code = "FLOW007";
   }
 
-(* The kernels PR-3/PR-4 claim are allocation-lean, plus the query layers
-   under them. Overridable with --entry. *)
+(* The kernels claimed allocation-lean, plus the query layers under them:
+   the sizer's window evaluation and commit, the incremental engines, the
+   FULLSSTA arc and node kernels, the LUT, and the Monte Carlo trial loop.
+   Overridable with --entry. *)
 let default_hot_entries =
   [
     "Window.trial_cost";
@@ -33,6 +35,7 @@ let default_hot_entries =
     "Discrete_pdf.sum";
     "Discrete_pdf.max2";
     "Lut.query";
+    "Monte_carlo.run";
   ]
 
 (* Everything whose result statserve gates on being bit-identical across
@@ -44,6 +47,7 @@ let default_det_entries =
     "Table1.run";
     "Fullssta.run";
     "Fassta.run";
+    "Monte_carlo.run";
     "Electrical.compute";
     "Electrical.update";
     "Fullssta.update";

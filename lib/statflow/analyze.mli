@@ -45,14 +45,15 @@ val tool : Srcmodel.Tool.t
 (** [{name = "statflow"; parse_code = "FLOW000"; stale_code = "FLOW007"}] *)
 
 val default_hot_entries : string list
-(** The sizer/SSTA kernels PR-3/PR-4 claim are allocation-lean:
+(** The kernels claimed allocation-lean:
     [Window.trial_cost]/[vec_costs]/[commit_incremental],
     [Electrical.update], [Fullssta.update], [Discrete_pdf.sum]/[max2],
-    [Lut.query]. *)
+    [Lut.query], and the Monte Carlo trial loop [Monte_carlo.run]. *)
 
 val default_det_entries : string list
 (** Result-producing roots statserve's serial≡parallel gate cares about:
-    [Table1.run], engine [run]/[compute]/[update], [Sizer.optimize]. *)
+    [Table1.run], engine [run]/[compute]/[update] (Monte Carlo's
+    [Monte_carlo.run] included), [Sizer.optimize]. *)
 
 type allow_entry = Srcmodel.Allow.entry
 

@@ -1023,6 +1023,109 @@ let rng_shuffle_is_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
 
+let bits = Int64.bits_of_float
+
+(* Any seed, with the rejection seed mixed in. *)
+let gen_seed = QCheck.Gen.(frequency [ (1, return rejection_seed); (6, int) ])
+
+(* Buffer windows that start anywhere, are empty, or end at the buffer's
+   last slot. *)
+let arb_fill_case =
+  QCheck.make
+    ~print:(fun (seed, pos, len, slack) ->
+      Printf.sprintf "seed=%d pos=%d len=%d slack=%d" seed pos len slack)
+    QCheck.Gen.(
+      quad gen_seed
+        (frequency [ (1, return 0); (3, int_bound 8) ])
+        (frequency [ (1, return 0); (4, int_bound 40) ])
+        (frequency [ (1, return 0); (1, int_bound 5) ]))
+
+let prop_fill_gaussian_matches_oracle =
+  qcheck ~count:500 "fill_gaussian ≡ len oracle gaussian draws, state included"
+    arb_fill_case (fun (seed, pos, len, slack) ->
+      let rng = Numerics.Rng.create ~seed and o = Oracle_rng.create ~seed in
+      let sentinel = 42.0 in
+      let got = Array.make (pos + len + slack) sentinel in
+      let want = Array.copy got in
+      Numerics.Rng.fill_gaussian rng got ~pos ~len;
+      for i = pos to pos + len - 1 do
+        want.(i) <- Oracle_rng.gaussian o
+      done;
+      Array.for_all2 (fun x y -> Int64.equal (bits x) (bits y)) got want
+      && Int64.equal (bits (Numerics.Rng.float rng)) (bits (Oracle_rng.float o))
+      && Numerics.Rng.int rng ~bound:1_000_003 = Oracle_rng.int o ~bound:1_000_003
+      && Numerics.Rng.bool rng = Oracle_rng.bool o
+      && Int64.equal
+           (bits (Numerics.Rng.gaussian rng))
+           (bits (Oracle_rng.gaussian o)))
+
+(* Benchmark circuits are built from create/split/float/int/bool/shuffle,
+   so every operation must return the oracle's value, in any interleaving. *)
+let prop_rng_surface_matches_oracle =
+  qcheck ~count:300 "every Rng operation ≡ oracle, in any order"
+    QCheck.(
+      pair
+        (make ~print:string_of_int gen_seed)
+        (list_of_size (Gen.int_range 1 40) (int_bound 6)))
+    (fun (seed, ops) ->
+      let rng = ref (Numerics.Rng.create ~seed)
+      and o = ref (Oracle_rng.create ~seed) in
+      List.for_all
+        (fun op ->
+          match op with
+          | 0 ->
+              Int64.equal (bits (Numerics.Rng.float !rng)) (bits (Oracle_rng.float !o))
+          | 1 -> Numerics.Rng.int !rng ~bound:97 = Oracle_rng.int !o ~bound:97
+          | 2 -> Numerics.Rng.bool !rng = Oracle_rng.bool !o
+          | 3 ->
+              Int64.equal
+                (bits (Numerics.Rng.gaussian !rng))
+                (bits (Oracle_rng.gaussian !o))
+          | 4 ->
+              rng := Numerics.Rng.split !rng;
+              o := Oracle_rng.split !o;
+              true
+          | 5 ->
+              let a = Array.init 9 Fun.id and b = Array.init 9 Fun.id in
+              Numerics.Rng.shuffle_in_place !rng a;
+              Oracle_rng.shuffle_in_place !o b;
+              a = b
+          | _ ->
+              Int64.equal
+                (bits (Numerics.Rng.float_range !rng ~lo:(-3.0) ~hi:5.0))
+                (bits (Oracle_rng.float_range !o ~lo:(-3.0) ~hi:5.0)))
+        ops)
+
+(* A window outside the buffer raises before drawing anything. *)
+let rng_fill_gaussian_rejects_bad_window () =
+  let rng = Numerics.Rng.create ~seed:1 in
+  let a = Array.make 5 0.0 in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pos=%d len=%d" pos len)
+        (Invalid_argument "Rng.fill_gaussian")
+        (fun () -> Numerics.Rng.fill_gaussian rng a ~pos ~len))
+    [ (-1, 1); (0, -1); (0, 6); (5, 1); (3, 3); (6, 0); (max_int, 1); (1, max_int) ];
+  check_true "state untouched"
+    (Int64.equal
+       (bits (Numerics.Rng.float rng))
+       (bits (Oracle_rng.float (Oracle_rng.create ~seed:1))))
+
+(* The state lives in a local for the whole fill and is written back once:
+   one boxed int64, whatever the length. [gaussian] allocates 22 words per
+   draw. *)
+let rng_fill_allocation_pin () =
+  let rng = Numerics.Rng.create ~seed:3 in
+  let a = Array.make 10_000 0.0 in
+  Numerics.Rng.fill_gaussian rng a ~pos:0 ~len:10_000;
+  let w0 = Gc.minor_words () in
+  Numerics.Rng.fill_gaussian rng a ~pos:0 ~len:10_000;
+  let words = Gc.minor_words () -. w0 in
+  check_true
+    (Printf.sprintf "minor words per 10,000-draw fill %.0f <= 8" words)
+    (words <= 8.0)
+
 (* ---- Stats -------------------------------------------------------------- *)
 
 let stats_known_values () =
@@ -1134,6 +1237,11 @@ let () =
           Alcotest.test_case "split differs" `Quick rng_split_differs;
           Alcotest.test_case "shuffle permutation" `Quick rng_shuffle_is_permutation;
           rng_int_bounds;
+          prop_fill_gaussian_matches_oracle;
+          prop_rng_surface_matches_oracle;
+          Alcotest.test_case "fill_gaussian rejects bad window" `Quick
+            rng_fill_gaussian_rejects_bad_window;
+          Alcotest.test_case "fill allocation pin" `Quick rng_fill_allocation_pin;
         ] );
       ( "stats",
         [

@@ -248,6 +248,188 @@ let mc_global_correlation_widens () =
     (Numerics.Stats.std (Ssta.Monte_carlo.circuit_stats corr)
     > Numerics.Stats.std (Ssta.Monte_carlo.circuit_stats indep))
 
+(* ---- Monte Carlo stream oracle ------------------------------------------ *)
+
+(* The trial loop as it stood before it drew through [Rng.fill_gaussian],
+   verbatim, drawing from the verbatim generator [Oracle_rng]. Every Monte
+   Carlo figure depends on this stream, so [Monte_carlo.run] must return
+   its samples bit for bit. *)
+module Oracle_mc = struct
+  module Numerics = struct
+    include Numerics
+    module Rng = Oracle_rng
+  end
+
+  open Ssta.Monte_carlo
+
+  let run ?(config = default_config) circuit =
+    if config.trials < 1 then invalid_arg "Monte_carlo.run: trials < 1";
+    let electrical = Sta.Electrical.compute ~config:config.electrical circuit in
+    let n = Netlist.Circuit.size circuit in
+    let order = Netlist.Circuit.topological circuit in
+    let outputs = Netlist.Circuit.outputs circuit in
+    (* Pre-compute per-arc (nominal delay, sigma). *)
+    let arc_sigma =
+      Array.init n (fun id ->
+          match Netlist.Circuit.cell circuit id with
+          | None -> [||]
+          | Some cell ->
+              let strength = Cells.Cell.strength cell in
+              Array.map
+                (fun delay -> Variation.Model.sigma config.model ~delay ~strength)
+                (Sta.Electrical.arc_delays electrical id))
+    in
+    let rng = Numerics.Rng.create ~seed:config.seed in
+    let structure = config.structure in
+    let wg = Float.sqrt structure.Variation.Correlated.global_share in
+    let wr = Float.sqrt structure.Variation.Correlated.regional_share in
+    let we = Float.sqrt (Variation.Correlated.residual_share structure) in
+    let regions = structure.Variation.Correlated.regions in
+    let arrival = Array.make n 0.0 in
+    let circuit_delay = Array.make config.trials 0.0 in
+    let per_output = List.map (fun o -> (o, Array.make config.trials 0.0)) outputs in
+    for trial = 0 to config.trials - 1 do
+      let g = Numerics.Rng.gaussian rng in
+      let regional = Array.init regions (fun _ -> Numerics.Rng.gaussian rng) in
+      let common id = (wg *. g) +. (wr *. regional.(id mod regions)) in
+      List.iter
+        (fun id ->
+          let fanins = Netlist.Circuit.fanins circuit id in
+          if Array.length fanins = 0 then
+            arrival.(id) <- config.electrical.Sta.Electrical.input_arrival
+          else begin
+            let arcs = Sta.Electrical.arc_delays electrical id in
+            let sigmas = arc_sigma.(id) in
+            let base = common id in
+            let gate_eps =
+              match config.sharing with
+              | Per_gate -> Numerics.Rng.gaussian rng
+              | Per_arc -> 0.0
+            in
+            let at = ref Float.neg_infinity in
+            Array.iteri
+              (fun k fi ->
+                let eps =
+                  match config.sharing with
+                  | Per_gate -> gate_eps
+                  | Per_arc -> Numerics.Rng.gaussian rng
+                in
+                let z = base +. (we *. eps) in
+                (* No clamping at zero: the variation model is normal by
+                   construction (as in the paper and in both SSTA engines), so
+                   the reference keeps the full normal tail for consistency. *)
+                let d = arcs.(k) +. (sigmas.(k) *. z) in
+                at := Float.max !at (arrival.(fi) +. d))
+              fanins;
+            arrival.(id) <- !at
+          end)
+        order;
+      let worst =
+        List.fold_left (fun acc o -> Float.max acc arrival.(o)) Float.neg_infinity
+          outputs
+      in
+      circuit_delay.(trial) <- worst;
+      List.iter (fun (o, arr) -> arr.(trial) <- arrival.(o)) per_output
+    done;
+    { config; circuit_delay; per_output }
+end
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let oracle_circuits () =
+  let dag =
+    Benchgen.Random_dag.generate ~lib
+      {
+        Benchgen.Random_dag.profile_name = "mc_dag";
+        inputs = 24;
+        outputs = 12;
+        gates = 180;
+        depth = 14;
+        seed = 5;
+      }
+  in
+  List.map
+    (fun c ->
+      ignore (Core.Initial_sizing.apply ~lib c);
+      c)
+    (dag :: List.map (Benchgen.Iscas_like.build_exn ~lib) [ "c432"; "c880"; "alu2" ])
+
+(* seeds x structures x sharings x trial counts; the rejection seed sends
+   the first draw of the first trial through Box–Muller's redraw *)
+let oracle_configs =
+  let open Ssta.Monte_carlo in
+  List.concat_map
+    (fun seed ->
+      List.concat_map
+        (fun structure ->
+          List.concat_map
+            (fun sharing ->
+              List.map
+                (fun trials ->
+                  { default_config with trials; seed; structure; sharing })
+                [ 1; 40 ])
+            [ Per_arc; Per_gate ])
+        [
+          Variation.Correlated.independent;
+          Variation.Correlated.create ~global_share:0.3 ~regional_share:0.2
+            ~regions:4 ();
+          Variation.Correlated.create ~global_share:0.5 ();
+        ])
+    [ 1; 7; 77; 123456789; rejection_seed ]
+
+(* Every sample, of the circuit delay and of each output, in every
+   configuration. *)
+let mc_matches_oracle_stream () =
+  check_true "rejection seed: first uniform is 0.0"
+    (Numerics.Rng.float (Numerics.Rng.create ~seed:rejection_seed) = 0.0);
+  check_int "configurations" (5 * 3 * 2 * 2) (List.length oracle_configs);
+  List.iter
+    (fun c ->
+      List.iter
+        (fun (config : Ssta.Monte_carlo.config) ->
+          let r = Ssta.Monte_carlo.run ~config c in
+          let o = Oracle_mc.run ~config c in
+          let what =
+            Printf.sprintf "%s seed=%d %s %s trials=%d" (Netlist.Circuit.name c)
+              config.seed
+              (Fmt.str "%a" Variation.Correlated.pp config.structure)
+              (match config.sharing with Per_arc -> "per-arc" | Per_gate -> "per-gate")
+              config.trials
+          in
+          check_true (what ^ ": circuit_delay")
+            (same_bits r.circuit_delay o.circuit_delay);
+          check_true (what ^ ": outputs")
+            (List.map fst r.per_output = List.map fst o.per_output);
+          List.iter2
+            (fun (id, a) (_, b) ->
+              check_true (Printf.sprintf "%s: output %d" what id) (same_bits a b))
+            r.per_output o.per_output)
+        oracle_configs)
+    (oracle_circuits ())
+
+(* The trial loop allocates nothing: the difference between 1000 and 100
+   trials on c432 after initial sizing, each run after a warm-up, is the
+   per-trial cost. The loop that drew one boxed Gaussian at a time
+   allocated 12,816 words per trial here. *)
+let mc_allocation_pin () =
+  let c = Benchgen.Iscas_like.build_exn ~lib "c432" in
+  ignore (Core.Initial_sizing.apply ~lib c);
+  let words trials =
+    let config = { Ssta.Monte_carlo.default_config with trials } in
+    ignore (Sys.opaque_identity (Ssta.Monte_carlo.run ~config c));
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Ssta.Monte_carlo.run ~config c));
+    Gc.minor_words () -. w0
+  in
+  let per_trial = (words 1000 -. words 100) /. 900.0 in
+  check_true
+    (Printf.sprintf "minor words per trial %.2f <= 16" per_trial)
+    (per_trial <= 16.0)
+
 (* ---- Compare --------------------------------------------------------------- *)
 
 let compare_reports () =
@@ -299,6 +481,9 @@ let () =
             mc_per_gate_sharing_increases_sigma;
           Alcotest.test_case "global correlation widens" `Quick
             mc_global_correlation_widens;
+          Alcotest.test_case "stream = oracle, bit for bit" `Quick
+            mc_matches_oracle_stream;
+          Alcotest.test_case "trial allocation pin" `Quick mc_allocation_pin;
         ] );
       ("compare", [ Alcotest.test_case "reports" `Quick compare_reports ]);
     ]
