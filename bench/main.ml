@@ -183,6 +183,7 @@ let micro_tests () =
   let arc = Numerics.Discrete_pdf.of_normal ~samples:12 ~mean:20.0 ~sigma:3.0 () in
   let rng = Numerics.Rng.create ~seed:77 in
   let draws = Array.make 1000 0.0 in
+  let cell = List.hd (Cells.Library.cells lib) in
   [
     (* Table 1's engines: the nested-analysis speed gap FASSTA exists for *)
     Test.make ~name:"fassta_c432_pass"
@@ -204,6 +205,11 @@ let micro_tests () =
     Test.make ~name:"rng_fill_gaussian_1000"
       (Staged.stage (fun () ->
            Numerics.Rng.fill_gaussian rng draws ~pos:0 ~len:1000));
+    (* the timing-model lookup every electrical update makes per arc: a
+       bilinear LUT query inside the grid (bisection on both axes) *)
+    Test.make ~name:"cell_delay_query"
+      (Staged.stage (fun () ->
+           ignore (Cells.Cell.delay cell ~slew:33.0 ~load:17.0)));
     (* Sec. 4.3's max operator: quadratic-cutoff Clark vs exact vs discrete *)
     Test.make ~name:"clark_max_fast"
       (Staged.stage (fun () -> ignore (Numerics.Clark.max_fast a b)));

@@ -4,8 +4,9 @@
    degrade past a budget.
 
    Gates are visited in descending area order; each is stepped down one
-   drive at a time while a FASSTA full pass (cheap) keeps the objective
-   within budget, with a FULLSSTA confirmation at the end. *)
+   drive at a time while the exact-Clark objective, kept up to date
+   incrementally, stays within budget, with a FULLSSTA confirmation at the
+   end. *)
 
 type config = {
   objective : Objective.t;
@@ -24,6 +25,17 @@ let default_config =
     electrical = Sta.Electrical.default_config;
   }
 
+(* Recovery must price its budget in the currency the sizer optimized, so
+   every knob the two share comes from the sizer's config. *)
+let config_of_sizer (sizer : Sizer.config) =
+  {
+    default_config with
+    objective = sizer.Sizer.objective;
+    model = sizer.Sizer.model;
+    samples = sizer.Sizer.samples;
+    electrical = sizer.Sizer.electrical;
+  }
+
 type result = {
   downsized : int;
   area_before : float;
@@ -32,41 +44,36 @@ type result = {
   cost_after : float;
 }
 
-(* Same exact-Clark global metric the sizer optimizes, so recovery's budget
-   is measured in the currency the sizing gains were bought in. *)
-let fast_cost config circuit =
-  let electrical = Sta.Electrical.compute ~config:config.electrical circuit in
-  let scratch =
-    Array.make (Netlist.Circuit.size circuit)
-      (Numerics.Clark.moments ~mean:0.0 ~var:0.0)
-  in
-  Ssta.Fassta.propagate_into ~exact:true ~model:config.model ~circuit ~electrical
-    scratch;
-  Objective.cost_of_rv ~exact:true config.objective
-    (fun o -> scratch.(o))
-    (Netlist.Circuit.outputs circuit)
+let fullssta config circuit =
+  Ssta.Fullssta.run
+    ~config:
+      {
+        Ssta.Fullssta.samples = config.samples;
+        model = config.model;
+        electrical = config.electrical;
+      }
+    circuit
 
-let full_cost config circuit =
-  let full =
-    Ssta.Fullssta.run
-      ~config:
-        {
-          Ssta.Fullssta.samples = config.samples;
-          model = config.model;
-          electrical = config.electrical;
-        }
-      circuit
-  in
-  Objective.circuit_cost config.objective full
-
+(* Each trial downsize is judged on a Production Global window over the
+   FULLSSTA run that priced [cost_before]: the window's committed cost is the
+   exact-Clark RV_O cost the sizer optimizes (so the budget is measured in
+   the currency the sizing gains were bought in), and [commit_incremental]
+   keeps it bit-equal to a from-scratch electrical + exact FASSTA pass —
+   its electrical update stops exactly and its arrival resync stops on
+   bit-equality — at the cost of the perturbed cone only. A rejected
+   downsize is undone the same way: the old cell goes back and is
+   committed, which returns the window to bit-identical state. *)
 let recover ?(config = default_config) ~lib circuit =
   Obs.Span.with_ "area_recovery.recover" @@ fun () ->
   let area_before = Netlist.Circuit.total_area circuit in
-  let cost_before = full_cost config circuit in
-  (* Budget anchored on the *fast* engine so accept/reject is consistent
-     with the per-gate checks. *)
-  let fast_budget =
-    let c = fast_cost config circuit in
+  let full = fullssta config circuit in
+  let cost_before = Objective.circuit_cost config.objective full in
+  let window =
+    Window.create ~mode:Window.Global ~engine:Window.Production ~circuit
+      ~model:config.model ~objective:config.objective ~full ()
+  in
+  let budget =
+    let c = Window.base_cost window in
     c +. (config.tolerance *. Float.abs c)
   in
   let by_area_desc =
@@ -84,11 +91,15 @@ let recover ?(config = default_config) ~lib circuit =
         | None -> ()
         | Some smaller ->
             Netlist.Circuit.set_cell circuit gate smaller;
-            if fast_cost config circuit <= fast_budget then begin
+            Window.commit_incremental window ~resized:[ gate ];
+            if Window.base_cost window <= budget then begin
               incr downsized;
               step ()
             end
-            else Netlist.Circuit.set_cell circuit gate current
+            else begin
+              Netlist.Circuit.set_cell circuit gate current;
+              Window.commit_incremental window ~resized:[ gate ]
+            end
       in
       step ())
     by_area_desc;
@@ -97,7 +108,7 @@ let recover ?(config = default_config) ~lib circuit =
     area_before;
     area_after = Netlist.Circuit.total_area circuit;
     cost_before;
-    cost_after = full_cost config circuit;
+    cost_after = Objective.circuit_cost config.objective (fullssta config circuit);
   }
 
 let pp_result ppf r =

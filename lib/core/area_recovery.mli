@@ -12,6 +12,12 @@ type config = {
 val default_config : config
 (** α = 3, 0.3%% objective tolerance. *)
 
+val config_of_sizer : Sizer.config -> config
+(** The recovery config that follows a sizing run: the sizer's objective,
+    variation model, FULLSSTA samples and electrical config, with the
+    default tolerance — so the recovery budget is measured in the currency
+    the sizing gains were bought in. *)
+
 type result = {
   downsized : int;
   area_before : float;

@@ -23,7 +23,8 @@ type mode = Windowed | Global
 (* Which engine computes a trial's score. Both yield bit-identical costs,
    hence identical verdicts and sizings; they differ only in how much they
    recompute.
-   [Production] — one persistent window per sizing run. Trials re-derive
+   [Production] — one persistent window per sizing run (and one per area
+   recovery pass, which judges each downsize by its commit). Trials re-derive
    electrical state with a dirty-cone update clipped to the window; Global
    scoring drains every candidate cell of a window through one shared
    wavefront over cached arc moments ([vec_costs]); commits resync the
@@ -123,10 +124,41 @@ let max_vec_cells = Sys.int_size - 2
    actually stored). *)
 type acc2 = { mutable am : float; mutable av : float }
 
+(* Verbatim copies of [Numerics.Erf.exact], [Numerics.Normal.pdf] and
+   [Numerics.Normal.cdf], constants included (same expressions, hence the
+   same floats). They live here because dune's default dev profile compiles
+   every module with [-opaque]: no call across a module boundary is ever
+   inlined, [[@inline]] or not, so each float crossing one is boxed.
+   Inlined in this module, the exact Clark max below allocates nothing. The
+   originals stay the definition: the Reference engine and
+   [Clark.max_exact] use them, and the engine oracle tests hold the two
+   paths bit-equal. Do not simplify the arithmetic (say, multiply by a
+   precomputed [1 /. sqrt_two_pi], or share the two [exp] calls): every
+   sizing digest depends on these exact operations. *)
+let sqrt_two = Float.sqrt 2.0
+let sqrt_two_pi = Float.sqrt (2.0 *. Float.pi)
+
+let[@inline] erf_exact x =
+  let ax = Float.abs x in
+  let t = 1.0 /. (1.0 +. (0.3275911 *. ax)) in
+  let poly =
+    t
+    *. (0.254829592
+       +. (t
+          *. (-0.284496736
+             +. (t *. (1.421413741 +. (t *. (-1.453152027 +. (t *. 1.061405429))))))))
+  in
+  let v = 1.0 -. (poly *. Float.exp (-.(ax *. ax))) in
+  if x >= 0.0 then v else -.v
+
+let[@inline] normal_pdf x = Float.exp (-0.5 *. x *. x) /. sqrt_two_pi
+
+let[@inline] normal_cdf x = 0.5 *. (1.0 +. erf_exact (x /. sqrt_two))
+
 (* [acc <- max(acc, N(bm, bv))]: a clone of [Clark.max_exact ~rho:0.0] —
    the same operations in the same order on the same operands, so the
    accumulated mean/var are bit-identical to the record-folding oracle. *)
-let scalar_max acc bm bv =
+let[@inline] scalar_max acc bm bv =
   let am = acc.am and av = acc.av in
   let sp = Float.sqrt (Float.max (av +. bv) 0.0) in
   if sp <= 0.0 then begin
@@ -138,8 +170,8 @@ let scalar_max acc bm bv =
   end
   else begin
     let alpha = (am -. bm) /. sp in
-    let phi = Numerics.Normal.pdf alpha in
-    let cdf_pos = Numerics.Normal.cdf alpha in
+    let phi = normal_pdf alpha in
+    let cdf_pos = normal_cdf alpha in
     let cdf_neg = 1.0 -. cdf_pos in
     let m1 = (am *. cdf_pos) +. (bm *. cdf_neg) +. (sp *. phi) in
     let m2 =

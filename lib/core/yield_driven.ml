@@ -57,14 +57,13 @@ let optimize ?(config = default_config) ~lib circuit ~period ~target =
         let current = (List.hd !steps).yield_ in
         if current < target then begin
           let objective = Objective.create ~alpha in
-          let _ =
-            Sizer.optimize ~config:{ config.sizer with Sizer.objective } ~lib
-              circuit
-          in
-          if config.recover_area then begin
-            let rcfg = { Area_recovery.default_config with objective } in
-            ignore (Area_recovery.recover ~config:rcfg ~lib circuit)
-          end;
+          let sizer = { config.sizer with Sizer.objective } in
+          let _ = Sizer.optimize ~config:sizer ~lib circuit in
+          if config.recover_area then
+            ignore
+              (Area_recovery.recover
+                 ~config:(Area_recovery.config_of_sizer sizer)
+                 ~lib circuit);
           let yield_, sigma, area = measure config circuit ~period in
           steps := { alpha; yield_; sigma; area } :: !steps;
           ladder rest

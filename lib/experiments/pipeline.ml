@@ -59,12 +59,11 @@ let run_alpha ?(ignore_lint = false) ?(recover = true)
   let objective = Core.Objective.create ~alpha in
   let config = { config with Core.Sizer.objective } in
   let res = Core.Sizer.optimize ~ignore_lint ~config ~lib circuit in
-  if recover then begin
-    let rcfg =
-      { Core.Area_recovery.default_config with objective; model = config.model }
-    in
-    ignore (Core.Area_recovery.recover ~config:rcfg ~lib circuit)
-  end;
+  if recover then
+    ignore
+      (Core.Area_recovery.recover
+         ~config:(Core.Area_recovery.config_of_sizer config)
+         ~lib circuit);
   let full = Ssta.Fullssta.run circuit in
   let m = Ssta.Fullssta.output_moments full in
   let area = Netlist.Circuit.total_area circuit in

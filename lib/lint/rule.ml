@@ -151,8 +151,10 @@ let all =
        invocation; hot kernels should reuse preallocated scratch instead";
     mk "HOT004" Flow_pack Diag.Severity.Info "boxed-float return heuristic"
       "a function whose tail is float arithmetic boxes its result at every \
-       out-of-inline call site; [@inline] or unboxed records avoid it \
-       (heuristic — flambda may already sink the box)";
+       out-of-inline call site; [@inline] avoids it only for callers in the \
+       same module, since dune's dev profile compiles with -opaque and no \
+       call across modules inlines. The rule skips an [@inline] binding \
+       that only its own module calls (heuristic)";
     mk "EXC001" Flow_pack e "raise may skip a resource release"
       "a raise reachable after open_in/Unix.openfile/Mutex.lock in a \
        Fun.protect-free region leaks the handle or deadlocks the lock on \

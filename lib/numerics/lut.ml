@@ -46,25 +46,38 @@ let of_function ~rows ~cols f =
   let values = Array.map (fun r -> Array.map (fun c -> f r c) cols) rows in
   create ~rows ~cols ~values
 
-(* Index of the cell containing x, clamped so that i and i+1 are valid; also
-   returns the interpolation fraction in [0, 1]. *)
-let locate axis x =
+(* Where x falls on an axis: the index of the grid cell containing it,
+   clamped so that i and i+1 are valid, and the interpolation fraction in
+   [0, 1] within that cell. Both take the same branches on the same
+   predicates in the same order ([x <= axis.(0)], then [x >= axis.(n-1)],
+   then bisection on [x < axis.(mid)]), so [cell_frac axis x (cell_index
+   axis x)] is the fraction of that cell. The float annotations make every
+   comparison a typed float compare (unannotated, they compile to
+   polymorphic-compare C calls on boxed floats), and [[@inline]] lets
+   [eval] keep the fraction unboxed: a query allocates nothing beyond its
+   boxed result. *)
+let[@inline] cell_index (axis : float array) (x : float) =
   let n = Array.length axis in
-  if n = 1 || x <= axis.(0) then (0, 0.0)
-  else if x >= axis.(n - 1) then (Stdlib.max 0 (n - 2), 1.0)
-  else
-    let rec bisect lo hi =
-      (* invariant: axis.(lo) <= x < axis.(hi) *)
-      if hi - lo <= 1 then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if x < axis.(mid) then bisect lo mid else bisect mid hi
-    in
-    let i = bisect 0 (n - 1) in
-    let frac = (x -. axis.(i)) /. (axis.(i + 1) -. axis.(i)) in
-    (i, frac)
+  if n = 1 || x <= axis.(0) then 0
+  else if x >= axis.(n - 1) then Int.max 0 (n - 2)
+  else begin
+    (* invariant: axis.(lo) <= x < axis.(hi) *)
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if x < axis.(mid) then hi := mid else lo := mid
+    done;
+    !lo
+  end
 
-let in_range_axis axis x = x >= axis.(0) && x <= axis.(Array.length axis - 1)
+let[@inline] cell_frac (axis : float array) (x : float) i =
+  let n = Array.length axis in
+  if n = 1 || x <= axis.(0) then 0.0
+  else if x >= axis.(n - 1) then 1.0
+  else (x -. axis.(i)) /. (axis.(i + 1) -. axis.(i))
+
+let in_range_axis (axis : float array) (x : float) =
+  x >= axis.(0) && x <= axis.(Array.length axis - 1)
 
 let in_range t ~row ~col = in_range_axis t.rows row && in_range_axis t.cols col
 
@@ -75,13 +88,13 @@ let reset_oob t = Atomic.set t.oob_queries 0
    seed nested-array implementation operation for operation, so results are
    bit-identical to it. *)
 let eval t ~row ~col =
-  let i, fr = locate t.rows row in
-  let j, fc = locate t.cols col in
+  let i = cell_index t.rows row and j = cell_index t.cols col in
+  let fr = cell_frac t.rows row i and fc = cell_frac t.cols col j in
   let v00 = t.flat.((i * t.nc) + j) in
   if t.nr = 1 && t.nc = 1 then v00
   else
-    let i1 = Stdlib.min (t.nr - 1) (i + 1) in
-    let j1 = Stdlib.min (t.nc - 1) (j + 1) in
+    let i1 = Int.min (t.nr - 1) (i + 1) in
+    let j1 = Int.min (t.nc - 1) (j + 1) in
     let v01 = t.flat.((i * t.nc) + j1)
     and v10 = t.flat.((i1 * t.nc) + j)
     and v11 = t.flat.((i1 * t.nc) + j1) in

@@ -80,6 +80,7 @@ type binding = {
   b_partials : partial_call list;
   b_impures : impure list;
   b_float_ret : bool;
+  b_inline : bool;
 }
 
 type file_facts = { source : Source.t; bindings : binding list }
@@ -727,6 +728,30 @@ let rec returns_float_op e =
   | Pexp_ifthenelse (_, t, Some e) -> returns_float_op t || returns_float_op e
   | _ -> false
 
+(* [let[@inline] f ...], [[@@inline]] or [[@inline always]] on a value
+   binding. [[@inline never]] is the opposite request. *)
+let inline_requested attrs =
+  List.exists
+    (fun a ->
+      match a.attr_name.txt with
+      | "inline" | "ocaml.inline" -> (
+          match a.attr_payload with
+          | PStr [] -> true
+          | PStr
+              [
+                {
+                  pstr_desc =
+                    Pstr_eval
+                      ( { pexp_desc = Pexp_ident { txt = Longident.Lident "always"; _ }; _ },
+                        _ );
+                  _;
+                };
+              ] ->
+              true
+          | _ -> false)
+      | _ -> false)
+    attrs
+
 let empty_ctx =
   {
     scope = SMap.empty;
@@ -737,7 +762,7 @@ let empty_ctx =
     loop = false;
   }
 
-let finish ~name ~line ~is_fn ~alloc ~float_ret acc =
+let finish ~name ~line ~is_fn ~alloc ~float_ret ~inline acc =
   {
     b_name = name;
     b_line = line;
@@ -754,6 +779,7 @@ let finish ~name ~line ~is_fn ~alloc ~float_ret acc =
     b_partials = List.rev acc.partials;
     b_impures = List.rev acc.impures;
     b_float_ret = float_ret;
+    b_inline = inline;
   }
 
 let binding_of_vb ~prefix vb =
@@ -774,6 +800,7 @@ let binding_of_vb ~prefix vb =
     ~line:vb.pvb_loc.Location.loc_start.Lexing.pos_lnum ~is_fn
     ~alloc:(match alloc_of_rhs vb.pvb_expr with `Alloc k -> Some k | _ -> None)
     ~float_ret:(is_fn && returns_float_op vb.pvb_expr)
+    ~inline:(inline_requested vb.pvb_attributes)
     acc
 
 let rec structure_bindings ~prefix items =
@@ -791,7 +818,7 @@ let rec structure_bindings ~prefix items =
                    (if prefix = "" then "" else prefix ^ ".")
                    item.pstr_loc.Location.loc_start.Lexing.pos_lnum)
               ~line:item.pstr_loc.Location.loc_start.Lexing.pos_lnum
-              ~is_fn:false ~alloc:None ~float_ret:false acc;
+              ~is_fn:false ~alloc:None ~float_ret:false ~inline:false acc;
           ]
       | Pstr_module mb -> module_bindings ~prefix mb
       | Pstr_recmodule mbs -> List.concat_map (module_bindings ~prefix) mbs

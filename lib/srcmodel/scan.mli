@@ -135,6 +135,11 @@ type binding = {
   b_float_ret : bool;
       (** tail expression is float arithmetic: the result boxes at every
           out-of-inline call site (heuristic, Info-grade) *)
+  b_inline : bool;
+      (** the binding carries [[@inline]] ([let[@inline]], [[@@inline]] or
+          [[@inline always]]). Without flambda and under dune's [-opaque]
+          dev profile, the request takes effect only at call sites in the
+          same module *)
 }
 
 type file_facts = { source : Source.t; bindings : binding list }

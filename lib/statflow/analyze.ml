@@ -8,7 +8,11 @@
    contexts (loop bodies, iterator callbacks) — a single allocation per call
    amortizes, an allocation per element is what turns the inner loop into
    GC pressure. HOT004 is Info-grade: the boxed-float-return heuristic
-   cannot see what flambda sinks. DESIGN.md §13 spells out the model. *)
+   cannot see what the inliner removes. It does know when an [[@inline]]
+   binding's callers all sit in its own module, where the request takes
+   effect, and stays silent then; dune's dev profile compiles with
+   [-opaque], so a caller in another module always receives a boxed
+   result. DESIGN.md §13 spells out the model. *)
 
 module Source = Srcmodel.Source
 module Scan = Srcmodel.Scan
@@ -132,8 +136,50 @@ let alloc_findings ~file ~module_ (b : Scan.binding) =
                  fn module_ b.Scan.b_name))
     b.Scan.b_allocs
 
-let classify ~hot_graph ~det_graph ~file ~module_ ~is_hot ~is_det
-    (b : Scan.binding) =
+(* The (module, binding) pairs that some other module calls. *)
+let called_across_modules graph facts =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (ff : Scan.file_facts) ->
+      let m = ff.Scan.source.Source.module_name in
+      List.iter
+        (fun (b : Scan.binding) ->
+          List.iter
+            (fun (c : Scan.call) ->
+              List.iter
+                (fun (m', (b' : Scan.binding)) ->
+                  if m' <> m then Hashtbl.replace tbl (m', b'.Scan.b_name) ())
+                (Callgraph.resolve graph ~current_module:m c.Scan.c_path))
+            b.Scan.b_calls)
+        ff.Scan.bindings)
+    facts;
+  fun ~module_ (b : Scan.binding) -> Hashtbl.mem tbl (module_, b.Scan.b_name)
+
+(* HOT004's verdict on a float-returning hot binding: [None] when it is
+   [[@inline]] and only its own module calls it (every call site inlines),
+   else the hint for the finding. *)
+let hot004_hint ~cross (b : Scan.binding) =
+  match (b.Scan.b_inline, cross) with
+  | true, false -> None
+  | true, true ->
+      Some
+        "[@inline] reaches only callers in this module: dune's dev profile \
+         compiles with -opaque, so calls from other modules are never \
+         inlined and box the result; give the calling loop's module its own \
+         inlined copy"
+  | false, true ->
+      Some
+        "[@inline] would not help the callers in other modules (-opaque: \
+         no cross-module inlining); copy the kernel into the calling loop's \
+         module, or pass unboxed float records at the call boundary"
+  | false, false ->
+      Some
+        "consider [@inline] on the definition (every caller is in this \
+         module, where it takes effect) or unboxed float records at the \
+         call boundary"
+
+let classify ~hot_graph ~det_graph ~called_across ~file ~module_ ~is_hot
+    ~is_det (b : Scan.binding) =
   let hot_here =
     is_hot || Callgraph.status hot_graph ~module_ ~value:b.Scan.b_name <> None
   in
@@ -144,16 +190,15 @@ let classify ~hot_graph ~det_graph ~file ~module_ ~is_hot ~is_det
   let emit d = out := d :: !out in
   if hot_here then begin
     List.iter emit (alloc_findings ~file ~module_ b);
-    if b.Scan.b_float_ret then
-      emit
-        (finding ~code:"HOT004" ~file ~line:b.Scan.b_line
-           ~hint:
-             "consider [@inline] on the definition or unboxed float records \
-              at the call boundary (heuristic: flambda may already sink the \
-              box)"
-           "%s.%s returns freshly computed float arithmetic: result boxes at \
-            every out-of-inline call"
-           module_ b.Scan.b_name);
+    (if b.Scan.b_float_ret then
+       match hot004_hint ~cross:(called_across ~module_ b) b with
+       | None -> ()
+       | Some hint ->
+           emit
+             (finding ~code:"HOT004" ~file ~line:b.Scan.b_line ~hint
+                "%s.%s returns freshly computed float arithmetic: result \
+                 boxes at every out-of-inline call"
+                module_ b.Scan.b_name));
     List.iter
       (fun (p : Scan.partial_call) ->
         emit
@@ -312,6 +357,7 @@ let run ?(config = default_config) sources =
     ~guard_of:(fun _ -> false)
     ~through_values:true
     ~entries:(List.map (fun (m, _, b) -> (m, b)) det_entries);
+  let called_across = called_across_modules hot_graph facts in
   let raw =
     List.concat_map
       (fun (ff : Scan.file_facts) ->
@@ -319,7 +365,7 @@ let run ?(config = default_config) sources =
         let file = ff.Scan.source.Source.path in
         List.concat_map
           (fun (b : Scan.binding) ->
-            classify ~hot_graph ~det_graph ~file ~module_
+            classify ~hot_graph ~det_graph ~called_across ~file ~module_
               ~is_hot:(entry_selected hot_names ~module_ b)
               ~is_det:(entry_selected det_names ~module_ b)
               b)

@@ -13,7 +13,9 @@
       allocating its result, same gating.
     - {b HOT004} (Info) — a hot-reachable function whose tail is float
       arithmetic: its result boxes at every out-of-inline call site
-      (heuristic; flambda may sink the box).
+      (heuristic). Silent for an [[@inline]] binding that no other module
+      calls; under dune's [-opaque] dev profile a call from another module
+      is never inlined, and the hint says so.
     - {b EXC001} (Error) — a [raise]/[failwith] after a resource
       acquisition ([open_in], [Unix.openfile], [Mutex.lock]) in the same
       binding, outside any [Fun.protect]/[try] region: the exceptional path

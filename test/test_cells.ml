@@ -195,6 +195,34 @@ let liberty_file_io () =
       let lib2 = Cells.Liberty.load ~path in
       check_int "cells" (Cells.Library.cell_count lib) (Cells.Library.cell_count lib2))
 
+(* A delay query allocates only what crosses its boundary: the caller's two
+   boxed arguments and the boxed result, 6 words. A lookup that compares
+   with polymorphic C calls and returns a closure-built (index, fraction)
+   tuple allocates 21.75 per query on these points. They mix in-range
+   queries with clamps past every edge, so both branches of the
+   out-of-range check are measured. *)
+let delay_query_allocation_pin () =
+  let cell = List.hd (Cells.Library.cells lib) in
+  let slews = [| 2.0; 7.5; 33.0; 160.0; 0.5; 900.0; 12.0; 1.0 |]
+  and loads = [| 0.5; 3.3; 17.0; 128.0; 0.1; 4.0; 600.0; 0.2 |] in
+  let n = Array.length slews in
+  let queries = 10_000 in
+  let sweep () =
+    for k = 0 to queries - 1 do
+      let p = k mod n in
+      ignore
+        (Sys.opaque_identity
+           (Cells.Cell.delay cell ~slew:slews.(p) ~load:loads.(p)))
+    done
+  in
+  sweep ();
+  let w0 = Gc.minor_words () in
+  sweep ();
+  let per_query = (Gc.minor_words () -. w0) /. float_of_int queries in
+  check_true
+    (Printf.sprintf "minor words per delay query %.2f <= 8" per_query)
+    (per_query <= 8.0)
+
 let () =
   Alcotest.run "cells"
     [
@@ -212,6 +240,8 @@ let () =
           Alcotest.test_case "monotone strength" `Quick library_monotone_strength;
           Alcotest.test_case "delay monotonicity" `Quick
             delay_monotone_in_load_and_slew;
+          Alcotest.test_case "delay query allocation pin" `Quick
+            delay_query_allocation_pin;
           Alcotest.test_case "strength speeds up" `Quick
             delay_decreases_with_strength;
           Alcotest.test_case "lookup" `Quick library_lookup;

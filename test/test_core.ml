@@ -203,6 +203,42 @@ let window_windowed_mode_runs () =
   check_true "windowed mode exercises the quadratic engine"
     (stats.Ssta.Fassta.cutoff_hits + stats.Ssta.Fassta.blended > 0)
 
+(* The sizer's window verdict allocates at most 15,000 minor words per
+   window on c432 (11,815 measured). The drain's exact Clark max is inlined
+   into the window module, so its floats stay unboxed; calling across the
+   module boundary into [Numerics.Normal] boxed every one of them (29,924
+   words per window). Measured on a second sweep, so the first has grown
+   every per-candidate buffer. *)
+let window_allocation_pin () =
+  let c = Benchgen.Iscas_like.build_exn ~lib "c432" in
+  ignore (Core.Initial_sizing.apply ~lib c);
+  let window =
+    Core.Window.create ~mode:Core.Window.Global ~engine:Core.Window.Production
+      ~circuit:c ~model:Variation.Model.default
+      ~objective:(Core.Objective.create ~alpha:3.0)
+      ~full:(Ssta.Fullssta.run c) ()
+  in
+  let subs =
+    List.map
+      (fun g -> Netlist.Cone.extract c ~pivot:g ~depth:2)
+      (Netlist.Circuit.gates c)
+  in
+  let sweep () =
+    List.iter
+      (fun sub ->
+        ignore (Sys.opaque_identity (Core.Window.best_size window ~lib sub)))
+      subs
+  in
+  sweep ();
+  let w0 = Gc.minor_words () in
+  sweep ();
+  let per_window =
+    (Gc.minor_words () -. w0) /. float_of_int (List.length subs)
+  in
+  check_true
+    (Printf.sprintf "minor words per window %.0f <= 15000" per_window)
+    (per_window <= 15_000.0)
+
 (* ---- Sizer -------------------------------------------------------------------- *)
 
 let small_stat_config alpha =
@@ -271,6 +307,54 @@ let area_recovery_reclaims () =
     <= 1.02 *. Float.abs r.Core.Area_recovery.cost_before);
   check_true "still valid" (Netlist.Circuit.validate c = [])
 
+(* Yield-driven sizing must run area recovery under the sizer's variation
+   model. With a model far from the default, recovery under the default
+   model measures its budget in another currency and lands on different
+   cells. The hand-run ladder spells the recovery config out field by
+   field. *)
+let yield_driven_recovery_uses_sizer_model () =
+  let model = Variation.Model.create ~systematic:0.3 ~random_floor:0.6 () in
+  let sizer = { Core.Sizer.default_config with Core.Sizer.model } in
+  let c = Benchgen.Iscas_like.build_exn ~lib "c432" in
+  ignore (Core.Initial_sizing.apply ~lib c);
+  let hand = Netlist.Circuit.copy c in
+  (* a period at the initial mean puts the yield near 50%, so the one-step
+     ladder runs *)
+  let period =
+    (Ssta.Fullssta.output_moments
+       (Ssta.Fullssta.run
+          ~config:{ Ssta.Fullssta.default_config with model }
+          c))
+      .Numerics.Clark.mean
+  in
+  let config =
+    { Core.Yield_driven.default_config with
+      Core.Yield_driven.sizer; alphas = [ 3.0 ] }
+  in
+  let r = Core.Yield_driven.optimize ~config ~lib c ~period ~target:0.99 in
+  check_int "one ladder step ran" 2 (List.length r.Core.Yield_driven.steps);
+  let objective = Core.Objective.create ~alpha:3.0 in
+  ignore
+    (Core.Sizer.optimize ~config:{ sizer with Core.Sizer.objective } ~lib hand);
+  ignore
+    (Core.Area_recovery.recover
+       ~config:
+         {
+           Core.Area_recovery.default_config with
+           objective;
+           model;
+           samples = sizer.Core.Sizer.samples;
+           electrical = sizer.Core.Sizer.electrical;
+         }
+       ~lib hand);
+  List.iter
+    (fun g ->
+      Alcotest.(check string)
+        (Printf.sprintf "gate %d cell" g)
+        (Cells.Cell.name (Netlist.Circuit.cell_exn hand g))
+        (Cells.Cell.name (Netlist.Circuit.cell_exn c g)))
+    (Netlist.Circuit.gates c)
+
 let () =
   Alcotest.run "core"
     [
@@ -305,6 +389,7 @@ let () =
             window_trials_are_side_effect_free;
           Alcotest.test_case "best never worse" `Quick window_best_never_worse;
           Alcotest.test_case "windowed mode" `Quick window_windowed_mode_runs;
+          Alcotest.test_case "allocation pin" `Quick window_allocation_pin;
         ] );
       ( "sizer",
         [
@@ -317,5 +402,9 @@ let () =
             sizer_alpha_zero_equals_mean_config;
         ] );
       ( "area_recovery",
-        [ Alcotest.test_case "reclaims" `Quick area_recovery_reclaims ] );
+        [
+          Alcotest.test_case "reclaims" `Quick area_recovery_reclaims;
+          Alcotest.test_case "yield ladder uses sizer model" `Quick
+            yield_driven_recovery_uses_sizer_model;
+        ] );
     ]

@@ -240,6 +240,146 @@ let test_sizer_incremental_bitexact () =
         && bit_equal m_r.Numerics.Clark.var m_p.Numerics.Clark.var))
     cases
 
+(* Area recovery as it stood before it judged on the Production window,
+   verbatim up to module paths: every trial downsize priced from scratch by
+   a full electrical pass plus an exact FASSTA pass. The oracle the
+   incremental judge must match decision for decision. *)
+module Oracle_recovery = struct
+  open Core
+  open Core.Area_recovery
+
+  let fast_cost config circuit =
+    let electrical = Sta.Electrical.compute ~config:config.electrical circuit in
+    let scratch =
+      Array.make (Netlist.Circuit.size circuit)
+        (Numerics.Clark.moments ~mean:0.0 ~var:0.0)
+    in
+    Ssta.Fassta.propagate_into ~exact:true ~model:config.model ~circuit ~electrical
+      scratch;
+    Objective.cost_of_rv ~exact:true config.objective
+      (fun o -> scratch.(o))
+      (Netlist.Circuit.outputs circuit)
+
+  let full_cost config circuit =
+    let full =
+      Ssta.Fullssta.run
+        ~config:
+          {
+            Ssta.Fullssta.samples = config.samples;
+            model = config.model;
+            electrical = config.electrical;
+          }
+        circuit
+    in
+    Objective.circuit_cost config.objective full
+
+  let recover ?(config = default_config) ~lib circuit =
+    let area_before = Netlist.Circuit.total_area circuit in
+    let cost_before = full_cost config circuit in
+    let fast_budget =
+      let c = fast_cost config circuit in
+      c +. (config.tolerance *. Float.abs c)
+    in
+    let by_area_desc =
+      Netlist.Circuit.gates circuit
+      |> List.map (fun id -> (id, Cells.Cell.area (Netlist.Circuit.cell_exn circuit id)))
+      |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
+      |> List.map fst
+    in
+    let downsized = ref 0 in
+    List.iter
+      (fun gate ->
+        let rec step () =
+          let current = Netlist.Circuit.cell_exn circuit gate in
+          match Cells.Library.next_down lib current with
+          | None -> ()
+          | Some smaller ->
+              Netlist.Circuit.set_cell circuit gate smaller;
+              if fast_cost config circuit <= fast_budget then begin
+                incr downsized;
+                step ()
+              end
+              else Netlist.Circuit.set_cell circuit gate current
+        in
+        step ())
+      by_area_desc;
+    {
+      downsized = !downsized;
+      area_before;
+      area_after = Netlist.Circuit.total_area circuit;
+      cost_before;
+      cost_after = full_cost config circuit;
+    }
+end
+
+(* Recovery on the incremental window against the from-scratch oracle, over
+   the regimes recovery meets: sizer output at both Table-1 alphas (a mix
+   of accepts and rejects), an over-sized circuit with a loose budget (long
+   runs of consecutive accepts per gate), and a zero budget (nearly every
+   trial rejected, so the revert commit runs thousands of times — a revert
+   that left any state behind would drift every later verdict). The count,
+   every figure to the bit, and every gate's final cell must agree. *)
+let test_recovery_matches_oracle () =
+  let after_sizer name alpha =
+    let c = sized name in
+    let config =
+      { Core.Sizer.default_config with
+        Core.Sizer.objective = Core.Objective.create ~alpha }
+    in
+    ignore (Core.Sizer.optimize ~config ~lib c);
+    c
+  in
+  let oversized name =
+    let c = sized name in
+    List.iter
+      (fun id ->
+        let cell = Netlist.Circuit.cell_exn c id in
+        Netlist.Circuit.set_cell c id
+          (Cells.Library.max_cell lib ~fn:(Cells.Cell.fn cell)))
+      (Netlist.Circuit.gates c);
+    c
+  in
+  let config ?(tolerance = Core.Area_recovery.default_config.tolerance) alpha =
+    { Core.Area_recovery.default_config with
+      objective = Core.Objective.create ~alpha; tolerance }
+  in
+  let c432_a3 = after_sizer "c432" 3.0 in
+  let cases =
+    [
+      ("c432 alpha 3", c432_a3, config 3.0);
+      ("c432 alpha 9", after_sizer "c432" 9.0, config 9.0);
+      ("c880 alpha 3", after_sizer "c880" 3.0, config 3.0);
+      ("c880 alpha 9", after_sizer "c880" 9.0, config 9.0);
+      ("alu2 oversized, tolerance 0.05", oversized "alu2", config ~tolerance:0.05 3.0);
+      ("c432 alpha 3, tolerance 0", c432_a3, config ~tolerance:0.0 3.0);
+    ]
+  in
+  List.iter
+    (fun (label, c, config) ->
+      let what = Printf.sprintf "%s: %s" label in
+      let cn = Netlist.Circuit.copy c and co = Netlist.Circuit.copy c in
+      let rn = Core.Area_recovery.recover ~config ~lib cn in
+      let ro = Oracle_recovery.recover ~config ~lib co in
+      check_int (what "downsized") ro.Core.Area_recovery.downsized
+        rn.Core.Area_recovery.downsized;
+      List.iter
+        (fun (field, f) ->
+          check_true (what (field ^ " bit-equal")) (bit_equal (f ro) (f rn)))
+        [
+          ("area_before", fun r -> r.Core.Area_recovery.area_before);
+          ("area_after", fun r -> r.Core.Area_recovery.area_after);
+          ("cost_before", fun r -> r.Core.Area_recovery.cost_before);
+          ("cost_after", fun r -> r.Core.Area_recovery.cost_after);
+        ];
+      List.iter
+        (fun g ->
+          Alcotest.(check string)
+            (what (Printf.sprintf "gate %d cell" g))
+            (Cells.Cell.name (Netlist.Circuit.cell_exn co g))
+            (Cells.Cell.name (Netlist.Circuit.cell_exn cn g)))
+        (Netlist.Circuit.gates c))
+    cases
+
 (* Paranoid mode across a whole sizing run: every per-iteration update is
    cross-checked against a scratch rebuild and none may diverge. *)
 let test_sizer_paranoid_run_clean () =
@@ -270,5 +410,10 @@ let () =
             `Quick test_sizer_incremental_bitexact;
           Alcotest.test_case "Production and Reference windows agree per gate"
             `Quick test_window_engines_agree;
+        ] );
+      ( "area_recovery",
+        [
+          Alcotest.test_case "incremental judge = scratch oracle, bit for bit"
+            `Quick test_recovery_matches_oracle;
         ] );
     ]

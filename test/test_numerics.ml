@@ -943,6 +943,9 @@ let oracle_query ~rows ~cols ~values ~row ~col =
     ((1.0 -. fr) *. (((1.0 -. fc) *. v00) +. (fc *. v01)))
     +. (fr *. (((1.0 -. fc) *. v10) +. (fc *. v11)))
 
+(* The seed's clamp test, verbatim: whether a query counts as out of range. *)
+let oracle_in_range axis x = x >= axis.(0) && x <= axis.(Array.length axis - 1)
+
 let lut_fixture () =
   let rows = [| 0.5; 1.0; 2.0; 4.0; 8.0 |]
   and cols = [| 1.0; 3.0; 9.0; 27.0 |] in
@@ -950,30 +953,84 @@ let lut_fixture () =
   let values = Array.map (fun r -> Array.map (f r) cols) rows in
   (rows, cols, values, Numerics.Lut.create ~rows ~cols ~values)
 
+(* Every table shape [eval] special-cases: the 5×4 grid above, single-row
+   and single-column tables (an axis of length 1 never interpolates), a 1×1
+   table, and a signed grid through zero whose entries include -0.0, where
+   only a bitwise comparison tells a sign-of-zero slip from the right
+   answer. *)
+let lut_fixtures () =
+  let table rows cols f =
+    let values = Array.map (fun r -> Array.map (f r) cols) rows in
+    (rows, cols, values, Numerics.Lut.create ~rows ~cols ~values)
+  in
+  let smooth r c = (r *. 3.1) +. (c *. 0.7) +. (r *. c *. 0.013) in
+  [
+    lut_fixture ();
+    table [| 2.0 |] [| 1.0; 3.0; 9.0; 27.0 |] smooth;
+    table [| 0.5; 1.0; 2.0; 4.0; 8.0 |] [| 9.0 |] smooth;
+    table [| 2.0 |] [| 9.0 |] (fun _ _ -> -0.0);
+    table [| 0.0; 1.0; 4.0 |] [| -3.0; 0.0; 5.0 |] (fun r c ->
+        if r = 0.0 then -0.0 else -.(r *. c));
+  ]
+
+(* One query against the seed oracle: the value must match bit for bit, and
+   the table's out-of-range counter must move by exactly the oracle's
+   verdict (1 when either coordinate clamps, else 0). *)
+let lut_query_matches_oracle (rows, cols, values, lut) ~row ~col =
+  let before = Numerics.Lut.oob_count lut in
+  let v = Numerics.Lut.query lut ~row ~col in
+  let moved = Numerics.Lut.oob_count lut - before in
+  let expected_moved =
+    if oracle_in_range rows row && oracle_in_range cols col then 0 else 1
+  in
+  Int64.equal
+    (Int64.bits_of_float v)
+    (Int64.bits_of_float (oracle_query ~rows ~cols ~values ~row ~col))
+  && moved = expected_moved
+
 let prop_flat_lut_matches_seed_bilinear =
   qcheck ~count:500 "flat LUT query ≡ seed nested bilinear, bit for bit"
     QCheck.(pair (int_bound 2000) (int_bound 2000))
     (fun (ri, ci) ->
-      let rows, cols, values, lut = lut_fixture () in
       (* sweep inside, on, and beyond both axes, including the clamp zone *)
       let row = -1.0 +. (float_of_int ri /. 200.0)
-      and col = -1.0 +. (float_of_int ci /. 60.0) in
-      Numerics.Lut.query lut ~row ~col = oracle_query ~rows ~cols ~values ~row ~col)
+      and col = -4.0 +. (float_of_int ci /. 60.0) in
+      List.for_all
+        (fun fx -> lut_query_matches_oracle fx ~row ~col)
+        (lut_fixtures ()))
 
 (* The grid corners and the four clamp quadrants beyond them, where the
-   flat index arithmetic is most likely to slip a row. *)
+   flat index arithmetic is most likely to slip a row, then every exact grid
+   point paired with every grid coordinate and with points beyond both
+   edges, on every fixture shape. *)
 let lut_clamp_corners () =
   let rows, cols, values, lut = lut_fixture () in
   List.iter
     (fun (row, col) ->
       check_true
         (Printf.sprintf "flat = seed oracle at (%g, %g)" row col)
-        (Numerics.Lut.query lut ~row ~col
-        = oracle_query ~rows ~cols ~values ~row ~col))
+        (lut_query_matches_oracle (rows, cols, values, lut) ~row ~col))
     [
       (-5.0, -5.0); (100.0, 100.0); (-5.0, 100.0); (100.0, -5.0);
       (0.5, 1.0); (8.0, 27.0); (1.0, 100.0); (100.0, 3.0);
-    ]
+    ];
+  List.iter
+    (fun ((rows, cols, _, _) as fx) ->
+      let around axis =
+        Array.to_list axis
+        @ [ axis.(0) -. 1.0; axis.(Array.length axis - 1) +. 1.0; -0.0; 0.0 ]
+      in
+      List.iter
+        (fun row ->
+          List.iter
+            (fun col ->
+              check_true
+                (Printf.sprintf "%dx%d table: flat = seed oracle at (%g, %g)"
+                   (Array.length rows) (Array.length cols) row col)
+                (lut_query_matches_oracle fx ~row ~col))
+            (around cols))
+        (around rows))
+    (lut_fixtures ())
 
 (* ---- Rng ---------------------------------------------------------------- *)
 

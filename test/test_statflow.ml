@@ -36,6 +36,11 @@ let check_codes ~msg expected r =
 
 let run_fixtures names = Statflow.Analyze.run ~config (List.map load names)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec scan i = i + m <= n && (String.sub s i m = sub || scan (i + 1)) in
+  scan 0
+
 (* ---- planted findings --------------------------------------------------- *)
 
 let planted () =
@@ -43,11 +48,37 @@ let planted () =
   check_codes ~msg:"hot002" [ "HOT002" ] (run_fixtures [ "hot002.ml" ]);
   check_codes ~msg:"hot003" [ "HOT003" ] (run_fixtures [ "hot003.ml" ]);
   check_codes ~msg:"hot004" [ "HOT004" ] (run_fixtures [ "hot004.ml" ]);
+  check_codes ~msg:"hot004, [@inline] with same-module callers" []
+    (run_fixtures [ "hot004_inline.ml" ]);
+  check_codes ~msg:"hot004, [@inline] called from another module"
+    [ "HOT004" ]
+    (run_fixtures [ "hot004_kernel.ml"; "hot004_opaque.ml" ]);
   check_codes ~msg:"exc001" [ "EXC001" ] (run_fixtures [ "exc001.ml" ]);
   check_codes ~msg:"exc002" [ "EXC002" ] (run_fixtures [ "exc002.ml" ]);
   check_codes ~msg:"det001" [ "DET001" ] (run_fixtures [ "det001.ml" ]);
   check_codes ~msg:"det002" [ "DET002" ] (run_fixtures [ "det002.ml" ]);
   check_codes ~msg:"det003" [ "DET003" ] (run_fixtures [ "det003.ml" ])
+
+(* [@inline never] is no inline request; and the cross-module finding says
+   why the attribute did not help *)
+let hot004_inline_hints () =
+  check_codes ~msg:"[@inline never]" [ "HOT004" ]
+    (Statflow.Analyze.run ~config
+       [
+         parse ~path:"never.ml"
+           "let[@inline never] scale x = x *. 2.0\nlet run x = scale x\n";
+       ]);
+  match
+    (run_fixtures [ "hot004_kernel.ml"; "hot004_opaque.ml" ])
+      .Statflow.Analyze.findings
+  with
+  | [ d ] ->
+      let hint = Option.value ~default:"" d.Diag.hint in
+      Alcotest.(check bool)
+        "finding names the kernel" true
+        (contains (Diag.to_string d) "Hot004_kernel.blend");
+      Alcotest.(check bool) "hint names -opaque" true (contains hint "-opaque")
+  | ds -> Alcotest.failf "expected 1 finding, got %d" (List.length ds)
 
 let locations_and_severities () =
   let severity name expected =
@@ -104,7 +135,7 @@ let parse_failure () =
 
 let full_directory () =
   let r = Statflow.Analyze.run_dirs ~config [ fixture_dir ] in
-  Alcotest.(check int) "files" 12 r.Statflow.Analyze.files_scanned;
+  Alcotest.(check int) "files" 15 r.Statflow.Analyze.files_scanned;
   Alcotest.(check (list (pair string int)))
     "histogram"
     [
@@ -117,7 +148,7 @@ let full_directory () =
       ("HOT001", 1);
       ("HOT002", 1);
       ("HOT003", 1);
-      ("HOT004", 1);
+      ("HOT004", 2);
     ]
     (Statflow.Analyze.count_by_code r.Statflow.Analyze.findings);
   Alcotest.(check int) "one suppression" 1 r.Statflow.Analyze.suppressed
@@ -258,15 +289,7 @@ let real_tree_agrees_with_gc_budget () =
           match d.Diag.code with
           | "HOT001" | "HOT002" | "HOT003" ->
               let msg = Diag.to_string d in
-              let names_bump =
-                let sub = "(Counters.bump)" in
-                let n = String.length msg and m = String.length sub in
-                let rec scan i =
-                  i + m <= n && (String.sub msg i m = sub || scan (i + 1))
-                in
-                scan 0
-              in
-              if names_bump then
+              if contains msg "(Counters.bump)" then
                 Alcotest.failf
                   "static HOT finding contradicts the Gc budget test: %s" msg
           | _ -> ())
@@ -280,6 +303,7 @@ let () =
       ( "fixtures",
         [
           Alcotest.test_case "planted findings" `Quick planted;
+          Alcotest.test_case "HOT004 and [@inline]" `Quick hot004_inline_hints;
           Alcotest.test_case "locations and severities" `Quick
             locations_and_severities;
           Alcotest.test_case "clean patterns" `Quick clean;
