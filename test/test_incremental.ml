@@ -411,7 +411,7 @@ let () =
           Alcotest.test_case "Production and Reference windows agree per gate"
             `Quick test_window_engines_agree;
         ] );
-      ( "area_recovery",
+      ( "recovery",
         [
           Alcotest.test_case "incremental judge = scratch oracle, bit for bit"
             `Quick test_recovery_matches_oracle;
