@@ -89,7 +89,7 @@ let rec emit_json b ~indent v =
       Buffer.add_string b ("\n" ^ pad indent ^ "}")
 
 (* BENCH_PREFIX lets two bench invocations coexist in one build directory:
-   the smoke run and the full-mode gate both emit BENCH_serve.json, and
+   the smoke run and the counter gate both emit BENCH_counters.json, and
    dune runs their rules concurrently under @ci. *)
 let write_json path v =
   let path =
@@ -414,93 +414,16 @@ let run_incremental () =
                   rows) );
          ])
 
-(* ---- statserve: daemon determinism, caches, pool throughput -------------- *)
-
-(* The work-conservation counter set: operation counters the domain-parallel
-   window engine must keep EXACTLY equal for every --domains value (the
-   chunked evaluate/commit rounds are domain-count independent by
-   construction). Counters that track physical workers — replica resyncs
-   (window.commit.visits), replica construction (the fullssta family),
-   per-engine memo/LUT caches, per-lane distribution (parwin.windows.laneN)
-   — are deliberately excluded; see DESIGN.md §15. *)
-let conservation_counters =
-  [
-    "sizer.iterations";
-    "sizer.windows.evaluated";
-    "sizer.windows.skipped";
-    "sizer.moves.committed";
-    "window.trial.visits";
-    "window.trial.cell_evals";
-    "parwin.rounds";
-    "parwin.windows.evaluated";
-    "parwin.windows.discarded";
-  ]
+(* ---- statserve: daemon caches, pool throughput ---------------------------- *)
 
 let run_serve () =
-  heading "serve — resident daemon: determinism, caches, pool throughput";
-  let circuits = if smoke then [ "alu2" ] else [ "alu1"; "alu2" ] in
+  heading "serve — resident daemon: caches, pool throughput";
   let max_iterations = if smoke then 2 else 4 in
-  let counter name =
-    match List.assoc_opt name (Obs.Counters.dump ()) with
-    | Some v -> v
-    | None -> 0
-  in
-  let snapshot () = List.map (fun n -> (n, counter n)) conservation_counters in
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  (* 1 vs 4 window domains on the same circuits: sizings must be
-     byte-identical and the conservation counters exactly equal *)
-  Obs.Sink.reset ();
-  Obs.Sink.enable ();
-  let run_one ~domains name =
-    let c = Benchgen.Iscas_like.build_exn ~lib name in
-    let _ = Core.Initial_sizing.apply ~lib c in
-    let config =
-      {
-        Core.Sizer.default_config with
-        window_domains = domains;
-        max_iterations;
-      }
-    in
-    let before = snapshot () in
-    let _, t = time (fun () -> Core.Sizer.optimize ~config ~lib c) in
-    let after = snapshot () in
-    let delta =
-      List.map2 (fun (k, a) (_, b) -> (k, b - a)) before after
-    in
-    (Serve.Jobs.sizing_digest c, delta, t)
-  in
-  let sum_counters acc delta =
-    match acc with
-    | [] -> delta
-    | _ -> List.map2 (fun (k, a) (_, b) -> (k, a + b)) acc delta
-  in
-  let identical, c1, c4, t1, t4 =
-    List.fold_left
-      (fun (ok, c1, c4, t1, t4) name ->
-        let d1, delta1, s1 = run_one ~domains:1 name in
-        let d4, delta4, s4 = run_one ~domains:4 name in
-        let same = String.equal d1 d4 in
-        Fmt.pr "  %-6s domains 1 %6.2fs  domains 4 %6.2fs  identical=%b@."
-          name s1 s4 same;
-        ( ok && same,
-          sum_counters c1 delta1,
-          sum_counters c4 delta4,
-          t1 +. s1,
-          t4 +. s4 ))
-      (true, [], [], 0.0, 0.0) circuits
-  in
-  Obs.Sink.disable ();
-  Obs.Sink.reset ();
-  let conserved = c1 = c4 in
-  Fmt.pr "  work conservation (1 vs 4 domains): equal=%b@." conserved;
-  List.iter2
-    (fun (k, a) (_, b) ->
-      Fmt.pr "    %-28s %10d %10d%s@." k a b (if a = b then "" else "  <-- DIVERGED"))
-    c1 c4;
   (* in-process daemon: warm-vs-cold cache ratio and multi-job throughput *)
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -582,23 +505,6 @@ let run_serve () =
            ("section", Jstr "serve");
            ("smoke", Jbool smoke);
            ("max_iterations", Jint max_iterations);
-           ("circuits", Jlist (List.map (fun n -> Jstr n) circuits));
-           (* flattened d1./d4. view: the exact-match member the CI counter
-              gate diffs against baselines/serve.json *)
-           ( "counters",
-             Jobj
-               (List.map (fun (k, v) -> ("d1." ^ k, Jint v)) c1
-               @ List.map (fun (k, v) -> ("d4." ^ k, Jint v)) c4) );
-           ( "work_conservation",
-             Jobj
-               [
-                 ("domains1", Jobj (List.map (fun (k, v) -> (k, Jint v)) c1));
-                 ("domains4", Jobj (List.map (fun (k, v) -> (k, Jint v)) c4));
-                 ("equal", Jbool conserved);
-                 ("sizings_identical", Jbool identical);
-                 ("domains1_s", Jnum t1);
-                 ("domains4_s", Jnum t4);
-               ] );
            ( "warm_cold",
              Jobj
                [

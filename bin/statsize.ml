@@ -9,7 +9,7 @@
      slack    CIRCUIT        statistical required times / slack summary
      pca      CIRCUIT        correlation-aware SSTA vs the independent engines
      check    CIRCUIT        certify SSTA runs against abstract-interpretation
-                             bounds (ABS rules) and report the dominance skip set
+                             bounds (ABS rules)
      races    [ROOT]...      parallel-safety static analysis of the project's
                              own sources (PAR rules), rooted at Domain.spawn
      dot      CIRCUIT FILE   Graphviz export with the WNSS cone highlighted
@@ -125,28 +125,17 @@ let alpha_arg =
 let no_recover_arg =
   Arg.(value & flag & info [ "no-recover" ] ~doc:"Skip the area-recovery pass.")
 
-let window_domains_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "domains" ]
-        ~doc:
-          "Intra-run window-evaluation domains (0 = historical serial path). \
-           Any value yields byte-identical sizings; see the sizer docs.")
-
 let optimize_cmd =
-  let run verbose name alpha no_recover domains =
+  let run verbose name alpha no_recover =
     setup_logs verbose;
     let baseline = Experiments.Pipeline.prepare ~lib (fun () -> build_circuit name) in
     Fmt.pr "baseline (mean-optimized): mu=%.2f sigma=%.2f area=%.1f@."
       baseline.Experiments.Pipeline.moments.Numerics.Clark.mean
       (Numerics.Clark.sigma baseline.Experiments.Pipeline.moments)
       baseline.Experiments.Pipeline.area;
-    let config =
-      { Core.Sizer.default_config with window_domains = domains }
-    in
     let r =
-      Experiments.Pipeline.run_alpha ~recover:(not no_recover) ~config ~lib
-        baseline ~alpha
+      Experiments.Pipeline.run_alpha ~recover:(not no_recover) ~lib baseline
+        ~alpha
     in
     Fmt.pr
       "alpha=%g: dmu=%+.1f%% dsigma=%+.1f%% sigma/mean %.4f -> %.4f darea=%+.1f%% \
@@ -159,9 +148,7 @@ let optimize_cmd =
       r.Experiments.Pipeline.resizes r.Experiments.Pipeline.runtime_s
   in
   Cmd.v (Cmd.info "optimize" ~doc:"Run StatisticalGreedy on a circuit")
-    Term.(
-      const run $ verbose_arg $ circuit_arg $ alpha_arg $ no_recover_arg
-      $ window_domains_arg)
+    Term.(const run $ verbose_arg $ circuit_arg $ alpha_arg $ no_recover_arg)
 
 let names_arg =
   Arg.(
@@ -543,11 +530,6 @@ let check_cmd =
                    $(b,all-sizings) of the drive ladder (sound under any \
                    optimizer trajectory).")
   in
-  let margin_arg =
-    Arg.(value & opt (some float) None
-         & info [ "margin" ]
-             ~doc:"Dominance margin in joint sigmas (default 4).")
-  in
   let budget_tol_arg =
     Arg.(value & opt float 0.05
          & info [ "budget-tol" ]
@@ -569,7 +551,7 @@ let check_cmd =
              ~doc:"Comma-separated severity overrides, e.g. ABS005=info.")
   in
   let die fmt = Fmt.kstr (fun m -> Fmt.epr "statsize check: %s@." m; exit 2) fmt in
-  let run targets all format scope margin budget_tol strict disable overrides =
+  let run targets all format scope budget_tol strict disable overrides =
     let registry =
       match Lint.Registry.of_spec ~disable ~overrides () with
       | Ok r -> r
@@ -597,7 +579,6 @@ let check_cmd =
             { clark_config with semantics = Absint.Domain.Distribution_free }
           ~lib c
       in
-      let dom = Absint.Dominance.compute ?margin sc in
       let full = Ssta.Fullssta.run c in
       let fast = Ssta.Fassta.run c in
       let exact =
@@ -620,31 +601,24 @@ let check_cmd =
             ~exact:(fun id -> exact.(id))
         @ Lint.Absint_rules.check_budget_tolerance ~tol:budget_tol sc
       in
-      (c, sc, scd, dom, Lint.Registry.apply registry diags)
+      (sc, scd, Lint.Registry.apply registry diags)
     in
     let results = List.map (fun t -> (t, check_target t)) targets in
     (match format with
     | `Json ->
         print_endline
           (Lint.Report.to_json
-             (List.map (fun (t, (_, _, _, _, ds)) -> (t, ds)) results))
+             (List.map (fun (t, (_, _, ds)) -> (t, ds)) results))
     | `Text ->
         List.iter
-          (fun (t, (c, sc, scd, dom, ds)) ->
-            Fmt.pr "%s:@.  clark:     %a@.  dist-free: %a@.  %a@." t
-              Absint.Statcheck.pp_summary sc Absint.Statcheck.pp_summary scd
-              Absint.Dominance.pp dom;
-            (match Absint.Dominance.dominated_outputs dom with
-            | [] -> ()
-            | outs ->
-                Fmt.pr "  dominated outputs: %a@."
-                  Fmt.(list ~sep:sp string)
-                  (List.map (Netlist.Circuit.node_name c) outs));
+          (fun (t, (sc, scd, ds)) ->
+            Fmt.pr "%s:@.  clark:     %a@.  dist-free: %a@." t
+              Absint.Statcheck.pp_summary sc Absint.Statcheck.pp_summary scd;
             Fmt.pr "%a" Lint.Report.pp ds)
           results);
     exit
       (Lint.Report.exit_code ~strict
-         (List.concat_map (fun (_, (_, _, _, _, ds)) -> ds) results))
+         (List.concat_map (fun (_, (_, _, ds)) -> ds) results))
   in
   Cmd.v
     (Cmd.info "check"
@@ -656,13 +630,12 @@ let check_cmd =
            `P "Runs the statcheck certifier (Clark-normal and \
                distribution-free abstract interpretation) over each circuit, \
                then cross-checks concrete FULLSSTA and FASSTA results \
-               against the certified enclosures (ABS001-ABS005) and reports \
-               the dominance skip set the sizer's $(b,prune) mode consumes. \
-               Exit codes match $(b,statsize lint): 0 clean or warnings, 1 \
+               against the certified enclosures (ABS001-ABS005). Exit codes \
+               match $(b,statsize lint): 0 clean or warnings, 1 \
                errors, 2 usage errors, 3 warnings with $(b,--strict).";
          ])
     Term.(const run $ targets_arg $ all_arg $ format_arg $ scope_arg
-          $ margin_arg $ budget_tol_arg $ strict_arg $ disable_arg
+          $ budget_tol_arg $ strict_arg $ disable_arg
           $ severity_arg)
 
 let races_cmd =
@@ -944,7 +917,7 @@ let serve_cmd =
       =
     setup_logs verbose;
     if table1 then
-      match Serve.Table1_client.run ~socket ~domains ?names () with
+      match Serve.Table1_client.run ~socket ?names () with
       | Ok rows -> Fmt.pr "%a" Serve.Table1_client.pp rows
       | Error msg -> Fmt.failwith "serve table1: %s" msg
     else if client then begin

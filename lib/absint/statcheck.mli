@@ -10,10 +10,10 @@
 
     The [scope] axis picks what the enclosures quantify over:
     {!Current_sizing} reads the circuit's present cells (tight — this is
-    what the lint cross-checks and the sizer's dominance pruning use), while
-    {!All_sizings} hulls every arc over the library's whole drive ladder
-    (via {!Numerics.Lut.range} corner sweeps), so the result is sound under
-    any sizing the optimizer may ever visit. *)
+    what the lint cross-checks use), while {!All_sizings} hulls every arc
+    over the library's whole drive ladder (via {!Numerics.Lut.range} corner
+    sweeps), so the result is sound under any sizing the optimizer may ever
+    visit. *)
 
 type scope = Current_sizing | All_sizings
 

@@ -20,12 +20,11 @@ let log_src = Logs.Src.create "statsize.sizer" ~doc:"StatisticalGreedy sizing"
 
 module Log = (val Logs.src_log log_src)
 
-(* statobs: outer-loop progress counters. Windows evaluated/skipped and
-   moves committed mirror the result record's fields but accumulate across
-   every optimize call in a run, which is what the CI counter gate diffs. *)
+(* statobs: outer-loop progress counters. Windows evaluated and moves
+   committed mirror the result record's fields but accumulate across every
+   optimize call in a run, which is what the CI counter gate diffs. *)
 let c_iterations = Obs.Counters.make "sizer.iterations"
 let c_windows_evaluated = Obs.Counters.make "sizer.windows.evaluated"
-let c_windows_skipped = Obs.Counters.make "sizer.windows.skipped"
 let c_moves_committed = Obs.Counters.make "sizer.moves.committed"
 
 (* How path resizes are applied within one outer iteration:
@@ -62,11 +61,6 @@ type config = {
       (* Production (persistent state, dirty-cone updates) or the Reference
          scratch oracle — identical sizings either way *)
   paranoid : bool; (* cross-check every FULLSSTA update against scratch *)
-  window_domains : int;
-      (* 0 (default) = the serial engine; >= 1 routes each iteration's
-         window sweep through the Parwin round loop (parallel-evaluate /
-         serial-commit, [window_domains - 1] worker domains) — final
-         sizings are byte-identical to serial for every domain count *)
 }
 
 let default_config =
@@ -86,7 +80,6 @@ let default_config =
     electrical = Sta.Electrical.default_config;
     engine = Window.Production;
     paranoid = false;
-    window_domains = 0;
   }
 
 (* The "Original" baseline: pure mean delay with a coarser per-move gain
@@ -120,7 +113,6 @@ type result = {
   total_resizes : int;
   cutoff_fraction : float; (* FASSTA (5)/(6) hit rate across the whole run *)
   windows_evaluated : int; (* gate windows actually scored *)
-  windows_skipped : int; (* path gates certified inert and pruned *)
   runtime_s : float;
 }
 
@@ -136,15 +128,8 @@ let fullssta_config config =
    and refreshed by the caller on Production), apply resizes per
    the commit mode. Returns the applied resizes (gate, previous, new) for
    potential rollback, plus window counts:
-   (schedule, path_length, windows_evaluated, windows_skipped).
-
-   [skip], when present, is Absint.Dominance's certified skip predicate: the
-   gate provably cannot influence the WNSS objective under the current
-   sizing (its whole cone is margin-sigma dominated and electrically
-   isolated from every live gate), so its window evaluation is pure cost.
-   Every root is still traced — pruning filters gates, not outputs, so the
-   path itself is identical to the unpruned run's. *)
-let run_iteration config ~lib ?skip circuit full window stats_acc =
+   (schedule, path_length, windows_evaluated). *)
+let run_iteration config ~lib circuit full window stats_acc =
   (* The statistical traces do not depend on α (they rank by variance
      structure); at α = 0 the cone still covers the deterministic critical
      forest plus the near-critical siblings whose pin loads burden critical
@@ -155,13 +140,8 @@ let run_iteration config ~lib ?skip circuit full window stats_acc =
     | All_output_paths -> Wnss.trace_all_outputs ~model:config.model circuit full
     | Critical_cone -> Wnss.critical_cone ~model:config.model circuit full
   in
-  let gates_on_path =
-    List.filter (fun id -> not (Netlist.Circuit.is_input circuit id)) path
-  in
   let visited =
-    match skip with
-    | None -> gates_on_path
-    | Some p -> List.filter (fun id -> not (p id)) gates_on_path
+    List.filter (fun id -> not (Netlist.Circuit.is_input circuit id)) path
   in
   (* The window may be persistent across iterations, so its FASSTA counters
      accumulate: account the delta this iteration adds, not the totals. *)
@@ -211,116 +191,9 @@ let run_iteration config ~lib ?skip circuit full window stats_acc =
   stats_acc :=
     ( fst !stats_acc + w_stats.Ssta.Fassta.cutoff_hits - cutoff0,
       snd !stats_acc + w_stats.Ssta.Fassta.blended - blended0 );
-  ( List.rev_append !pending !applied,
-    List.length path,
-    List.length visited,
-    List.length gates_on_path - List.length visited )
+  (List.rev_append !pending !applied, List.length path, List.length visited)
 
-(* Parallel-evaluate / serial-commit variant of {!run_iteration} (statserve
-   tentpole). Fixed-size chunks of the visited-gate sequence are evaluated
-   concurrently across the Parwin replica pool, then the verdicts are walked
-   serially in gate order. In [Sequential] mode the first commit-worthy
-   verdict is committed exactly as the serial engine would commit it, the
-   rest of the chunk is discarded (those gates re-chunk next round, so they
-   are re-evaluated against the post-commit state), and the commit is queued
-   for replica replay. Every verdict that is *used* was therefore computed
-   against state bit-identical to the serial engine's at the same point, so
-   the move sequence — and the final sizing — is byte-identical to serial
-   mode for every domain count. In [Batch] mode no commits happen during
-   the sweep, so chunks stream through without restarts (the serial Batch
-   semantics are already parallel). *)
-let run_iteration_par config ?skip circuit full window pool stats_acc =
-  let path =
-    match config.path_source with
-    | Dominant_path -> Wnss.trace ~model:config.model circuit full
-    | All_output_paths -> Wnss.trace_all_outputs ~model:config.model circuit full
-    | Critical_cone -> Wnss.critical_cone ~model:config.model circuit full
-  in
-  let gates_on_path =
-    List.filter (fun id -> not (Netlist.Circuit.is_input circuit id)) path
-  in
-  let visited =
-    match skip with
-    | None -> gates_on_path
-    | Some p -> List.filter (fun id -> not (p id)) gates_on_path
-  in
-  let w_stats = Window.fassta_stats window in
-  let cutoff0 = w_stats.Ssta.Fassta.cutoff_hits
-  and blended0 = w_stats.Ssta.Fassta.blended in
-  let gates = Array.of_list visited in
-  let n = Array.length gates in
-  let applied = ref [] in
-  let pending = ref [] in
-  let pos = ref 0 in
-  while !pos < n do
-    let len = Int.min Parwin.chunk_size (n - !pos) in
-    let verdicts =
-      Parwin.eval_chunk pool ~master:window ~circuit ~gates ~pos:!pos ~len
-    in
-    let committed = ref false in
-    let used = ref 0 in
-    while (not !committed) && !used < len do
-      let v = verdicts.(!used) in
-      incr used;
-      let gate = v.Parwin.gate in
-      let current = Netlist.Circuit.cell_exn circuit gate in
-      if not (Cells.Cell.equal v.Parwin.best current) then begin
-        let gain = v.Parwin.current_cost -. v.Parwin.best_cost in
-        if gain > config.move_threshold then begin
-          let moves =
-            (gate, current, v.Parwin.best)
-            :: List.map
-                 (fun (fi, cell) ->
-                   (fi, Netlist.Circuit.cell_exn circuit fi, cell))
-                 v.Parwin.co_resizes
-          in
-          match config.commit_mode with
-          | Sequential ->
-              List.iter
-                (fun (g, _, cell) -> Netlist.Circuit.set_cell circuit g cell)
-                moves;
-              Window.commit_incremental window
-                ~resized:(List.map (fun (g, _, _) -> g) moves);
-              Parwin.record_commit pool
-                (List.map (fun (g, _, cell) -> (g, cell)) moves);
-              applied := List.rev_append moves !applied;
-              committed := true
-          | Batch -> pending := List.rev_append moves !pending
-        end
-      end
-    done;
-    Parwin.count_discarded (len - !used);
-    pos := !pos + !used
-  done;
-  List.iter
-    (fun (gate, _, best) -> Netlist.Circuit.set_cell circuit gate best)
-    !pending;
-  if !pending <> [] then begin
-    let resized = List.map (fun (g, _, _) -> g) !pending in
-    Window.commit_incremental window ~resized;
-    Parwin.record_commit pool
-      (List.map (fun (g, _, cell) -> (g, cell)) !pending)
-  end;
-  stats_acc :=
-    ( fst !stats_acc + w_stats.Ssta.Fassta.cutoff_hits - cutoff0,
-      snd !stats_acc + w_stats.Ssta.Fassta.blended - blended0 );
-  ( List.rev_append !pending !applied,
-    List.length path,
-    n,
-    List.length gates_on_path - n )
-
-(* The parallel round loop replays commits on bit-identical replicas and
-   needs trial scores that are comparable across replicas: Global scoring
-   on the Production engine. Anything else falls back to the serial engine
-   (Windowed scores depend on per-window FASSTA state we don't
-   replicate). *)
-let parallel_eligible config =
-  config.window_domains >= 1
-  && config.engine = Window.Production
-  && config.evaluation = Window.Global
-
-let optimize ?(ignore_lint = false) ?(prune = false) ?(config = default_config)
-    ~lib circuit =
+let optimize ?(ignore_lint = false) ?(config = default_config) ~lib circuit =
   Obs.Span.with_ "sizer.optimize" @@ fun () ->
   (* Preflight: refuse garbage inputs before the first FULLSSTA. Errors
      raise Lint.Preflight.Rejected (unless the caller opted out); warnings
@@ -397,42 +270,6 @@ let optimize ?(ignore_lint = false) ?(prune = false) ?(config = default_config)
     | Window.Production -> Some (make_window full0)
     | Window.Reference -> None
   in
-  (* Parallel window pool (window_domains >= 1): replicas copy the circuit
-     inside Parwin.create, which returns only when every replica is built —
-     after this point the master may mutate the circuit freely. *)
-  let pool =
-    if config.window_domains >= 1 then
-      if parallel_eligible config then begin
-        if config.window_domains > Domain.recommended_domain_count () then
-          Log.debug (fun m ->
-              m "window_domains %d exceeds recommended_domain_count %d; \
-                 results are identical, only the speedup suffers"
-                config.window_domains
-                (Domain.recommended_domain_count ()));
-        Some
-          (Parwin.create ~domains:config.window_domains
-             {
-               Parwin.lib;
-               full_cfg;
-               mode = config.evaluation;
-               area_weight = config.area_weight;
-               depth = config.window_depth;
-               model = config.model;
-               objective = config.objective;
-               paranoid = config.paranoid;
-             }
-             circuit)
-      end
-      else begin
-        Parwin.note_fallback ();
-        Log.warn (fun m ->
-            m "window_domains %d ignored: parallel windows need Production \
-               Global evaluation; running the serial engine"
-              config.window_domains);
-        None
-      end
-    else None
-  in
   let best_cost =
     ref
       (match persistent with
@@ -440,45 +277,7 @@ let optimize ?(ignore_lint = false) ?(prune = false) ?(config = default_config)
       | None -> judge_cost ())
   in
   let best_cells = ref (snapshot ()) in
-  (* Certified dominance pruning (opt-in): the statcheck pass is Clark-mode
-     over the current sizing — O(nodes) interval work, negligible next to
-     the FULLSSTA it precedes. The Reference engine recomputes it every
-     iteration because resizes move the enclosures; Production
-     reuses the previous skip set until a committed resize's electrical
-     dirt actually touches a pruned cone (dirt outside every pruned cone
-     cannot un-isolate one — reachability and isolation depth are static
-     topology, and the dominated-output margins were certified with slack). *)
-  let dom_cache = ref None in
-  let dominance_skip () =
-    if not prune then None
-    else begin
-      let stale =
-        match (!dom_cache, persistent) with
-        | None, _ | _, None -> true
-        | Some skip_arr, Some w ->
-            List.exists (fun id -> skip_arr.(id)) (Window.take_dirt w)
-      in
-      if stale then begin
-        let sc_config =
-          {
-            Absint.Statcheck.default_config with
-            Absint.Statcheck.model = config.model;
-            electrical = config.electrical;
-          }
-        in
-        let sc = Absint.Statcheck.run ~config:sc_config ~lib circuit in
-        let dom = Absint.Dominance.compute sc in
-        dom_cache :=
-          Some
-            (Array.init (Netlist.Circuit.size circuit) (fun id ->
-                 Absint.Dominance.skip dom id))
-      end;
-      match !dom_cache with
-      | Some skip_arr -> Some (fun id -> skip_arr.(id))
-      | None -> None
-    end
-  in
-  let windows = ref (0, 0) in
+  let windows = ref 0 in
   let rec loop index full misses history resizes =
     if index >= config.max_iterations then (Iteration_limit, history, resizes)
     else begin
@@ -489,21 +288,14 @@ let optimize ?(ignore_lint = false) ?(prune = false) ?(config = default_config)
             w
         | None -> make_window full
       in
-      let schedule, path_length, evaluated, skipped =
+      let schedule, path_length, evaluated =
         Obs.Span.with_ "sizer.iteration" @@ fun () ->
-        match pool with
-        | Some p ->
-            run_iteration_par config ?skip:(dominance_skip ()) circuit full
-              window p stats_acc
-        | None ->
-            run_iteration config ~lib ?skip:(dominance_skip ()) circuit full
-              window stats_acc
+        run_iteration config ~lib circuit full window stats_acc
       in
       Obs.Counters.bump c_iterations;
       Obs.Counters.add c_windows_evaluated evaluated;
-      Obs.Counters.add c_windows_skipped skipped;
       Obs.Counters.add c_moves_committed (List.length schedule);
-      windows := (fst !windows + evaluated, snd !windows + skipped);
+      windows := !windows + evaluated;
       match schedule with
       | [] -> (No_candidate, history, resizes)
       | _ ->
@@ -513,7 +305,6 @@ let optimize ?(ignore_lint = false) ?(prune = false) ?(config = default_config)
               ignore
                 (Ssta.Fullssta.update ~paranoid:config.paranoid
                    ~refresh_electrical:false full ~resized);
-              Option.iter (fun p -> Parwin.record_refresh p resized) pool;
               full
             end
             else Ssta.Fullssta.run ~config:full_cfg circuit
@@ -545,11 +336,7 @@ let optimize ?(ignore_lint = false) ?(prune = false) ?(config = default_config)
               (resizes + List.length schedule)
     end
   in
-  let stop_reason, history, total_resizes =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Parwin.shutdown pool)
-      (fun () -> loop 0 full0 0 [] 0)
-  in
+  let stop_reason, history, total_resizes = loop 0 full0 0 [] 0 in
   restore !best_cells;
   let final_full = Ssta.Fullssta.run ~config:full_cfg circuit in
   (* Clamp-and-warn (LIB007): report, once per cell, every table that was
@@ -570,8 +357,7 @@ let optimize ?(ignore_lint = false) ?(prune = false) ?(config = default_config)
     cutoff_fraction =
       (let total = cutoff_hits + blended in
        if total = 0 then Float.nan else float_of_int cutoff_hits /. float_of_int total);
-    windows_evaluated = fst !windows;
-    windows_skipped = snd !windows;
+    windows_evaluated = !windows;
     (* statflow: safe — runtime_s is reporting metadata, not a result field *)
     runtime_s = Sys.time () -. started;
   }
@@ -607,17 +393,12 @@ let pp_result ppf r =
     if Float.is_nan f then Fmt.string ppf "n/a"
     else Fmt.pf ppf "%.0f%%" (100.0 *. f)
   in
-  let pp_pruned ppf r =
-    if r.windows_skipped > 0 then
-      Fmt.pf ppf " (%d windows pruned of %d)" r.windows_skipped
-        (r.windows_evaluated + r.windows_skipped)
-  in
   Fmt.pf ppf
     "@[<v>alpha=%g: mu %.1f -> %.1f, sigma %.2f -> %.2f, area %.1f -> %.1f@ %d \
-     iterations, %d resizes%a, cutoff %a, %.2fs (%a)@]"
+     iterations, %d resizes, cutoff %a, %.2fs (%a)@]"
     (Objective.alpha r.config.objective)
     r.initial_moments.Numerics.Clark.mean r.final_moments.Numerics.Clark.mean s0 s1
     r.initial_area r.final_area
     (List.length r.iterations)
-    r.total_resizes pp_pruned r pp_cutoff r.cutoff_fraction r.runtime_s
+    r.total_resizes pp_cutoff r.cutoff_fraction r.runtime_s
     pp_stop_reason r.stop_reason

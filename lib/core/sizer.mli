@@ -46,27 +46,12 @@ type config = {
           against a from-scratch run, raising {!Ssta.Fullssta.Divergence}
           (STAT005) on any mismatch. Costs more than the Reference engine;
           meant for debugging and CI property runs. *)
-  window_domains : int;
-      (** default 0: the serial engine, untouched. >= 1 evaluates each
-          iteration's window sweep through the {!Parwin} replica pool
-          ([window_domains - 1] worker domains plus the master lane):
-          fixed-size chunks of the visited-gate sequence are scored
-          concurrently on bit-identical replicas, then walked serially in
-          gate order — in [Sequential] mode the first commit-worthy verdict
-          commits exactly as the serial engine would and the rest of the
-          chunk is re-evaluated post-commit. Final sizings are
-          byte-identical to the serial engine for every domain count, and
-          the evaluation-work counters ([window.trial.*], [parwin.rounds],
-          [parwin.windows.*]) are domain-count invariant (the
-          work-conservation property gated in CI). Requires the
-          [Production] engine and [Window.Global] evaluation; anything else
-          logs a warning, bumps [parwin.fallback] and runs serially. *)
 }
 
 val default_config : config
 (** α = 3, depth-2 windows, 12-point pdfs, 0.02 ps move threshold,
     sequential commits, the critical-cone path source, Global scoring, 120
-    iterations max, the [Production] engine, serial windows. *)
+    iterations max, the [Production] engine. *)
 
 val mean_delay_config : config
 (** The "Original" baseline: identical machinery at α = 0 (pure mean
@@ -97,14 +82,11 @@ type result = {
   cutoff_fraction : float;
   windows_evaluated : int;
       (** gate windows actually scored across all iterations *)
-  windows_skipped : int;
-      (** path gates statically certified inert and skipped ([prune] only) *)
   runtime_s : float;
 }
 
 val optimize :
   ?ignore_lint:bool ->
-  ?prune:bool ->
   ?config:config ->
   lib:Cells.Library.t ->
   Netlist.Circuit.t ->
@@ -113,18 +95,7 @@ val optimize :
     library, and variation model): Error-level findings raise
     {!Lint.Preflight.Rejected} unless [ignore_lint] is set; warnings are
     logged. After the run, LUT extrapolation observed during sizing is
-    logged once per cell (LIB007).
-
-    [prune] (default false) turns on certified dominance pruning: before
-    each iteration's window sweep, an {!Absint.Statcheck} pass over the
-    current sizing feeds {!Absint.Dominance}, and path gates in its skip
-    set — provably unable to influence RV_O's worst slack, and electrically
-    isolated from every live gate — are not window-evaluated. Roots are
-    never filtered, so the traced path is the unpruned run's; with the
-    default [Window.Global] evaluation the final sizing is provably
-    identical (skipped gates' window gains are below [move_threshold] by
-    the dominance margin), only cheaper. [windows_skipped] reports the
-    savings. *)
+    logged once per cell (LIB007). *)
 
 val mean_change_pct :
   original:Numerics.Clark.moments -> optimized:result -> float

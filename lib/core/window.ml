@@ -61,9 +61,6 @@ type t = {
   area_weight : float; (* ps of cost per unit of added area *)
   wavefront : Netlist.Wavefront.t; (* scratch queue for incremental trials *)
   in_window : bool array; (* scratch membership bitmap for clipped trials *)
-  mutable dirt : Netlist.Circuit.id list;
-      (* electrical-dirty ids accumulated by incremental commits, for the
-         caller's dominance-cache invalidation; see [take_dirt] *)
   stats : Ssta.Fassta.stats;
   (* Production caches (empty on the Reference engine). All of it is pure
      caching: every value read out of these structures is bit-identical to
@@ -320,7 +317,6 @@ let create ?(mode = Global) ?(engine = Reference) ?(area_weight = 0.0) ~circuit
       area_weight;
       wavefront = Netlist.Wavefront.create n;
       in_window = Array.make n false;
-      dirt = [];
       stats = Ssta.Fassta.make_stats ();
       f_arc =
         Array.init np (fun id ->
@@ -862,17 +858,8 @@ let commit_incremental t ~resized =
      rebuild_out_prefix ~from:!min_o t;
      t.base_cost <- Objective.cost_of_moments t.objective t.out_prefix.(m - 1)
    end
-   else if m = 0 then t.base_cost <- rv_cost t (fun o -> t.base.(o)));
-  t.dirt <- List.rev_append dirty t.dirt
+   else if m = 0 then t.base_cost <- rv_cost t (fun o -> t.base.(o)))
 
 let base_cost t = t.base_cost
-
-(* Hand the accumulated electrical-dirty ids (from incremental commits) to
-   the caller and forget them; used to decide when a dominance prune needs
-   recomputing. *)
-let take_dirt t =
-  let d = t.dirt in
-  t.dirt <- [];
-  d
 
 let fassta_stats t = t.stats

@@ -92,11 +92,5 @@ val commit_incremental : t -> resized:Netlist.Circuit.id list -> unit
 val base_cost : t -> float
 (** RV_O cost of the committed sizes, as maintained by commits. *)
 
-val take_dirt : t -> Netlist.Circuit.id list
-(** Electrical-dirty ids accumulated by {!commit_incremental} since the last
-    call (unordered, may contain duplicates); clears the accumulator. Lets
-    callers invalidate caches keyed on electrical state — e.g. recompute a
-    dominance prune only when the dirt touches a pruned cone. *)
-
 val fassta_stats : t -> Ssta.Fassta.stats
 (** Accumulated cutoff/blend counts across all evaluations. *)

@@ -103,29 +103,15 @@ let circuit_contributions ~model circuit full =
                (fi, Numerics.Clark.sum (Ssta.Fullssta.moments full fi) arc))
              fanins)
 
-(* Optional root pruning: [skip] marks outputs statically proven to never
-   carry the WNSS path (e.g. Absint.Dominance's certified-dominated set).
-   Filtering is only sound for such predicates, so it is opt-in; if a
-   predicate discards every root we fall back to the full set rather than
-   trace nothing. *)
-let filter_roots skip roots =
-  match skip with
-  | None -> roots
-  | Some p -> (
-      match List.filter (fun (r, _) -> not (p r)) roots with
-      | [] -> roots
-      | kept -> kept)
-
 (* Standard trace on a FULLSSTA-annotated circuit: from the dominant output
    of the virtual RV_O max node down to a primary input. *)
-let trace ?config:cfg ?skip ~model circuit full =
+let trace ?config:cfg ~model circuit full =
   let t = match cfg with Some c -> c | None -> of_model model in
   let contributions = circuit_contributions ~model circuit full in
   let roots =
-    filter_roots skip
-      (List.map
-         (fun o -> (o, Ssta.Fullssta.moments full o))
-         (Netlist.Circuit.outputs circuit))
+    List.map
+      (fun o -> (o, Ssta.Fullssta.moments full o))
+      (Netlist.Circuit.outputs circuit)
   in
   trace_generic t ~contributions ~roots
 
@@ -171,7 +157,7 @@ let cone_generic t ~contributions ~roots =
     roots;
   Hashtbl.fold (fun id () acc -> id :: acc) seen [] |> List.sort Stdlib.compare
 
-let critical_cone ?config:cfg ?skip ~model circuit full =
+let critical_cone ?config:cfg ~model circuit full =
   let t = match cfg with Some c -> c | None -> of_model model in
   let contributions id =
     match Netlist.Circuit.cell circuit id with
@@ -187,10 +173,9 @@ let critical_cone ?config:cfg ?skip ~model circuit full =
              fanins)
   in
   let roots =
-    filter_roots skip
-      (List.map
-         (fun o -> (o, Ssta.Fullssta.moments full o))
-         (Netlist.Circuit.outputs circuit))
+    List.map
+      (fun o -> (o, Ssta.Fullssta.moments full o))
+      (Netlist.Circuit.outputs circuit)
   in
   cone_generic t ~contributions ~roots
 
@@ -205,18 +190,10 @@ let trace_from_output ?config:cfg ~model circuit full output =
    the whole statistical-critical forest. All outputs contribute to RV_O's
    variance (paper §2.1), so the sizer sweeps every per-output path rather
    than re-saturating the single dominant one. *)
-let trace_all_outputs ?config:cfg ?skip ~model circuit full =
+let trace_all_outputs ?config:cfg ~model circuit full =
   let t = match cfg with Some c -> c | None -> of_model model in
   let contributions = circuit_contributions ~model circuit full in
   let seen = Hashtbl.create 997 in
-  let outputs =
-    List.map
-      (fun (o, _) -> o)
-      (filter_roots skip
-         (List.map
-            (fun o -> (o, Ssta.Fullssta.moments full o))
-            (Netlist.Circuit.outputs circuit)))
-  in
   List.iter
     (fun o ->
       let path =
@@ -224,6 +201,6 @@ let trace_all_outputs ?config:cfg ?skip ~model circuit full =
           ~roots:[ (o, Ssta.Fullssta.moments full o) ]
       in
       List.iter (fun id -> Hashtbl.replace seen id ()) path)
-    outputs;
+    (Netlist.Circuit.outputs circuit);
   Hashtbl.fold (fun id () acc -> id :: acc) seen []
   |> List.sort Stdlib.compare

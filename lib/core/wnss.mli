@@ -35,21 +35,12 @@ val trace_generic :
 
 val trace :
   ?config:config ->
-  ?skip:(Netlist.Circuit.id -> bool) ->
   model:Variation.Model.t ->
   Netlist.Circuit.t ->
   Ssta.Fullssta.t ->
   Netlist.Circuit.id list
 (** WNSS path of an annotated circuit, dominant primary output first,
-    ending at a primary input.
-
-    [skip] excludes primary outputs from the root set before the dominant
-    one is picked. Only sound for predicates that are true exclusively on
-    outputs statically proven to never carry the WNSS path — pass
-    [Absint.Dominance] membership, whose certified margin (default 4 joint
-    sigmas) is beyond the 2.6 cutoff at which the ranking itself declares a
-    root dominated. If the predicate discards every root, the full root set
-    is used (a total skip would otherwise trace nothing). *)
+    ending at a primary input. *)
 
 val trace_from_output :
   ?config:config ->
@@ -62,23 +53,19 @@ val trace_from_output :
 
 val critical_cone :
   ?config:config ->
-  ?skip:(Netlist.Circuit.id -> bool) ->
   model:Variation.Model.t ->
   Netlist.Circuit.t ->
   Ssta.Fullssta.t ->
   Netlist.Circuit.id list
 (** The statistical critical cone: every node reachable from RV_O through
     fanins that are not cutoff-dominated (the inputs conditions (5)/(6) say
-    still shape the variance), deduplicated, topologically ordered.
-    [skip] prunes roots as in {!trace}. *)
+    still shape the variance), deduplicated, topologically ordered. *)
 
 val trace_all_outputs :
   ?config:config ->
-  ?skip:(Netlist.Circuit.id -> bool) ->
   model:Variation.Model.t ->
   Netlist.Circuit.t ->
   Ssta.Fullssta.t ->
   Netlist.Circuit.id list
 (** Union of the per-output WNSS paths (the statistical-critical forest),
-    deduplicated, topologically ordered. [skip] prunes roots as in
-    {!trace}. *)
+    deduplicated, topologically ordered. *)

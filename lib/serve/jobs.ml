@@ -100,10 +100,8 @@ let moments_fields prefix m =
     (prefix ^ "sigma", num (Numerics.Clark.sigma m));
   ]
 
-let sizer_config ~alpha:_ ~domains ~max_iterations =
-  let config =
-    { Core.Sizer.default_config with window_domains = domains }
-  in
+let sizer_config ~max_iterations =
+  let config = Core.Sizer.default_config in
   match max_iterations with
   | None -> config
   | Some n -> { config with max_iterations = n }
@@ -167,14 +165,14 @@ let run env job =
                ("cost", num (Core.Objective.cost_of_moments objective m));
                cache_fields ~lib_hit ~circuit_hit;
              ]))
-  | Protocol.Optimize
-      { source; library; alpha; domains; max_iterations; return_cells } ->
+  | Protocol.Optimize { source; library; alpha; max_iterations; return_cells }
+    ->
       let* lib, libkey, lib_hit = resolve_lib env library in
       let* circuit, circuit_hit = resolve_circuit env ~lib ~libkey source in
       let baseline =
         Experiments.Pipeline.prepare ~lib (fun () -> circuit)
       in
-      let config = sizer_config ~alpha ~domains ~max_iterations in
+      let config = sizer_config ~max_iterations in
       let r = Experiments.Pipeline.run_alpha ~config ~lib baseline ~alpha in
       let cells =
         if not return_cells then []
@@ -196,7 +194,6 @@ let run env job =
            ([
               ("name", str (Netlist.Circuit.name circuit));
               ("gates", int baseline.Experiments.Pipeline.gates);
-              ("domains", int domains);
             ]
            @ moments_fields "baseline_" baseline.Experiments.Pipeline.moments
            @ moments_fields "final_" r.Experiments.Pipeline.final_moments
@@ -214,14 +211,14 @@ let run env job =
                cache_fields ~lib_hit ~circuit_hit;
              ]
            @ cells))
-  | Protocol.Table1 { source; library; alphas; domains; max_iterations } ->
+  | Protocol.Table1 { source; library; alphas; max_iterations } ->
       let* lib, libkey, lib_hit = resolve_lib env library in
       let* circuit, circuit_hit = resolve_circuit env ~lib ~libkey source in
       let name = Netlist.Circuit.name circuit in
       let entry =
         { Benchgen.Iscas_like.name; build = (fun ~lib:_ -> circuit) }
       in
-      let config = sizer_config ~alpha:0.0 ~domains ~max_iterations in
+      let config = sizer_config ~max_iterations in
       let row =
         Experiments.Table1.run_circuit ~alphas ~sizer_config:config ~lib entry
       in

@@ -21,4 +21,4 @@ val execute : env -> Protocol.job -> (Obs.Json.t, Protocol.error) result
 
 val sizing_digest : Netlist.Circuit.t -> string
 (** Hex digest of the gate-order cell-name list — the byte-identity witness
-    the determinism gates compare across domain counts. *)
+    the determinism gates compare across repeated runs. *)

@@ -53,7 +53,6 @@ type job =
       source : source;
       library : libspec;
       alpha : float;
-      domains : int;
       max_iterations : int option;
       return_cells : bool;
     }
@@ -61,7 +60,6 @@ type job =
       source : source;
       library : libspec;
       alphas : float list;
-      domains : int;
       max_iterations : int option;
     }
   | Stats
@@ -225,20 +223,17 @@ let rec parse_job json =
       let* source = parse_source json in
       let* library = parse_libspec json in
       let* alpha = field_or "alpha" as_float 3.0 json in
-      let* domains = field_or "domains" as_int 0 json in
       let* max_iterations = opt_field "max_iterations" as_int json in
       let* return_cells = field_or "return_cells" as_bool false json in
       Ok
         (`Job
-          (Optimize
-             { source; library; alpha; domains; max_iterations; return_cells }))
+          (Optimize { source; library; alpha; max_iterations; return_cells }))
   | "table1" ->
       let* source = parse_source json in
       let* library = parse_libspec json in
       let* alphas = parse_alphas json in
-      let* domains = field_or "domains" as_int 0 json in
       let* max_iterations = opt_field "max_iterations" as_int json in
-      Ok (`Job (Table1 { source; library; alphas; domains; max_iterations }))
+      Ok (`Job (Table1 { source; library; alphas; max_iterations }))
   | "batch" -> (
       match Obs.Json.member "jobs" json with
       | Some (Obs.Json.Arr jobs) ->

@@ -48,7 +48,6 @@ type job =
       source : source;
       library : libspec;
       alpha : float;
-      domains : int;  (** [Sizer.config.window_domains] for this job *)
       max_iterations : int option;
       return_cells : bool;
     }
@@ -56,7 +55,6 @@ type job =
       source : source;
       library : libspec;
       alphas : float list;
-      domains : int;
       max_iterations : int option;
     }
   | Stats

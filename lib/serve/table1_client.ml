@@ -96,7 +96,7 @@ let parse_row line =
       | None -> Error "table1 response: not ok, no error")
 
 let run ~socket ?(alphas = Experiments.Table1.default_alphas)
-    ?(names = Benchgen.Iscas_like.names) ?(domains = 0) ?max_iterations () =
+    ?(names = Benchgen.Iscas_like.names) ?max_iterations () =
   let request name =
     let fields =
       [
@@ -105,7 +105,6 @@ let run ~socket ?(alphas = Experiments.Table1.default_alphas)
         ("op", Obs.Json.Str "table1");
         ("circuit", Obs.Json.Str name);
         ("alphas", Obs.Json.Arr (List.map (fun a -> Obs.Json.Num a) alphas));
-        ("domains", Obs.Json.Num (float_of_int domains));
       ]
       @
       match max_iterations with

@@ -28,13 +28,11 @@ val run :
   socket:string ->
   ?alphas:float list ->
   ?names:string list ->
-  ?domains:int ->
   ?max_iterations:int ->
   unit ->
   (row list, string) result
-(** [domains] is each job's [window_domains] (intra-job parallelism — the
-    daemon's pool parallelizes across jobs on its own). One connection,
-    pipelined requests, so the whole table is a single daemon batch. *)
+(** One connection, pipelined requests, so the whole table is a single
+    daemon batch; the daemon's pool parallelizes across its jobs. *)
 
 val pp : row list Fmt.t
 (** Same layout as {!Experiments.Table1.pp}. *)

@@ -43,9 +43,9 @@ let default_hot_entries =
   ]
 
 (* Everything whose result statserve gates on being bit-identical across
-   serial and parallel runs — the sizing/SSTA pipeline, the parallel window
-   engine's chunk evaluator, and the serve layer that carries results over
-   the wire (protocol encode/decode, the job pool, job execution). *)
+   serial and parallel runs — the sizing/SSTA pipeline and the serve layer
+   that carries results over the wire (protocol encode/decode, the job
+   pool, job execution). *)
 let default_det_entries =
   [
     "Table1.run";
@@ -56,7 +56,6 @@ let default_det_entries =
     "Electrical.update";
     "Fullssta.update";
     "Sizer.optimize";
-    "Parwin.eval_chunk";
     "Pool.map";
     "Protocol.parse_line";
     "Protocol.render_response";

@@ -1,8 +1,8 @@
 (* CI serve-smoke gate: drive a scripted multi-job session against a live
-   statserve daemon and fail unless --domains 1 and --domains 4 produce
-   byte-identical sizings on two quick circuits. This is the end-to-end
-   flavor of test_serve's determinism test — socket, batching, pool and
-   caches all in the loop. *)
+   statserve daemon with 2 pool lanes and fail unless the same optimize
+   job, sent twice in one batch, comes back with byte-identical sizings on
+   two quick circuits. This is the end-to-end flavor of test_serve's
+   determinism test — socket, batching, pool and caches all in the loop. *)
 
 let circuits = [ "alu1"; "alu2" ]
 let fails = ref 0
@@ -20,6 +20,14 @@ let field_string name json =
   with
   | Some (Obs.Json.Str s) -> Some s
   | _ -> None
+
+(* A batch response carries its sub-responses under result.results. *)
+let sub_responses json =
+  match
+    Option.bind (Obs.Json.member "result" json) (Obs.Json.member "results")
+  with
+  | Some (Obs.Json.Arr subs) -> subs
+  | _ -> [ json ]
 
 let () =
   let socket =
@@ -43,29 +51,35 @@ let () =
     end
   in
   wait 100;
-  let request name domains =
+  let job name copy =
     Printf.sprintf
-      {|{"serve":1,"id":"%s-d%d","op":"optimize","circuit":"%s","alpha":3.0,"domains":%d,"max_iterations":4}|}
-      name domains name domains
+      {|{"id":"%s-%s","op":"optimize","circuit":"%s","alpha":3.0,"max_iterations":4}|}
+      name copy name
   in
-  (* one pipelined session: for each circuit, the same job at 1 and 4
-     window domains (plus a cold/warm info pair for the cache path) *)
+  (* one pipelined session: an info per circuit (the cache path), then one
+     batch holding every circuit's optimize job twice, fanned out across
+     the pool lanes *)
   let lines =
-    List.concat_map
+    List.map
       (fun name ->
-        [
-          Printf.sprintf {|{"serve":1,"id":"info-%s","op":"info","circuit":"%s"}|}
-            name name;
-          request name 1;
-          request name 4;
-        ])
+        Printf.sprintf {|{"serve":1,"id":"info-%s","op":"info","circuit":"%s"}|}
+          name name)
       circuits
+    @ [
+        Printf.sprintf {|{"serve":1,"id":"twice","op":"batch","jobs":[%s]}|}
+          (String.concat ","
+             (List.concat_map (fun name -> [ job name "a"; job name "b" ])
+                circuits));
+      ]
   in
-  let responses = Serve.Client.session ~socket lines in
+  let responses =
+    List.concat_map
+      (fun line -> sub_responses (Obs.Json.parse_exn line))
+      (Serve.Client.session ~socket lines)
+  in
   let digests = Hashtbl.create 8 in
   List.iter
-    (fun line ->
-      let json = Obs.Json.parse_exn line in
+    (fun json ->
       let id =
         match Obs.Json.member "id" json with
         | Some (Obs.Json.Str s) -> s
@@ -76,18 +90,17 @@ let () =
           Option.iter
             (fun d -> Hashtbl.replace digests id d)
             (field_string "sizing_digest" json)
-      | _ -> failf "job %s errored: %s" id line)
+      | _ -> failf "job %s errored: %s" id (Serve.Protocol.to_line json))
     responses;
   List.iter
     (fun name ->
       match
-        ( Hashtbl.find_opt digests (Printf.sprintf "%s-d1" name),
-          Hashtbl.find_opt digests (Printf.sprintf "%s-d4" name) )
+        ( Hashtbl.find_opt digests (Printf.sprintf "%s-a" name),
+          Hashtbl.find_opt digests (Printf.sprintf "%s-b" name) )
       with
-      | Some d1, Some d4 when String.equal d1 d4 ->
-          Printf.printf "serve-smoke: %-6s domains 1 = domains 4 (%s)\n" name d1
-      | Some d1, Some d4 ->
-          failf "%s sizings diverge: domains 1 %s vs domains 4 %s" name d1 d4
+      | Some a, Some b when String.equal a b ->
+          Printf.printf "serve-smoke: %-6s both copies agree (%s)\n" name a
+      | Some a, Some b -> failf "%s sizings diverge: %s vs %s" name a b
       | _ -> failf "%s: missing optimize responses" name)
     circuits;
   (match

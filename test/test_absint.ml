@@ -1,6 +1,6 @@
 (* Abstract-interpretation certifier tests: interval arithmetic, the
-   certified Clark error constants, statcheck containment on real suites,
-   dominance analysis, and the sizer's prune-equivalence guarantee. *)
+   certified Clark error constants, and statcheck containment on real
+   suites. *)
 
 open Test_util
 module I = Numerics.Interval
@@ -199,100 +199,6 @@ let statcheck_rv_and_budget () =
   check_true "pp_summary prints"
     (String.length (Fmt.str "%a" Absint.Statcheck.pp_summary sc) > 0)
 
-(* ---- Dominance ---------------------------------------------------------- *)
-
-let dominance_on_lopsided () =
-  let c = Benchgen.Lopsided.generate ~lib () in
-  ignore (Core.Initial_sizing.apply ~lib c);
-  let sc = Absint.Statcheck.run ~lib c in
-  let dom = Absint.Dominance.compute sc in
-  check_true "some output dominated"
-    (List.length (Absint.Dominance.dominated_outputs dom) > 0);
-  check_true "some gates skippable" (Absint.Dominance.skip_count dom > 0);
-  check_true "live gates remain" (Absint.Dominance.live_count dom > 0);
-  (* skip set and live set are disjoint; every skippable gate is a gate *)
-  List.iter
-    (fun id ->
-      if Absint.Dominance.skip dom id then
-        check_true "skippable is a gate"
-          (not (Netlist.Circuit.is_input c id)))
-    (Netlist.Circuit.topological c)
-
-let dominance_never_skips_everything () =
-  List.iter
-    (fun name ->
-      let c = Benchgen.Iscas_like.build_exn ~lib name in
-      ignore (Core.Initial_sizing.apply ~lib c);
-      let sc = Absint.Statcheck.run ~lib c in
-      let dom = Absint.Dominance.compute sc in
-      check_true (name ^ ": live gates remain")
-        (Absint.Dominance.live_count dom > 0);
-      check_true (name ^ ": at least one kept output")
-        (List.length (Absint.Dominance.dominated_outputs dom)
-        < List.length (Netlist.Circuit.outputs c)))
-    [ "c432"; "c880" ]
-
-let wnss_skip_filters_roots () =
-  let c = Benchgen.Lopsided.generate ~lib () in
-  ignore (Core.Initial_sizing.apply ~lib c);
-  let sc = Absint.Statcheck.run ~lib c in
-  let dom = Absint.Dominance.compute sc in
-  let full = Ssta.Fullssta.run c in
-  let model = Variation.Model.default in
-  let dominated = Absint.Dominance.dominated_outputs dom in
-  let skip id = List.mem id dominated in
-  let path = Core.Wnss.trace ~skip ~model c full in
-  (match path with
-  | [] -> Alcotest.fail "empty WNSS path"
-  | root :: _ -> check_true "root not dominated" (not (skip root)));
-  (* a predicate that rejects everything falls back to the full root set *)
-  let path_all = Core.Wnss.trace ~skip:(fun _ -> true) ~model c full in
-  let path_none = Core.Wnss.trace ~model c full in
-  check_true "total skip falls back" (path_all = path_none)
-
-(* ---- Sizer prune equivalence -------------------------------------------- *)
-
-let prune_equivalence () =
-  let config =
-    {
-      Core.Sizer.default_config with
-      Core.Sizer.path_source = Core.Sizer.All_output_paths;
-    }
-  in
-  let final_cells c =
-    List.map
-      (fun id -> (id, Cells.Cell.name (Netlist.Circuit.cell_exn c id)))
-      (Netlist.Circuit.gates c)
-  in
-  let run ~prune =
-    let c = Benchgen.Lopsided.generate ~lib () in
-    ignore (Core.Initial_sizing.apply ~lib c);
-    let r = Core.Sizer.optimize ~prune ~config ~lib c in
-    (final_cells c, r)
-  in
-  let cells0, r0 = run ~prune:false in
-  let cells1, r1 = run ~prune:true in
-  check_true "identical final sizing" (cells0 = cells1);
-  check_int "unpruned skips nothing" 0 r0.Core.Sizer.windows_skipped;
-  check_true "pruned run skipped windows" (r1.Core.Sizer.windows_skipped > 0);
-  check_true "strictly fewer windows evaluated"
-    (r1.Core.Sizer.windows_evaluated < r0.Core.Sizer.windows_evaluated);
-  close ~tol:1e-9 "same final mean" r0.Core.Sizer.final_moments.Numerics.Clark.mean
-    r1.Core.Sizer.final_moments.Numerics.Clark.mean;
-  close ~tol:1e-9 "same final sigma"
-    (Numerics.Clark.sigma r0.Core.Sizer.final_moments)
-    (Numerics.Clark.sigma r1.Core.Sizer.final_moments)
-
-(* ---- Lopsided generator ------------------------------------------------- *)
-
-let lopsided_is_valid () =
-  let c = Benchgen.Lopsided.generate ~lib () in
-  check_true "validates" (Netlist.Circuit.validate c = []);
-  check_int "three outputs" 3 (List.length (Netlist.Circuit.outputs c));
-  check_true "bad params rejected"
-    (try ignore (Benchgen.Lopsided.generate ~depth:2 ~lib ()); false
-     with Invalid_argument _ -> true)
-
 let () =
   Alcotest.run "absint"
     [
@@ -323,16 +229,4 @@ let () =
             Alcotest.test_case "all-sizings superset" `Quick all_sizings_superset;
             Alcotest.test_case "rv and budget" `Quick statcheck_rv_and_budget;
           ] );
-      ( "dominance",
-        [
-          Alcotest.test_case "lopsided prunes" `Quick dominance_on_lopsided;
-          Alcotest.test_case "suites keep live gates" `Quick
-            dominance_never_skips_everything;
-          Alcotest.test_case "wnss root skip" `Quick wnss_skip_filters_roots;
-        ] );
-      ( "prune",
-        [
-          Alcotest.test_case "equivalence on lopsided" `Quick prune_equivalence;
-          Alcotest.test_case "lopsided generator" `Quick lopsided_is_valid;
-        ] );
     ]

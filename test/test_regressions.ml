@@ -159,6 +159,41 @@ let sizer_is_deterministic () =
   close ~tol:0.0 "same area" a1 a2;
   close ~tol:0.0 "same mean" m1 m2
 
+(* One Table-1 job (mean-delay baseline, then alpha 3 and 9 with area
+   recovery) run twice in one process on a fresh copy of the circuit must
+   give the same cells and the same figures to the last bit. *)
+let table1_job_repeats_bit_for_bit () =
+  let fingerprint circuit m area =
+    ( Serve.Jobs.sizing_digest circuit,
+      List.map Int64.bits_of_float
+        [ m.Numerics.Clark.mean; Numerics.Clark.sigma m; area ] )
+  in
+  let run name =
+    let pristine = Benchgen.Iscas_like.build_exn ~lib name in
+    let b =
+      Experiments.Pipeline.prepare ~lib (fun () ->
+          Netlist.Circuit.copy pristine)
+    in
+    fingerprint b.Experiments.Pipeline.circuit b.moments b.area
+    :: List.map
+         (fun alpha ->
+           let r = Experiments.Pipeline.run_alpha ~lib b ~alpha in
+           fingerprint r.Experiments.Pipeline.circuit r.final_moments
+             r.final_area)
+         [ 3.0; 9.0 ]
+  in
+  List.iter
+    (fun name ->
+      let first = run name in
+      let second = run name in
+      List.iter2
+        (fun (d1, bits1) (d2, bits2) ->
+          Alcotest.(check string) (name ^ " sizing digest") d1 d2;
+          Alcotest.(check (list int64)) (name ^ " mean, sigma, area bits") bits1
+            bits2)
+        first second)
+    [ "c432"; "alu2" ]
+
 let window_co_sizing_reports_adjustments () =
   let c = Benchgen.Adder.ripple_carry ~lib ~bits:4 () in
   let full = Ssta.Fullssta.run c in
@@ -263,6 +298,8 @@ let () =
       ( "sizer",
         [
           Alcotest.test_case "deterministic" `Quick sizer_is_deterministic;
+          Alcotest.test_case "table1 job repeats bit for bit" `Slow
+            table1_job_repeats_bit_for_bit;
           Alcotest.test_case "co-sizing adjustments" `Quick
             window_co_sizing_reports_adjustments;
         ] );
