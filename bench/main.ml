@@ -184,6 +184,25 @@ let micro_tests () =
   let rng = Numerics.Rng.create ~seed:77 in
   let draws = Array.make 1000 0.0 in
   let cell = List.hd (Cells.Library.cells lib) in
+  (* one candidate of the sizer's inner loop: a mid-circuit c432 gate's
+     depth-2 window and its strongest size, on the Production window the
+     sizer runs (over a copy, so the other c432 tests keep their cells) *)
+  let c432w = Netlist.Circuit.copy c432 in
+  let window =
+    Core.Window.create ~engine:Core.Window.Production ~circuit:c432w
+      ~model:Variation.Model.default
+      ~objective:(Core.Objective.create ~alpha:3.0)
+      ~full:(Ssta.Fullssta.run c432w) ()
+  in
+  let pivot =
+    let gates = Netlist.Circuit.gates c432w in
+    List.nth gates (List.length gates / 2)
+  in
+  let sub = Netlist.Cone.extract c432w ~pivot ~depth:2 in
+  let strongest =
+    let current = Netlist.Circuit.cell_exn c432w pivot in
+    Cells.Library.max_cell lib ~fn:(Cells.Cell.fn current)
+  in
   [
     (* Table 1's engines: the nested-analysis speed gap FASSTA exists for *)
     Test.make ~name:"fassta_c432_pass"
@@ -210,6 +229,12 @@ let micro_tests () =
     Test.make ~name:"cell_delay_query"
       (Staged.stage (fun () ->
            ignore (Cells.Cell.delay cell ~slew:33.0 ~load:17.0)));
+    (* the capture layer of Sec. 4.5's inner loop: install the trial cell
+       with its fanin co-sizing, the window-clipped logged electrical
+       update, the capture of the perturbed arc moments, and the rewind *)
+    Test.make ~name:"window_clipped_trial"
+      (Staged.stage (fun () ->
+           Core.Window.capture_trial window ~lib sub strongest ignore));
     (* Sec. 4.3's max operator: quadratic-cutoff Clark vs exact vs discrete *)
     Test.make ~name:"clark_max_fast"
       (Staged.stage (fun () -> ignore (Numerics.Clark.max_fast a b)));

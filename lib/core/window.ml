@@ -55,36 +55,46 @@ type t = {
   boundary : Netlist.Circuit.id -> Numerics.Clark.moments;
   down_mean : float array; (* remaining mean delay to any primary output *)
   down_var : float array; (* delay variance along that downstream path *)
-  base : Numerics.Clark.moments array; (* arrivals for the committed sizes *)
-  mutable base_cost : float; (* RV_O cost of [base] *)
+  base_mean : float array; (* arrivals for the committed sizes: means *)
+  base_var : float array; (* ... and variances *)
+  mutable base_cost : float; (* RV_O cost of the base arrivals *)
   override : (int, Numerics.Clark.moments) Hashtbl.t; (* Reference trial deltas *)
   area_weight : float; (* ps of cost per unit of added area *)
   wavefront : Netlist.Wavefront.t; (* scratch queue for incremental trials *)
   in_window : bool array; (* scratch membership bitmap for clipped trials *)
+  seeds : int array; (* a trial's resized ids: pivot, then co-sized fanins *)
+  mutable saved : Cells.Cell.t array; (* co-sized fanins' cells before a trial *)
   stats : Ssta.Fassta.stats;
   (* Production caches (empty on the Reference engine). All of it is pure
      caching: every value read out of these structures is bit-identical to
      what the Reference path recomputes, so trial costs and hence sizing
      decisions are unchanged.
-     - [f_arc] holds each node's per-fanin arc delay moments for the
-       COMMITTED electrical state; [f_row] remembers the physical arc-delay
-       row each cache line was derived from, so validity is one pointer
-       compare ([Electrical.update] replaces a row exactly when its values
-       changed, and trials restore the original rows afterwards).
-     - [outputs_arr]/[out_idx]/[out_prefix] support RV_O prefix folding:
-       [out_prefix.(i)] is the statistical max of the first i+1 outputs'
-       base arrivals (same left fold as [Clark.max_exact_list]), so a trial
-       that only perturbs outputs from index j onward resumes the fold at
-       the cached prefix instead of re-maxing every output.
-     - [base_sigma] is [Clark.sigma base.(id)], maintained at every base
+     Every moment lives in two flat float arrays, means and variances, so
+     storing one allocates nothing. Per-arc arrays are indexed in CSR
+     order: node [id]'s fanin [k] sits at [arc_off.(id) + k].
+     - [f_arc_mean]/[f_arc_var] hold each node's per-fanin arc delay
+       moments for the COMMITTED electrical state; [f_row] remembers the
+       physical arc-delay row each cache line was derived from, so
+       validity is one pointer compare ([Electrical.update] replaces a row
+       exactly when its values changed, and trials never overwrite a
+       committed row).
+     - [outputs_arr]/[out_idx]/[pre_mean]/[pre_var] support RV_O prefix
+       folding: prefix [i] is the statistical max of the first i+1
+       outputs' base arrivals (same left fold as [Clark.max_exact_list]),
+       so a trial that only perturbs outputs from index j onward resumes
+       the fold at the cached prefix instead of re-maxing every output.
+     - [base_sigma] is [sqrt base_var.(id)], maintained at every base
        write so the wavefront decay test costs one sqrt (the fresh value)
        per node instead of two. *)
-  f_arc : Numerics.Clark.moments array array;
+  arc_off : int array;
+  f_arc_mean : float array;
+  f_arc_var : float array;
   f_row : float array array;
   mutable gen : int;
   outputs_arr : Netlist.Circuit.id array;
   out_idx : int array; (* node id -> index in [outputs_arr], or -1 *)
-  out_prefix : Numerics.Clark.moments array;
+  pre_mean : float array;
+  pre_var : float array;
   base_sigma : float array;
   (* Vectorized trial scoring: [vec_costs] drains ALL candidate cells of a
      window through ONE topologically-ordered wavefront. Because nodes pop
@@ -96,16 +106,19 @@ type t = {
      instead of once per node per cell.
      - [pend]/[pend_gen]: per-node bitmask of candidate cells awaiting
        recomputation there (generation-stamped, no clearing).
-     - [vc_ov]/[vc_ov_gen]: per-cell override arrivals.
-     - [vc_arc]/[vc_arc_gen]: per-cell arc moments captured from the
-       trial's perturbed electrical rows while they were live.
+     - [vc_ov_mean]/[vc_ov_var]/[vc_ov_gen]: per-cell override arrivals.
+     - [vc_arc_mean]/[vc_arc_var]/[vc_arc_gen]: per-cell arc moments
+       (CSR, stamped per node) captured from the trial's perturbed
+       electrical rows while they were live.
      - [vc_min_out]: per-cell lowest perturbed output index for the RV_O
        prefix-fold resume. *)
   pend : int array;
   pend_gen : int array;
-  mutable vc_ov : Numerics.Clark.moments array array;
+  mutable vc_ov_mean : float array array;
+  mutable vc_ov_var : float array array;
   mutable vc_ov_gen : int array array;
-  mutable vc_arc : Numerics.Clark.moments array array array;
+  mutable vc_arc_mean : float array array;
+  mutable vc_arc_var : float array array;
   mutable vc_arc_gen : int array array;
   mutable vc_min_out : int array;
 }
@@ -117,8 +130,7 @@ let max_vec_cells = Sys.int_size - 2
 (* Scalar accumulator for arrival folds: the drain below runs
    [Clark.max_exact] millions of times per sizer call, and folding through
    a mutable float pair instead of intermediate records keeps the hot loop
-   allocation-free (a moments record is built only for the values that are
-   actually stored). *)
+   allocation-free. *)
 type acc2 = { mutable am : float; mutable av : float }
 
 (* Verbatim copies of [Numerics.Erf.exact], [Numerics.Normal.pdf] and
@@ -152,12 +164,45 @@ let[@inline] normal_pdf x = Float.exp (-0.5 *. x *. x) /. sqrt_two_pi
 
 let[@inline] normal_cdf x = 0.5 *. (1.0 +. erf_exact (x /. sqrt_two))
 
+(* Verbatim copies of [Variation.Model.systematic_sigma], [random_sigma]
+   and [sigma], for the same reason: the capture phase derives a variance
+   for every arc of every dirty node, and [Model.delay_moments] would box
+   its arguments and build a record per arc. That record is
+   [{ mean = delay; var = s *. s }] with [s = sigma], so the arc caches
+   store [delay] and [s *. s] from these copies. The same rule holds: do
+   not simplify (say, fold [random_sigma] into a constant or drop the
+   [size_exponent = 1.0] branch); the Reference engine and FASSTA price
+   arcs with the original, and the engine oracle tests hold them equal. *)
+let[@inline] model_systematic_sigma (m : Variation.Model.t) ~delay ~strength =
+  let base = Float.max strength 1e-9 in
+  let denom =
+    if m.Variation.Model.size_exponent = 1.0 then base
+    else Float.pow base m.Variation.Model.size_exponent
+  in
+  m.Variation.Model.systematic *. delay /. denom
+
+let[@inline] model_random_sigma (m : Variation.Model.t) =
+  m.Variation.Model.random_floor *. m.Variation.Model.tau_ref
+
+let[@inline] model_sigma m ~delay ~strength =
+  let s1 = model_systematic_sigma m ~delay ~strength
+  and s2 = model_random_sigma m in
+  Float.sqrt ((s1 *. s1) +. (s2 *. s2))
+
+(* [Float.max v 0.0], bit for bit, without its two [sign_bit] C calls
+   (stdlib's [Float.max] is [[@inline]], but [sign_bit] is an external, so
+   every call spills the live float registers around two C calls). The
+   cases: v > 0 gives v; v = +0.0 gives 0.0, the same bits; v = -0.0, v < 0
+   and v = -inf give +0.0; a NaN gives itself. *)
+let[@inline] max0 v = if v > 0.0 || v <> v then v else 0.0
+
 (* [acc <- max(acc, N(bm, bv))]: a clone of [Clark.max_exact ~rho:0.0] —
-   the same operations in the same order on the same operands, so the
-   accumulated mean/var are bit-identical to the record-folding oracle. *)
+   the same operations in the same order on the same operands (with [max0]
+   for its two [Float.max _ 0.0] clamps), so the accumulated mean/var are
+   bit-identical to the record-folding oracle. *)
 let[@inline] scalar_max acc bm bv =
   let am = acc.am and av = acc.av in
-  let sp = Float.sqrt (Float.max (av +. bv) 0.0) in
+  let sp = Float.sqrt (max0 (av +. bv)) in
   if sp <= 0.0 then begin
     if am >= bm then ()
     else begin
@@ -177,7 +222,7 @@ let[@inline] scalar_max acc bm bv =
       +. ((am +. bm) *. sp *. phi)
     in
     acc.am <- m1;
-    acc.av <- Float.max (m2 -. (m1 *. m1)) 0.0
+    acc.av <- max0 (m2 -. (m1 *. m1))
   end
 
 (* Wavefront decay tolerance: a node whose recomputed moments move by less
@@ -218,6 +263,12 @@ let rv_cost t moments_of =
   Objective.cost_of_rv ~exact:true t.objective moments_of
     (Netlist.Circuit.outputs t.circuit)
 
+let base_moments t id =
+  { Numerics.Clark.mean = t.base_mean.(id); var = t.base_var.(id) }
+
+let prefix_moments t i =
+  { Numerics.Clark.mean = t.pre_mean.(i); var = t.pre_var.(i) }
+
 (* Rebuild the RV_O prefix folds from the current base arrivals: the same
    left fold [Clark.max_exact_list] runs over the outputs list, checkpointed
    at every index. [from] skips entries before the first output whose base
@@ -228,35 +279,41 @@ let rebuild_out_prefix ?(from = 0) t =
   if m > 0 && from < m then begin
     let start =
       if from = 0 then begin
-        t.out_prefix.(0) <- t.base.(outs.(0));
+        t.pre_mean.(0) <- t.base_mean.(outs.(0));
+        t.pre_var.(0) <- t.base_var.(outs.(0));
         1
       end
       else from
     in
     for i = start to m - 1 do
-      t.out_prefix.(i) <-
-        Numerics.Clark.max_exact t.out_prefix.(i - 1) t.base.(outs.(i))
+      let p =
+        Numerics.Clark.max_exact (prefix_moments t (i - 1))
+          (base_moments t outs.(i))
+      in
+      t.pre_mean.(i) <- p.Numerics.Clark.mean;
+      t.pre_var.(i) <- p.Numerics.Clark.var
     done
   end
 
 (* Re-derive one node's cached arc delay moments from its current
-   electrical row — the identical [Variation.Model.delay_moments] call the
-   Reference recompute makes inline, so a cached read is bit-equal to an
-   inline recompute for as long as the row survives. A no-op while the row
-   is the one the line was derived from. *)
+   electrical row — the values of the [Variation.Model.delay_moments] call
+   the Reference recompute makes inline, so a cached read is bit-equal to
+   an inline recompute for as long as the row survives. A no-op while the
+   row is the one the line was derived from. *)
 let refresh_arc_cache t id =
   let row = Sta.Electrical.arc_delays t.electrical id in
   if row != t.f_row.(id) then begin
-    let fanins = Netlist.Circuit.fanins t.circuit id in
-    let nf = Array.length fanins in
+    let nf = Array.length (Netlist.Circuit.fanins t.circuit id) in
     if nf > 0 then begin
       let strength =
-        Cells.Cell.strength (Netlist.Circuit.cell_exn t.circuit id)
+        (Netlist.Circuit.cell_exn t.circuit id).Cells.Cell.strength
       in
-      let line = t.f_arc.(id) in
+      let off = t.arc_off.(id) in
       for k = 0 to nf - 1 do
-        line.(k) <-
-          Variation.Model.delay_moments t.model ~delay:row.(k) ~strength
+        let delay = row.(k) in
+        let s = model_sigma t.model ~delay ~strength in
+        t.f_arc_mean.(off + k) <- delay;
+        t.f_arc_var.(off + k) <- s *. s
       done
     end;
     t.f_row.(id) <- row
@@ -266,17 +323,24 @@ let refresh_arc_cache t id =
    on Production, revalidate the arc cache and the prefix folds). *)
 let refresh_base t =
   let production = t.engine = Production in
+  let n = Array.length t.base_mean in
   if production then
-    for id = 0 to Array.length t.base - 1 do
+    for id = 0 to n - 1 do
       refresh_arc_cache t id
     done;
+  let arrivals = Array.make n { Numerics.Clark.mean = 0.0; var = 0.0 } in
   Ssta.Fassta.propagate_into ~exact:true ~model:t.model ~circuit:t.circuit
-    ~electrical:t.electrical t.base;
-  t.base_cost <- rv_cost t (fun o -> t.base.(o));
+    ~electrical:t.electrical arrivals;
+  Array.iteri
+    (fun id (m : Numerics.Clark.moments) ->
+      t.base_mean.(id) <- m.mean;
+      t.base_var.(id) <- m.var)
+    arrivals;
+  t.base_cost <- rv_cost t (fun o -> arrivals.(o));
   if production then begin
     rebuild_out_prefix t;
-    for id = 0 to Array.length t.base - 1 do
-      t.base_sigma.(id) <- Numerics.Clark.sigma t.base.(id)
+    for id = 0 to n - 1 do
+      t.base_sigma.(id) <- Float.sqrt t.base_var.(id)
     done
   end
 
@@ -286,7 +350,6 @@ let create ?(mode = Global) ?(engine = Reference) ?(area_weight = 0.0) ~circuit
   let n = Netlist.Circuit.size circuit in
   let down_mean = Array.make n 0.0 and down_var = Array.make n 0.0 in
   downstream_stats_into ~model circuit electrical down_mean down_var;
-  let zero = Numerics.Clark.moments ~mean:0.0 ~var:0.0 in
   let production = engine = Production in
   (* Production-only arrays are sized [np]; empty on Reference *)
   let np = if production then n else 0 in
@@ -296,9 +359,20 @@ let create ?(mode = Global) ?(engine = Reference) ?(area_weight = 0.0) ~circuit
   in
   let out_idx = Array.make np (-1) in
   Array.iteri (fun i o -> out_idx.(o) <- i) outputs_arr;
+  let nfanins id = Array.length (Netlist.Circuit.fanins circuit id) in
+  let arc_off = Array.make (np + 1) 0 in
+  for id = 0 to np - 1 do
+    arc_off.(id + 1) <- arc_off.(id) + nfanins id
+  done;
+  let narcs = arc_off.(np) in
+  let max_fanins = ref 0 in
+  for id = 0 to n - 1 do
+    max_fanins := Int.max !max_fanins (nfanins id)
+  done;
   (* a sentinel no live electrical row can alias, so every cache line
      starts stale *)
   let stale_row = [| Float.nan |] in
+  let m = Array.length outputs_arr in
   let t =
     {
       circuit;
@@ -311,27 +385,33 @@ let create ?(mode = Global) ?(engine = Reference) ?(area_weight = 0.0) ~circuit
       boundary = Ssta.Fullssta.moments full;
       down_mean;
       down_var;
-      base = Array.make n zero;
+      base_mean = Array.make n 0.0;
+      base_var = Array.make n 0.0;
       base_cost = 0.0;
       override = Hashtbl.create 997;
       area_weight;
       wavefront = Netlist.Wavefront.create n;
       in_window = Array.make n false;
+      seeds = Array.make (1 + !max_fanins) 0;
+      saved = [||];
       stats = Ssta.Fassta.make_stats ();
-      f_arc =
-        Array.init np (fun id ->
-            Array.make (Array.length (Netlist.Circuit.fanins circuit id)) zero);
+      arc_off;
+      f_arc_mean = Array.make narcs 0.0;
+      f_arc_var = Array.make narcs 0.0;
       f_row = Array.make np stale_row;
       gen = 0;
       outputs_arr;
       out_idx;
-      out_prefix = Array.make (Array.length outputs_arr) zero;
+      pre_mean = Array.make m 0.0;
+      pre_var = Array.make m 0.0;
       base_sigma = Array.make np 0.0;
       pend = Array.make np 0;
       pend_gen = Array.make np 0;
-      vc_ov = [||];
+      vc_ov_mean = [||];
+      vc_ov_var = [||];
       vc_ov_gen = [||];
-      vc_arc = [||];
+      vc_arc_mean = [||];
+      vc_arc_var = [||];
       vc_arc_gen = [||];
       vc_min_out = [||];
     }
@@ -374,16 +454,18 @@ let windowed_cost t (sub : Netlist.Cone.subcircuit) =
    Reference trial propagation: recompute the window members from the
    cached base arrivals, then let the change wavefront run downstream,
    stopping wherever the recomputed moments move by less than
-   [epsilon_wave]. Touched values live in [override]; [base] is never
-   mutated by a trial. *)
+   [epsilon_wave]. Touched values live in [override]; the base arrivals are
+   never mutated by a trial. *)
 let moments_at t id =
-  match Hashtbl.find_opt t.override id with Some m -> m | None -> t.base.(id)
+  match Hashtbl.find_opt t.override id with
+  | Some m -> m
+  | None -> base_moments t id
 
 (* One exact-Clark node recomputation; the per-arc operations and fold
    order mirror [Fassta.propagate_into ~exact:true] bit for bit. *)
 let recompute_node t id =
   let fanins = Netlist.Circuit.fanins t.circuit id in
-  if Array.length fanins = 0 then t.base.(id)
+  if Array.length fanins = 0 then base_moments t id
   else begin
     let arcs = Sta.Electrical.arc_delays t.electrical id in
     let strength = Cells.Cell.strength (Netlist.Circuit.cell_exn t.circuit id) in
@@ -416,7 +498,7 @@ let trial_cost t ~seed =
     if id >= 0 then begin
       incr visits;
       let fresh = recompute_node t id in
-      let old = t.base.(id) in
+      let old = base_moments t id in
       let moved =
         Float.abs (fresh.Numerics.Clark.mean -. old.Numerics.Clark.mean)
         +. Float.abs (Numerics.Clark.sigma fresh -. Numerics.Clark.sigma old)
@@ -458,70 +540,160 @@ let fanin_adjustments t ~lib pivot =
                Some (fi, rule)
              else None)
 
+(* The co-sizing bookkeeping of [with_trial], as loops over the
+   adjustment list: [saved.(i)] is the cell the [i]-th adjusted fanin had
+   before the trial, [seeds] lists the trial's resized ids. *)
+let rec save_cells t i = function
+  | [] -> ()
+  | (fi, _) :: rest ->
+      t.saved.(i) <- Netlist.Circuit.cell_exn t.circuit fi;
+      save_cells t (i + 1) rest
+
+let rec install_cells circuit = function
+  | [] -> ()
+  | (fi, cell) :: rest ->
+      Netlist.Circuit.set_cell circuit fi cell;
+      install_cells circuit rest
+
+let rec restore_cells t i = function
+  | [] -> ()
+  | (fi, _) :: rest ->
+      Netlist.Circuit.set_cell t.circuit fi t.saved.(i);
+      restore_cells t (i + 1) rest
+
+let rec added_area t i acc = function
+  | [] -> acc
+  | (_, cell) :: rest ->
+      added_area t (i + 1)
+        (acc +. Cells.Cell.area cell -. Cells.Cell.area t.saved.(i))
+        rest
+
+let rec fill_seeds t i = function
+  | [] -> i
+  | (fi, _) :: rest ->
+      t.seeds.(i) <- fi;
+      fill_seeds t (i + 1) rest
+
 (* Install [trial] on the pivot plus (with [co_size]) its fanin co-sizing,
-   run [f adjustments], and restore every cell. Returns [f]'s result, the
-   adjustments the trial would commit, and the area the move adds (0 when
-   area is not priced). *)
+   run [f adjustments], and restore every cell, also when [f] raises.
+   Returns [f]'s result, the adjustments the trial would commit, and the
+   area the move adds (0 when area is not priced). *)
 let with_trial t ~lib ~co_size pivot trial f =
   let circuit = t.circuit in
   let original = Netlist.Circuit.cell_exn circuit pivot in
-  let saved = ref [] in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun (fi, cell) -> Netlist.Circuit.set_cell circuit fi cell) !saved;
-      Netlist.Circuit.set_cell circuit pivot original)
-    (fun () ->
-      Netlist.Circuit.set_cell circuit pivot trial;
-      let adjustments = if co_size then fanin_adjustments t ~lib pivot else [] in
-      saved :=
-        List.map (fun (fi, _) -> (fi, Netlist.Circuit.cell_exn circuit fi)) adjustments;
-      List.iter (fun (fi, cell) -> Netlist.Circuit.set_cell circuit fi cell) adjustments;
+  let adjustments = ref [] in
+  match
+    Netlist.Circuit.set_cell circuit pivot trial;
+    let adj = if co_size then fanin_adjustments t ~lib pivot else [] in
+    let k = List.length adj in
+    if Array.length t.saved < k then t.saved <- Array.make k trial;
+    save_cells t 0 adj;
+    adjustments := adj;
+    install_cells circuit adj;
+    f adj
+  with
+  | r ->
+      let adj = !adjustments in
+      restore_cells t 0 adj;
+      Netlist.Circuit.set_cell circuit pivot original;
       let area_delta =
         if t.area_weight = 0.0 then 0.0
         else
           Cells.Cell.area trial -. Cells.Cell.area original
-          +. List.fold_left2
-               (fun acc (_, cell) (_, old_cell) ->
-                 acc +. Cells.Cell.area cell -. Cells.Cell.area old_cell)
-               0.0 adjustments !saved
+          +. added_area t 0 0.0 adj
       in
-      (f adjustments, adjustments, area_delta))
+      (r, adj, area_delta)
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      restore_cells t 0 !adjustments;
+      Netlist.Circuit.set_cell circuit pivot original;
+      Printexc.raise_with_backtrace e bt
 
-(* Production trial electrical update: an exact-stop [Electrical.update]
-   seeded from the resized gates and clipped to the window, which writes
-   the same values the Reference full sweep of the window would while
-   touching only the true perturbation cone; its undo log rewinds exactly
-   what was touched. [f] sees the electrically-dirty ids. *)
-let with_clipped_update t (sub : Netlist.Cone.subcircuit) ~resized f =
+let set_members t members v =
+  for i = 0 to Array.length members - 1 do
+    t.in_window.(members.(i)) <- v
+  done
+
+(* Production trial electrical update: [Electrical.update_trial], the
+   exact-stop update seeded from the resized gates and clipped to the
+   window, which writes the same values the Reference full sweep of the
+   window would while touching only the true perturbation cone; its log
+   rewinds exactly what was touched, also when [f] raises. [f] runs while
+   the trial is live and reads the electrically-dirty ids from
+   [Electrical.dirty]. *)
+let with_clipped_update t (sub : Netlist.Cone.subcircuit) adjustments f =
   let members = sub.Netlist.Cone.members in
-  Array.iter (fun id -> t.in_window.(id) <- true) members;
-  Fun.protect
-    ~finally:(fun () -> Array.iter (fun id -> t.in_window.(id) <- false) members)
-    (fun () ->
-      let dirty, log =
-        Sta.Electrical.update_logged
-          ~within:(fun id -> t.in_window.(id))
-          t.electrical t.circuit ~resized
-      in
-      Fun.protect
-        ~finally:(fun () -> Sta.Electrical.restore t.electrical log)
-        (fun () -> f dirty))
+  set_members t members true;
+  t.seeds.(0) <- sub.Netlist.Cone.pivot;
+  let nresized = fill_seeds t 1 adjustments in
+  match
+    Sta.Electrical.update_trial t.electrical t.circuit ~within:t.in_window
+      ~resized:t.seeds ~nresized;
+    f ()
+  with
+  | r ->
+      Sta.Electrical.rewind t.electrical;
+      set_members t members false;
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Sta.Electrical.rewind t.electrical;
+      set_members t members false;
+      Printexc.raise_with_backtrace e bt
 
 (* Grow the vectorized-trial structures to [nc] candidate slots. Fresh
    generation-stamp arrays start at 0 and [t.gen] is bumped before any
    batch, so new slots begin universally invalid without clearing. *)
 let ensure_vc t nc =
-  let cur = Array.length t.vc_ov in
+  let cur = Array.length t.vc_ov_gen in
   if cur < nc then begin
-    let n = Array.length t.pend in
-    let zero = Numerics.Clark.moments ~mean:0.0 ~var:0.0 in
+    let n = Array.length t.pend and narcs = Array.length t.f_arc_mean in
     let grow mk old = Array.init nc (fun c -> if c < cur then old.(c) else mk ()) in
-    t.vc_ov <- grow (fun () -> Array.make n zero) t.vc_ov;
+    t.vc_ov_mean <- grow (fun () -> Array.make n 0.0) t.vc_ov_mean;
+    t.vc_ov_var <- grow (fun () -> Array.make n 0.0) t.vc_ov_var;
     t.vc_ov_gen <- grow (fun () -> Array.make n 0) t.vc_ov_gen;
-    t.vc_arc <- grow (fun () -> Array.make n [||]) t.vc_arc;
+    t.vc_arc_mean <- grow (fun () -> Array.make narcs 0.0) t.vc_arc_mean;
+    t.vc_arc_var <- grow (fun () -> Array.make narcs 0.0) t.vc_arc_var;
     t.vc_arc_gen <- grow (fun () -> Array.make n 0) t.vc_arc_gen;
     t.vc_min_out <- Array.make nc max_int
   end
+
+(* Capture one dirty node for candidate [c]: its arc delay moments from
+   the trial's perturbed row and strength, and its pending bit. *)
+let capture t c gen id =
+  let nf = Array.length (Netlist.Circuit.fanins t.circuit id) in
+  if nf > 0 then begin
+    let row = Sta.Electrical.arc_delays t.electrical id in
+    let strength = (Netlist.Circuit.cell_exn t.circuit id).Cells.Cell.strength in
+    let off = t.arc_off.(id) in
+    let arc_mean = t.vc_arc_mean.(c) and arc_var = t.vc_arc_var.(c) in
+    for k = 0 to nf - 1 do
+      let delay = row.(k) in
+      let s = model_sigma t.model ~delay ~strength in
+      arc_mean.(off + k) <- delay;
+      arc_var.(off + k) <- s *. s
+    done;
+    t.vc_arc_gen.(c).(id) <- gen
+  end;
+  (if t.pend_gen.(id) = gen then t.pend.(id) <- t.pend.(id) lor (1 lsl c)
+   else begin
+     t.pend.(id) <- 1 lsl c;
+     t.pend_gen.(id) <- gen
+   end);
+  Netlist.Wavefront.push t.wavefront id
+
+(* Phase 1 of [vec_costs] for candidate [c]: install [trial], run the
+   clipped electrical trial, capture every dirty node, run [k] while the
+   trial is live, and restore. *)
+let capture_candidate t ~lib ~co_size (sub : Netlist.Cone.subcircuit) ~gen c
+    trial k =
+  with_trial t ~lib ~co_size sub.Netlist.Cone.pivot trial (fun adjustments ->
+      with_clipped_update t sub adjustments (fun () ->
+          let e = t.electrical in
+          for i = Sta.Electrical.dirty_count e - 1 downto 0 do
+            capture t c gen (Sta.Electrical.dirty e i)
+          done;
+          k ()))
 
 (* Production Global scoring: every candidate cell of the window in ONE
    shared wavefront drain, returning (cost, co-sizing) per candidate.
@@ -539,7 +711,6 @@ let ensure_vc t nc =
    per-candidate cost is bit-identical while the heap pops and fanout walks
    are amortized across the whole candidate set. *)
 let vec_costs t ~lib ~co_size (sub : Netlist.Cone.subcircuit) trials =
-  let pivot = sub.Netlist.Cone.pivot in
   let nc = Array.length trials in
   ensure_vc t nc;
   t.gen <- t.gen + 1;
@@ -547,46 +718,11 @@ let vec_costs t ~lib ~co_size (sub : Netlist.Cone.subcircuit) trials =
   let w = t.wavefront in
   Netlist.Wavefront.clear w;
   Array.fill t.vc_min_out 0 nc max_int;
-  let capture c id =
-    let fanins = Netlist.Circuit.fanins t.circuit id in
-    let nf = Array.length fanins in
-    if nf > 0 then begin
-      let row = Sta.Electrical.arc_delays t.electrical id in
-      let strength =
-        Cells.Cell.strength (Netlist.Circuit.cell_exn t.circuit id)
-      in
-      (* reuse the slot's array across batches when the fanin count is
-         unchanged (values are only read under a matching generation
-         stamp) *)
-      let prev = t.vc_arc.(c).(id) in
-      let line =
-        if Array.length prev = nf then prev
-        else begin
-          let a = Array.make nf t.base.(id) in
-          t.vc_arc.(c).(id) <- a;
-          a
-        end
-      in
-      for k = 0 to nf - 1 do
-        line.(k) <- Variation.Model.delay_moments t.model ~delay:row.(k) ~strength
-      done;
-      t.vc_arc_gen.(c).(id) <- gen
-    end;
-    (if t.pend_gen.(id) = gen then t.pend.(id) <- t.pend.(id) lor (1 lsl c)
-     else begin
-       t.pend.(id) <- 1 lsl c;
-       t.pend_gen.(id) <- gen
-     end);
-    Netlist.Wavefront.push w id
-  in
   let priced =
     Array.mapi
       (fun c trial ->
         let (), adjustments, area_delta =
-          with_trial t ~lib ~co_size pivot trial (fun adjustments ->
-              with_clipped_update t sub
-                ~resized:(pivot :: List.map fst adjustments)
-                (fun dirty -> List.iter (capture c) dirty))
+          capture_candidate t ~lib ~co_size sub ~gen c trial ignore
         in
         (adjustments, area_delta))
       trials
@@ -611,32 +747,40 @@ let vec_costs t ~lib ~co_size (sub : Netlist.Cone.subcircuit) trials =
       let fanins = Netlist.Circuit.fanins t.circuit id in
       let nf = Array.length fanins in
       if nf > 0 && mask <> 0 then begin
-        let old_mean = t.base.(id).Numerics.Clark.mean in
+        let old_mean = t.base_mean.(id) in
         let old_sigma = t.base_sigma.(id) in
-        let line = t.f_arc.(id) in
+        let off = t.arc_off.(id) in
         let oi = t.out_idx.(id) in
         prop := 0;
-        (* unsafe accesses: c < nc ≤ |vc_*|, k < nf = |fanins| = |arcs|,
-           and fi/id are node ids covered by every length-n array *)
+        (* unsafe accesses: c < nc ≤ |vc_*|, k < nf = |fanins|, off + k <
+           arc_off.(id + 1) ≤ |per-arc arrays|, and fi/id are node ids
+           covered by every length-n array *)
         for c = 0 to nc - 1 do
           if mask land (1 lsl c) <> 0 then begin
             incr cell_evals;
-            let arcs =
-              if Array.unsafe_get (Array.unsafe_get t.vc_arc_gen c) id = gen
-              then Array.unsafe_get (Array.unsafe_get t.vc_arc c) id
-              else line
+            let captured =
+              Array.unsafe_get (Array.unsafe_get t.vc_arc_gen c) id = gen
             in
-            let ov = Array.unsafe_get t.vc_ov c
+            let arc_mean =
+              if captured then Array.unsafe_get t.vc_arc_mean c else t.f_arc_mean
+            and arc_var =
+              if captured then Array.unsafe_get t.vc_arc_var c else t.f_arc_var
+            in
+            let ov_mean = Array.unsafe_get t.vc_ov_mean c
+            and ov_var = Array.unsafe_get t.vc_ov_var c
             and ov_gen = Array.unsafe_get t.vc_ov_gen c in
             for k = 0 to nf - 1 do
               let fi = Array.unsafe_get fanins k in
+              let ov = Array.unsafe_get ov_gen fi = gen in
               let fm =
-                if Array.unsafe_get ov_gen fi = gen then Array.unsafe_get ov fi
-                else Array.unsafe_get t.base fi
+                if ov then Array.unsafe_get ov_mean fi
+                else Array.unsafe_get t.base_mean fi
+              and fv =
+                if ov then Array.unsafe_get ov_var fi
+                else Array.unsafe_get t.base_var fi
               in
-              let arc = Array.unsafe_get arcs k in
-              let sm = fm.Numerics.Clark.mean +. arc.Numerics.Clark.mean in
-              let sv = fm.Numerics.Clark.var +. arc.Numerics.Clark.var in
+              let sm = fm +. Array.unsafe_get arc_mean (off + k) in
+              let sv = fv +. Array.unsafe_get arc_var (off + k) in
               if k = 0 then begin
                 acc.am <- sm;
                 acc.av <- sv
@@ -649,7 +793,8 @@ let vec_costs t ~lib ~co_size (sub : Netlist.Cone.subcircuit) trials =
               > epsilon_wave
             in
             if moved then begin
-              ov.(id) <- Numerics.Clark.moments ~mean:acc.am ~var:acc.av;
+              ov_mean.(id) <- acc.am;
+              ov_var.(id) <- acc.av;
               ov_gen.(id) <- gen;
               if oi >= 0 && oi < t.vc_min_out.(c) then t.vc_min_out.(c) <- oi;
               prop := !prop lor (1 lsl c)
@@ -674,22 +819,28 @@ let vec_costs t ~lib ~co_size (sub : Netlist.Cone.subcircuit) trials =
       let rv =
         if j = max_int then t.base_cost
         else begin
-          let ov = t.vc_ov.(c) and ov_gen = t.vc_ov_gen.(c) in
-          let read o = if ov_gen.(o) = gen then ov.(o) else t.base.(o) in
-          let m0 = read outs.(j) in
+          let ov_mean = t.vc_ov_mean.(c)
+          and ov_var = t.vc_ov_var.(c)
+          and ov_gen = t.vc_ov_gen.(c) in
+          let o = outs.(j) in
+          let ov = ov_gen.(o) = gen in
+          let m0_mean = if ov then ov_mean.(o) else t.base_mean.(o)
+          and m0_var = if ov then ov_var.(o) else t.base_var.(o) in
           (if j = 0 then begin
-             acc.am <- m0.Numerics.Clark.mean;
-             acc.av <- m0.Numerics.Clark.var
+             acc.am <- m0_mean;
+             acc.av <- m0_var
            end
            else begin
-             let p = t.out_prefix.(j - 1) in
-             acc.am <- p.Numerics.Clark.mean;
-             acc.av <- p.Numerics.Clark.var;
-             scalar_max acc m0.Numerics.Clark.mean m0.Numerics.Clark.var
+             acc.am <- t.pre_mean.(j - 1);
+             acc.av <- t.pre_var.(j - 1);
+             scalar_max acc m0_mean m0_var
            end);
           for i = j + 1 to Array.length outs - 1 do
-            let m = read outs.(i) in
-            scalar_max acc m.Numerics.Clark.mean m.Numerics.Clark.var
+            let o = outs.(i) in
+            let ov = ov_gen.(o) = gen in
+            scalar_max acc
+              (if ov then ov_mean.(o) else t.base_mean.(o))
+              (if ov then ov_var.(o) else t.base_var.(o))
           done;
           Objective.cost_of_moments t.objective
             (Numerics.Clark.moments ~mean:acc.am ~var:acc.av)
@@ -697,6 +848,17 @@ let vec_costs t ~lib ~co_size (sub : Netlist.Cone.subcircuit) trials =
       in
       (rv +. (t.area_weight *. area_delta), adjustments))
     priced
+
+let capture_trial ?(co_size = true) t ~lib (sub : Netlist.Cone.subcircuit)
+    trial k =
+  if t.engine <> Production then
+    invalid_arg "Window.capture_trial: Reference window";
+  ensure_vc t 1;
+  t.gen <- t.gen + 1;
+  Netlist.Wavefront.clear t.wavefront;
+  let r, _, _ = capture_candidate t ~lib ~co_size sub ~gen:t.gen 0 trial k in
+  Netlist.Wavefront.clear t.wavefront;
+  r
 
 (* Evaluate one trial cell for the window's pivot (plus its induced fanin
    co-sizing): install, recompute the window electrically, score, restore.
@@ -720,9 +882,8 @@ let cost_with_cell ?(co_size = true) ~lib t (sub : Netlist.Cone.subcircuit) tria
         with_trial t ~lib ~co_size pivot trial (fun adjustments ->
             match t.engine with
             | Production ->
-                with_clipped_update t sub
-                  ~resized:(pivot :: List.map fst adjustments)
-                  (fun _dirty -> windowed_cost t sub)
+                with_clipped_update t sub adjustments (fun () ->
+                    windowed_cost t sub)
             | Reference -> (
                 let snap = Sta.Electrical.snapshot t.electrical members in
                 Fun.protect
@@ -815,16 +976,21 @@ let commit_incremental t ~resized =
       refresh_arc_cache t id;
       let fanins = Netlist.Circuit.fanins t.circuit id in
       let nf = Array.length fanins in
-      let old = t.base.(id) in
       if nf > 0 then begin
-        let line = t.f_arc.(id) in
-        (* unsafe accesses: k < nf = |fanins| = |line|, and fi is a node
-           id, so [base] (length [size circuit]) covers it *)
+        let off = t.arc_off.(id) in
+        (* unsafe accesses: k < nf = |fanins|, off + k < arc_off.(id + 1) ≤
+           |f_arc_*|, and fi is a node id, so the base arrays (length
+           [size circuit]) cover it *)
         for k = 0 to nf - 1 do
-          let m = Array.unsafe_get t.base (Array.unsafe_get fanins k) in
-          let arc = Array.unsafe_get line k in
-          let sm = m.Numerics.Clark.mean +. arc.Numerics.Clark.mean in
-          let sv = m.Numerics.Clark.var +. arc.Numerics.Clark.var in
+          let fi = Array.unsafe_get fanins k in
+          let sm =
+            Array.unsafe_get t.base_mean fi
+            +. Array.unsafe_get t.f_arc_mean (off + k)
+          in
+          let sv =
+            Array.unsafe_get t.base_var fi
+            +. Array.unsafe_get t.f_arc_var (off + k)
+          in
           if k = 0 then begin
             acc.am <- sm;
             acc.av <- sv
@@ -833,10 +999,11 @@ let commit_incremental t ~resized =
         done;
         if
           not
-            (Float.equal acc.am old.Numerics.Clark.mean
-            && Float.equal acc.av old.Numerics.Clark.var)
+            (Float.equal acc.am t.base_mean.(id)
+            && Float.equal acc.av t.base_var.(id))
         then begin
-          t.base.(id) <- Numerics.Clark.moments ~mean:acc.am ~var:acc.av;
+          t.base_mean.(id) <- acc.am;
+          t.base_var.(id) <- acc.av;
           t.base_sigma.(id) <- Float.sqrt acc.av;
           let oi = t.out_idx.(id) in
           if oi >= 0 && oi < !min_o then min_o := oi;
@@ -853,12 +1020,12 @@ let commit_incremental t ~resized =
      cost itself — are already the values a full refold would produce (the
      last prefix entry IS the RV_O fold [cost_of_rv] performs: the same left
      [max_exact] fold over the same output order) *)
-  (let m = Array.length t.out_prefix in
+  (let m = Array.length t.outputs_arr in
    if !min_o < m then begin
      rebuild_out_prefix ~from:!min_o t;
-     t.base_cost <- Objective.cost_of_moments t.objective t.out_prefix.(m - 1)
+     t.base_cost <- Objective.cost_of_moments t.objective (prefix_moments t (m - 1))
    end
-   else if m = 0 then t.base_cost <- rv_cost t (fun o -> t.base.(o)))
+   else if m = 0 then t.base_cost <- rv_cost t (base_moments t))
 
 let base_cost t = t.base_cost
 

@@ -64,6 +64,25 @@ val cost_with_cell :
     pivot's fanin drivers up per the logical-effort rule, letting compound
     moves cross the load-coordination barrier. *)
 
+val capture_trial :
+  ?co_size:bool ->
+  t ->
+  lib:Cells.Library.t ->
+  Netlist.Cone.subcircuit ->
+  Cells.Cell.t ->
+  (unit -> 'a) ->
+  'a
+(** [capture_trial t ~lib sub cell k] runs one candidate's capture phase as
+    {!best_size} runs it on a [Production] window: install [cell] on the
+    pivot (with its fanin co-sizing when [co_size], default true), run the
+    window-clipped logged electrical update
+    ({!Sta.Electrical.update_trial}) and capture the perturbed arc moments
+    of every dirty node. It then runs [k] while the trial is live (the
+    dirty ids are readable through {!Sta.Electrical.dirty}) and restores
+    the cells, the window's clip bitmap and the electrical state, also when
+    [k] raises. For tests and benchmarks of the capture layer; raises
+    [Invalid_argument] on a [Reference] window. *)
+
 type verdict = {
   best : Cells.Cell.t;
   co_resizes : (Netlist.Circuit.id * Cells.Cell.t) list;
@@ -94,3 +113,9 @@ val base_cost : t -> float
 
 val fassta_stats : t -> Ssta.Fassta.stats
 (** Accumulated cutoff/blend counts across all evaluations. *)
+
+val max0 : float -> float
+(** [Float.max v 0.0], bit for bit on every float (signed zeros, infinities
+    and NaNs included), without its [sign_bit] C calls: the clamp the
+    candidate drain's exact Clark max applies twice. Exposed for its
+    equivalence test. *)

@@ -18,8 +18,14 @@ val prepare :
   lib:Cells.Library.t ->
   (unit -> Netlist.Circuit.t) ->
   baseline
-(** The sizer's lint preflight applies: Error-level findings raise
-    {!Lint.Preflight.Rejected} unless [ignore_lint] is set. *)
+(** Generate, apply the initial sizing, run the mean-delay sizer
+    ([mean_config], default {!Core.Sizer.mean_delay_config}). The
+    baseline's [moments] are that sizer's [final_moments]: the RV_O of a
+    FULLSSTA run over the cells it leaves in place, with [mean_config]'s
+    samples, variation model and electrical settings (at the default, the
+    same as {!Ssta.Fullssta.default_config}). The sizer's lint preflight
+    applies: Error-level findings raise {!Lint.Preflight.Rejected} unless
+    [ignore_lint] is set. *)
 
 type stat_run = {
   alpha : float;

@@ -127,9 +127,9 @@ let cell t id =
   | Gate g -> Some g.cell
 
 let cell_exn t id =
-  match cell t id with
-  | Some c -> c
-  | None ->
+  match (node t id).kind with
+  | Gate g -> g.cell
+  | Primary_input ->
       invalid_arg
         (Printf.sprintf "Circuit.cell_exn: node %S is a primary input"
            (node_name t id))
@@ -149,15 +149,22 @@ let set_cell t id cell =
    fixed external load when the node drives a primary output. *)
 let load t id =
   let n = node t id in
-  let fanout_cap =
-    List.fold_left
-      (fun acc reader ->
-        match (node t reader).kind with
-        | Primary_input -> acc
-        | Gate g -> acc +. Cells.Cell.input_cap g.cell)
-      0.0 n.fanouts
-  in
-  if n.is_output then fanout_cap +. t.output_load else fanout_cap
+  (* the same left-to-right sum a [List.fold_left] over [n.fanouts] makes,
+     in a loop with an unboxed accumulator: trial electrical updates call
+     this per fanin of a resized gate *)
+  let fanout_cap = ref 0.0 in
+  let rest = ref n.fanouts in
+  let quit = ref false in
+  while not !quit do
+    match !rest with
+    | [] -> quit := true
+    | reader :: tl ->
+        (match (node t reader).kind with
+        | Primary_input -> ()
+        | Gate g -> fanout_cap := !fanout_cap +. g.cell.Cells.Cell.input_cap);
+        rest := tl
+  done;
+  if n.is_output then !fanout_cap +. t.output_load else !fanout_cap
 
 let iter_nodes t ~f = Vec.iter t.nodes ~f:(fun n -> f n.id)
 

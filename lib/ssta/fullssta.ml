@@ -131,25 +131,11 @@ let output_moments t = Numerics.Discrete_pdf.to_moments (output_rv t)
 exception Divergence of Diag.t
 
 (* Paranoid oracle: rebuild the annotation from scratch and insist the
-   incremental state matches. With no decay budget the match must be
-   bit-level; with one, stopped nodes may each carry up to [decay_tol] of
-   moment error and errors compound along paths, so the bound is the budget
-   times the (over-approximated by node count) path depth. *)
-let check_against_scratch t ~decay_tol =
+   incremental state matches it bit for bit. *)
+let check_against_scratch t =
   let fresh = run ~config:t.config t.circuit in
-  let n = Netlist.Circuit.size t.circuit in
-  let slack = decay_tol *. float_of_int n in
-  for id = 0 to n - 1 do
-    let ok =
-      if decay_tol = 0.0 then
-        Numerics.Discrete_pdf.equal t.pdfs.(id) fresh.pdfs.(id)
-      else
-        let m = t.moments.(id) and m' = fresh.moments.(id) in
-        Float.abs (m.Numerics.Clark.mean -. m'.Numerics.Clark.mean)
-        +. Float.abs (Numerics.Clark.sigma m -. Numerics.Clark.sigma m')
-        <= slack
-    in
-    if not ok then
+  for id = 0 to Netlist.Circuit.size t.circuit - 1 do
+    if not (Numerics.Discrete_pdf.equal t.pdfs.(id) fresh.pdfs.(id)) then
       raise
         (Divergence
            (Diag.errorf ~code:"STAT005"
@@ -169,12 +155,10 @@ let check_against_scratch t ~decay_tol =
    scan is sound no matter who refreshed the electrical state — including a
    full [recompute_all], which simply marks everything dirty. Dirty nodes
    drain through the wavefront in topological order; a node whose recomputed
-   pdf is bit-identical (or, with [decay_tol] > 0, whose moments moved less
-   than the budget) keeps its stored pdf and stops the sweep there. Per-arc
-   resampled arrivals are cached so a multi-fanin node only recomputes the
-   arcs that are actually dirty. *)
-let update ?(paranoid = false) ?(decay_tol = 0.0) ?(refresh_electrical = true)
-    t ~resized =
+   pdf is bit-identical keeps its stored pdf and stops the sweep there.
+   Per-arc resampled arrivals are cached so a multi-fanin node only
+   recomputes the arcs that are actually dirty. *)
+let update ?(paranoid = false) ?(refresh_electrical = true) t ~resized =
   Obs.Span.with_ "fullssta.update" @@ fun () ->
   if refresh_electrical then
     ignore (Sta.Electrical.update t.electrical t.circuit ~resized);
@@ -216,17 +200,7 @@ let update ?(paranoid = false) ?(decay_tol = 0.0) ?(refresh_electrical = true)
             (Numerics.Discrete_pdf.max_list (Array.to_list arrivals))
             ~samples:t.config.samples
         in
-        let keep =
-          Numerics.Discrete_pdf.equal pdf' t.pdfs.(id)
-          || decay_tol > 0.0
-             &&
-             let m' = Numerics.Discrete_pdf.to_moments pdf' in
-             let m = t.moments.(id) in
-             Float.abs (m'.Numerics.Clark.mean -. m.Numerics.Clark.mean)
-             +. Float.abs (Numerics.Clark.sigma m' -. Numerics.Clark.sigma m)
-             <= decay_tol
-        in
-        if not keep then begin
+        if not (Numerics.Discrete_pdf.equal pdf' t.pdfs.(id)) then begin
           t.pdfs.(id) <- pdf';
           t.moments.(id) <- Numerics.Discrete_pdf.to_moments pdf';
           t.changed.(id) <- true;
@@ -244,7 +218,7 @@ let update ?(paranoid = false) ?(decay_tol = 0.0) ?(refresh_electrical = true)
     ->
       t.out_rv <- None
   | _ -> ());
-  if paranoid then check_against_scratch t ~decay_tol;
+  if paranoid then check_against_scratch t;
   !dirty
 
 (* sigma/mean of RV_O — Table 1's headline metric. *)

@@ -19,7 +19,6 @@ exception Divergence of Diag.t
 
 val update :
   ?paranoid:bool ->
-  ?decay_tol:float ->
   ?refresh_electrical:bool ->
   t ->
   resized:Netlist.Circuit.id list ->
@@ -27,11 +26,9 @@ val update :
 (** [update t ~resized] brings the live annotation back in sync after the
     listed gates changed cells, re-propagating pdfs only through the dirty
     fanout cone (topological wavefront; per-arc arrival pdfs are cached and
-    only dirty arcs recomputed). With [decay_tol = 0.0] (default) the sweep
-    stops exactly where a recomputed pdf is bit-identical to the stored one,
-    leaving the annotation bit-equal to a fresh {!run}; a positive
-    [decay_tol] also stops where the node's |Δmean| + |Δsigma| falls within
-    the budget, mirroring the FASSTA window cutoff. [refresh_electrical]
+    only dirty arcs recomputed). The sweep stops exactly where a recomputed
+    pdf is bit-identical to the stored one, leaving the annotation
+    bit-equal to a fresh {!run}. [refresh_electrical]
     (default true) first runs {!Sta.Electrical.update} for [resized]; pass
     false when the caller already refreshed the shared electrical state —
     dirtiness is re-derived from replaced arc rows either way. [paranoid]

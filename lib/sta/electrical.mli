@@ -7,15 +7,16 @@ type config = { input_slew : float; input_arrival : float }
 val default_config : config
 (** 10 ps boundary slew, time-0 input arrivals. *)
 
+type work
+(** Preallocated scratch for {!update} and trials: the wavefront, the dirty
+    buffer, the trial log and the per-node trial rows. *)
+
 type t = {
   config : config;
   load : float array;
   slew : float array;
   arc_delay : float array array;
-  mutable wave : Netlist.Wavefront.t option;
-      (** scratch queue for [update]; managed internally *)
-  mutable scratch : float array;
-      (** delay staging buffer for [update]; managed internally *)
+  mutable work : work option;  (** created on first update; managed internally *)
 }
 
 val compute : ?config:config -> Netlist.Circuit.t -> t
@@ -36,34 +37,53 @@ val recompute_all : t -> Netlist.Circuit.t -> unit
 (** Full in-place refresh of loads, arc delays and slews. *)
 
 val update :
-  ?slew_tol:float ->
-  ?within:(Netlist.Circuit.id -> bool) ->
-  t ->
-  Netlist.Circuit.t ->
-  resized:Netlist.Circuit.id list ->
-  Netlist.Circuit.id list
+  t -> Netlist.Circuit.t -> resized:Netlist.Circuit.id list -> Netlist.Circuit.id list
 (** [update t circuit ~resized] refreshes only the cone a resize perturbs:
     loads at fanins of resized gates, then slews/arc delays through the
-    affected fanout cone in topological order, stopping where the recomputed
-    slew moves by at most [slew_tol] (default [0.0]: an exact stop, leaving
-    the state bit-identical to {!recompute_all}). Nodes whose values
-    survive keep their arc arrays physically intact — consumers may use
-    pointer inequality as the dirty marker — while resized gates always get
-    fresh arrays. [within] clips seeding and sweeping to a node subset,
-    mirroring {!recompute_nodes} on a window. Returns the ids whose stored
-    load, slew or arc delays changed (unordered, may contain duplicates). *)
+    affected fanout cone in topological order, stopping where the
+    recomputed slew equals the stored one. The stop is exact, leaving the
+    state bit-identical to {!recompute_all}. Nodes whose values survive
+    keep their arc arrays physically intact — consumers may use pointer
+    inequality as the dirty marker — while resized gates always get fresh
+    arrays. Returns the ids whose stored load, slew or arc delays changed
+    (unordered, may contain duplicates). Raises [Invalid_argument] while a
+    trial is not rewound. *)
+
+val update_trial :
+  t ->
+  Netlist.Circuit.t ->
+  within:bool array ->
+  resized:Netlist.Circuit.id array ->
+  nresized:int ->
+  unit
+(** A logged {!update} seeded from the first [nresized] ids of [resized] and
+    clipped to the nodes set in [within] (indexed by node id), mirroring
+    {!recompute_nodes} on a window. It writes the same values {!update}
+    would inside the clip, allocating nothing but the LUT queries' boxes
+    and {!Netlist.Circuit.load}'s results: each touched node is logged into
+    preallocated arrays before its first mutation, and new arc delays go
+    into a per-node trial row, so no committed row is overwritten. Read
+    the changed ids with {!dirty_count} and {!dirty}, then undo the trial
+    with {!rewind} before the next update. Raises [Invalid_argument] if
+    [within] is shorter than the circuit or the previous trial was not
+    rewound. *)
+
+val dirty_count : t -> int
+(** Number of ids the last {!update} or {!update_trial} recorded as changed. *)
+
+val dirty : t -> int -> Netlist.Circuit.id
+(** [dirty t i] is the [i]-th changed id, in write order ([i] below
+    {!dirty_count}); an id may appear twice. *)
+
+val rewind : t -> unit
+(** Undo the last {!update_trial}: every touched node gets back its load,
+    its slew and the very arc array it held before (physically equal).
+    A no-op when no trial is open. *)
 
 type snapshot
 
-val update_logged :
-  ?slew_tol:float ->
-  ?within:(Netlist.Circuit.id -> bool) ->
-  t ->
-  Netlist.Circuit.t ->
-  resized:Netlist.Circuit.id list ->
-  Netlist.Circuit.id list * snapshot
-(** Like {!update}, additionally returning an undo log: [restore]ing it
-    rewinds every touched node to its pre-update state (trial support). *)
-
 val snapshot : t -> Netlist.Circuit.id array -> snapshot
+(** The listed nodes' loads, slews and arc rows, for {!restore} after a
+    {!recompute_nodes} trial (the Reference window engine's). *)
+
 val restore : t -> snapshot -> unit

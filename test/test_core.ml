@@ -203,12 +203,16 @@ let window_windowed_mode_runs () =
   check_true "windowed mode exercises the quadratic engine"
     (stats.Ssta.Fassta.cutoff_hits + stats.Ssta.Fassta.blended > 0)
 
-(* The sizer's window verdict allocates at most 15,000 minor words per
-   window on c432 (11,815 measured). The drain's exact Clark max is inlined
+(* The sizer's window verdict allocates at most 2,000 minor words per
+   window on c432 (1,808 measured). The drain's exact Clark max is inlined
    into the window module, so its floats stay unboxed; calling across the
    module boundary into [Numerics.Normal] boxed every one of them (29,924
-   words per window). Measured on a second sweep, so the first has grown
-   every per-candidate buffer. *)
+   words per window). Arrivals, overrides and arc moments are flat float
+   arrays and the trial's electrical log is preallocated, so storing a
+   moved value allocates nothing either (11,815 words per window when
+   each stored value was a [Clark.moments] record and each trial built an
+   undo list). Measured on a second sweep, so the first has grown every
+   per-candidate buffer. *)
 let window_allocation_pin () =
   let c = Benchgen.Iscas_like.build_exn ~lib "c432" in
   ignore (Core.Initial_sizing.apply ~lib c);
@@ -236,8 +240,108 @@ let window_allocation_pin () =
     (Gc.minor_words () -. w0) /. float_of_int (List.length subs)
   in
   check_true
-    (Printf.sprintf "minor words per window %.0f <= 15000" per_window)
-    (per_window <= 15_000.0)
+    (Printf.sprintf "minor words per window %.0f <= 2000" per_window)
+    (per_window <= 2_000.0)
+
+(* The drain's clamp [Window.max0] against [Float.max v 0.0], on the bits:
+   signed zeros, infinities, subnormals and NaNs of either sign and
+   several payloads, then random doubles from random bit patterns. *)
+let window_max0_is_float_max () =
+  let bits = Int64.bits_of_float in
+  let same v =
+    Int64.equal (bits (Core.Window.max0 v)) (bits (Float.max v 0.0))
+  in
+  let specials =
+    [ 0.0; -0.0; 1.0; -1.0; infinity; neg_infinity; Float.nan; -.Float.nan;
+      max_float; -.max_float; min_float; -.min_float; 5e-324; -5e-324 ]
+    @ List.map Int64.float_of_bits
+        [ 0x7ff0000000000001L; 0xfff0000000000001L; 0x7ff8000000000000L;
+          0xfff8000000000000L; 0x7fffffffffffffffL; 0xffffffffffffffffL ]
+  in
+  List.iter
+    (fun v -> check_true (Printf.sprintf "max0 %h" v) (same v))
+    specials;
+  let rng = Random.State.make [| 0x3a40 |] in
+  for _ = 1 to 100_000 do
+    let v = Int64.float_of_bits (Random.State.bits64 rng) in
+    if not (same v) then Alcotest.failf "max0 %h" v
+  done
+
+(* One window-clipped electrical trial plus its [rewind], on every c432
+   gate: install the gate's strongest other size, run
+   [Electrical.update_trial] over the gate's depth-2 window, rewind. The
+   trial log, dirty buffer and trial rows are preallocated, so what remains
+   is the LUT queries' boxes (at most 6 words each: both float arguments
+   and the result) and [Circuit.load]'s boxed result (2 words) per fanin
+   of the resized gate: the pin holds the measured words to that budget,
+   with the queries counted by the [lut.*] counters. Measured: 23,038
+   words over 200 trials (115 per trial), exactly 6 x 3,728 queries + 2 x
+   335 loads. *)
+let clipped_trial_allocation_pin () =
+  let c = Benchgen.Iscas_like.build_exn ~lib "c432" in
+  ignore (Core.Initial_sizing.apply ~lib c);
+  let e = Sta.Electrical.compute c in
+  let within = Array.make (Netlist.Circuit.size c) false in
+  let resized = [| 0 |] in
+  let cases =
+    List.filter_map
+      (fun g ->
+        let current = Netlist.Circuit.cell_exn c g in
+        let strongest =
+          Array.fold_left
+            (fun best cell ->
+              if
+                (not (Cells.Cell.equal cell current))
+                && Cells.Cell.strength cell > Cells.Cell.strength best
+              then cell
+              else best)
+            current
+            (Cells.Library.sizes_of_fn lib (Cells.Cell.fn current))
+        in
+        if Cells.Cell.equal strongest current then None
+        else Some (g, (Netlist.Cone.extract c ~pivot:g ~depth:2).Netlist.Cone.members, strongest))
+      (Netlist.Circuit.gates c)
+  in
+  let loads = ref 0 in
+  let trial (g, members, cell) =
+    let current = Netlist.Circuit.cell_exn c g in
+    Netlist.Circuit.set_cell c g cell;
+    Array.iter (fun id -> within.(id) <- true) members;
+    Array.iter
+      (fun fi -> if within.(fi) then incr loads)
+      (Netlist.Circuit.fanins c g);
+    resized.(0) <- g;
+    let w0 = Gc.minor_words () in
+    Sta.Electrical.update_trial e c ~within ~resized ~nresized:1;
+    Sta.Electrical.rewind e;
+    let words = Gc.minor_words () -. w0 in
+    Array.iter (fun id -> within.(id) <- false) members;
+    Netlist.Circuit.set_cell c g current;
+    words
+  in
+  let sweep () = List.fold_left (fun acc case -> acc +. trial case) 0.0 cases in
+  ignore (sweep ());
+  let probe =
+    let w0 = Gc.minor_words () in
+    Gc.minor_words () -. w0
+  in
+  let queries () =
+    let dump = Obs.Counters.dump () in
+    List.assoc "lut.delay_queries" dump + List.assoc "lut.slew_queries" dump
+  in
+  Obs.Sink.reset ();
+  Obs.Sink.enable ();
+  loads := 0;
+  let q0 = queries () in
+  let words =
+    Fun.protect ~finally:Obs.Sink.disable (fun () -> sweep ())
+    -. (probe *. float_of_int (List.length cases))
+  in
+  let q = queries () - q0 in
+  Obs.Sink.reset ();
+  check_true
+    (Printf.sprintf "%.0f minor words <= 6 x %d LUT queries + 2 x %d loads" words q !loads)
+    (words <= float_of_int ((6 * q) + (2 * !loads)))
 
 (* ---- Sizer -------------------------------------------------------------------- *)
 
@@ -390,6 +494,10 @@ let () =
           Alcotest.test_case "best never worse" `Quick window_best_never_worse;
           Alcotest.test_case "windowed mode" `Quick window_windowed_mode_runs;
           Alcotest.test_case "allocation pin" `Quick window_allocation_pin;
+          Alcotest.test_case "clipped trial allocation pin" `Quick
+            clipped_trial_allocation_pin;
+          Alcotest.test_case "max0 is Float.max v 0.0" `Quick
+            window_max0_is_float_max;
         ] );
       ( "sizer",
         [

@@ -63,6 +63,29 @@ let pipeline_end_to_end_small () =
     baseline.Experiments.Pipeline.moments.Numerics.Clark.mean
     (Ssta.Fullssta.output_moments full).Numerics.Clark.mean
 
+(* [Pipeline.prepare] prices the baseline with the mean-delay sizer's
+   final FULLSSTA run instead of a second run over the same cells; on the
+   quick subset the figure is the second run's to the bit. *)
+let prepare_moments_match_a_fresh_run () =
+  List.iter
+    (fun name ->
+      let entry = Option.get (Benchgen.Iscas_like.find name) in
+      let baseline =
+        Experiments.Pipeline.prepare ~lib (fun () ->
+            entry.Benchgen.Iscas_like.build ~lib)
+      in
+      let m = baseline.Experiments.Pipeline.moments
+      and fresh =
+        Ssta.Fullssta.output_moments
+          (Ssta.Fullssta.run baseline.Experiments.Pipeline.circuit)
+      in
+      let bits = Int64.bits_of_float in
+      check_true (name ^ ": mean bit-equal")
+        (Int64.equal (bits m.Numerics.Clark.mean) (bits fresh.Numerics.Clark.mean));
+      check_true (name ^ ": var bit-equal")
+        (Int64.equal (bits m.Numerics.Clark.var) (bits fresh.Numerics.Clark.var)))
+    [ "alu1"; "alu2"; "alu3"; "c432"; "c499"; "c880" ]
+
 let table1_row_small () =
   let entry = Option.get (Benchgen.Iscas_like.find "alu2") in
   let row = Experiments.Table1.run_circuit ~alphas:[ 3.0 ] ~lib entry in
@@ -118,7 +141,11 @@ let () =
           Alcotest.test_case "cutoff study" `Quick approx_cutoff_study;
         ] );
       ( "pipeline",
-        [ Alcotest.test_case "end to end (alu2)" `Slow pipeline_end_to_end_small ] );
+        [
+          Alcotest.test_case "end to end (alu2)" `Slow pipeline_end_to_end_small;
+          Alcotest.test_case "prepare moments = a fresh FULLSSTA run" `Slow
+            prepare_moments_match_a_fresh_run;
+        ] );
       ( "table1",
         [
           Alcotest.test_case "single row (alu2)" `Slow table1_row_small;

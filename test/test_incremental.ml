@@ -57,7 +57,7 @@ let prop_electrical_update_matches_compute =
         ignore (Sta.Electrical.update e c ~resized);
         let fresh = Sta.Electrical.compute c in
         for id = 0 to Netlist.Circuit.size c - 1 do
-          (* bit-level: the update's slew_tol = 0.0 stop is exact *)
+          (* bit-level: the update's stop is exact *)
           if
             e.Sta.Electrical.load.(id) <> fresh.Sta.Electrical.load.(id)
             || e.Sta.Electrical.slew.(id) <> fresh.Sta.Electrical.slew.(id)
@@ -135,6 +135,16 @@ let test_paranoid_divergence_fires () =
     Alcotest.fail "paranoid mode accepted a stale electrical state"
   with Ssta.Fullssta.Divergence d ->
     Alcotest.(check string) "diagnostic code" "STAT005" d.Diag.code
+
+let alt_size_random rng circuit g =
+  let current = Netlist.Circuit.cell_exn circuit g in
+  match
+    List.filter
+      (fun c -> not (Cells.Cell.equal c current))
+      (Array.to_list (Cells.Library.sizes_of_fn lib (Cells.Cell.fn current)))
+  with
+  | [] -> current
+  | alts -> List.nth alts (Random.State.int rng (List.length alts))
 
 let sized name =
   let c = Benchgen.Iscas_like.build_exn ~lib name in
@@ -239,6 +249,252 @@ let test_sizer_incremental_bitexact () =
         (bit_equal m_r.Numerics.Clark.mean m_p.Numerics.Clark.mean
         && bit_equal m_r.Numerics.Clark.var m_p.Numerics.Clark.var))
     cases
+
+(* [Electrical.update_logged] as it stood before the trial log moved into
+   preallocated arrays, verbatim up to module paths and its scratch: a
+   local wavefront and staging buffer stand in for the two fields the
+   state once carried for them. The oracle of [Electrical.update_trial]. *)
+module Oracle_logged = struct
+  open Sta.Electrical
+
+  let update_core ~slew_tol ~within ~log t circuit ~resized =
+    let n = Netlist.Circuit.size circuit in
+    let wave = Netlist.Wavefront.create n in
+    let scratch = ref [||] in
+    Netlist.Wavefront.clear wave;
+    let dirty = ref [] in
+    let entries = ref [] in
+    let note id =
+      if log then
+        entries := (id, t.load.(id), t.slew.(id), t.arc_delay.(id)) :: !entries
+    in
+    let allow = match within with None -> fun _ -> true | Some f -> f in
+    List.iter
+      (fun g ->
+        if allow g then Netlist.Wavefront.push wave g;
+        Array.iter
+          (fun fi ->
+            if allow fi then begin
+              let load' = Netlist.Circuit.load circuit fi in
+              if load' <> t.load.(fi) then begin
+                note fi;
+                t.load.(fi) <- load';
+                dirty := fi :: !dirty;
+                if Netlist.Circuit.cell circuit fi <> None then
+                  Netlist.Wavefront.push wave fi
+              end
+            end)
+          (Netlist.Circuit.fanins circuit g))
+      resized;
+    let push_fo fo = Netlist.Wavefront.push wave fo in
+    let quit = ref false in
+    while not !quit do
+      let id = Netlist.Wavefront.pop wave in
+      if id < 0 then quit := true
+      else if allow id then
+        match Netlist.Circuit.cell circuit id with
+        | None -> ()
+        | Some cell ->
+            let fanins = Netlist.Circuit.fanins circuit id in
+            let nf = Array.length fanins in
+            let load_id = t.load.(id) in
+            let worst_in_slew = ref 0.0 in
+            for k = 0 to nf - 1 do
+              worst_in_slew := Float.max !worst_in_slew t.slew.(fanins.(k))
+            done;
+            if Array.length !scratch < nf then scratch := Array.make nf 0.0;
+            let stage = !scratch in
+            let resized_here = List.mem id resized in
+            let old_arcs = t.arc_delay.(id) in
+            let equal = ref ((not resized_here) && Array.length old_arcs = nf) in
+            for k = 0 to nf - 1 do
+              let d =
+                Cells.Cell.delay cell ~slew:t.slew.(fanins.(k)) ~load:load_id
+              in
+              stage.(k) <- d;
+              if !equal && d <> old_arcs.(k) then equal := false
+            done;
+            let slew' = Cells.Cell.slew cell ~slew:!worst_in_slew ~load:load_id in
+            let arcs_equal = !equal in
+            let slew_moved = Float.abs (slew' -. t.slew.(id)) > slew_tol in
+            if (not arcs_equal) || slew_moved then begin
+              note id;
+              if not arcs_equal then begin
+                t.arc_delay.(id) <- Array.sub stage 0 nf;
+                dirty := id :: !dirty
+              end;
+              if slew_moved then begin
+                t.slew.(id) <- slew';
+                if arcs_equal then dirty := id :: !dirty;
+                Netlist.Circuit.iter_fanouts circuit id ~f:push_fo
+              end
+            end
+    done;
+    (!dirty, Array.of_list !entries)
+
+  let update_logged ?(slew_tol = 0.0) ?within t circuit ~resized =
+    update_core ~slew_tol ~within ~log:true t circuit ~resized
+end
+
+let rows_bit_equal a b =
+  Array.length a = Array.length b && Array.for_all2 bit_equal a b
+
+(* Random window trials on suite circuits: resize a random gate and up to
+   two of its gate fanins, then run the trial update on the long-lived
+   state under test and the oracle on a copy of it, both clipped to the
+   pivot's depth-2 window. The dirty ids (in order) and every load, slew
+   and arc delay must agree to the bit; after [rewind], every node must
+   hold its old load and slew to the bit and the very arc row it held
+   before. The state under test is reused across all trials of a circuit,
+   so a log or trial row left over from one trial would corrupt the
+   next. *)
+let test_trial_update_matches_oracle () =
+  List.iter
+    (fun name ->
+      let c = sized name in
+      let rng = Random.State.make [| Hashtbl.hash name; 0x7121 |] in
+      let e = Sta.Electrical.compute c in
+      let n = Netlist.Circuit.size c in
+      let within = Array.make n false in
+      let seeds = Array.make n 0 in
+      let gates = Array.of_list (Netlist.Circuit.gates c) in
+      let touched = ref 0 in
+      for step = 1 to 80 do
+        let what = Printf.sprintf "%s trial %d: %s" name step in
+        let pivot = gates.(Random.State.int rng (Array.length gates)) in
+        let fanin_gates =
+          Array.to_list (Netlist.Circuit.fanins c pivot)
+          |> List.filter (fun fi -> not (Netlist.Circuit.is_input c fi))
+          |> List.sort_uniq compare
+        in
+        let resized =
+          pivot
+          :: List.filter (fun _ -> Random.State.int rng 3 = 0) fanin_gates
+        in
+        let load0 = Array.copy e.Sta.Electrical.load
+        and slew0 = Array.copy e.Sta.Electrical.slew
+        and rows0 = Array.copy e.Sta.Electrical.arc_delay in
+        let oracle =
+          { e with
+            Sta.Electrical.load = Array.copy load0;
+            slew = Array.copy slew0;
+            arc_delay = Array.copy rows0;
+            work = None }
+        in
+        let cells0 = List.map (fun g -> (g, Netlist.Circuit.cell_exn c g)) resized in
+        List.iter
+          (fun g -> Netlist.Circuit.set_cell c g (alt_size_random rng c g))
+          resized;
+        let members = (Netlist.Cone.extract c ~pivot ~depth:2).Netlist.Cone.members in
+        Array.iter (fun id -> within.(id) <- true) members;
+        List.iteri (fun i g -> seeds.(i) <- g) resized;
+        let dirty_o, _log =
+          Oracle_logged.update_logged ~within:(fun id -> within.(id)) oracle c
+            ~resized
+        in
+        Sta.Electrical.update_trial e c ~within ~resized:seeds
+          ~nresized:(List.length resized);
+        let k = Sta.Electrical.dirty_count e in
+        touched := !touched + k;
+        check_true (what "dirty ids")
+          (List.init k (fun i -> Sta.Electrical.dirty e (k - 1 - i)) = dirty_o);
+        for id = 0 to n - 1 do
+          if
+            not
+              (bit_equal e.Sta.Electrical.load.(id) oracle.Sta.Electrical.load.(id)
+              && bit_equal e.Sta.Electrical.slew.(id)
+                   oracle.Sta.Electrical.slew.(id)
+              && rows_bit_equal e.Sta.Electrical.arc_delay.(id)
+                   oracle.Sta.Electrical.arc_delay.(id))
+          then Alcotest.failf "%s" (what (Printf.sprintf "node %d written" id))
+        done;
+        Sta.Electrical.rewind e;
+        for id = 0 to n - 1 do
+          if
+            not
+              (bit_equal e.Sta.Electrical.load.(id) load0.(id)
+              && bit_equal e.Sta.Electrical.slew.(id) slew0.(id)
+              && e.Sta.Electrical.arc_delay.(id) == rows0.(id))
+          then Alcotest.failf "%s" (what (Printf.sprintf "node %d rewound" id))
+        done;
+        Array.iter (fun id -> within.(id) <- false) members;
+        List.iter (fun (g, cell) -> Netlist.Circuit.set_cell c g cell) cells0
+      done;
+      check_true (name ^ ": trials touched nodes") (!touched > 0))
+    [ "alu2"; "c432"; "c880" ]
+
+(* A trial whose callback raises: the window must restore the cells, its
+   clip bitmap and the shared electrical state on the way out. Cells and
+   electrical state are compared directly (arc rows physically); the clip
+   bitmap through every later trial's dirty set, which a stale member
+   would widen, against a fresh window over the same state; and every
+   later verdict must be a fresh window's. *)
+let test_raising_trial_restores () =
+  let c = sized "c432" in
+  let objective = Core.Objective.create ~alpha:3.0 in
+  let full = Ssta.Fullssta.run c in
+  let e = Ssta.Fullssta.electrical full in
+  let window () =
+    Core.Window.create ~engine:Core.Window.Production ~circuit:c
+      ~model:Variation.Model.default ~objective ~full ()
+  in
+  let w = window () in
+  let gates = Netlist.Circuit.gates c in
+  let sub g = Netlist.Cone.extract c ~pivot:g ~depth:2 in
+  let strongest g =
+    let current = Netlist.Circuit.cell_exn c g in
+    Array.fold_left
+      (fun best cell ->
+        if Cells.Cell.strength cell > Cells.Cell.strength best then cell else best)
+      current
+      (Cells.Library.sizes_of_fn lib (Cells.Cell.fn current))
+  in
+  let cells () = List.map (fun g -> Cells.Cell.name (Netlist.Circuit.cell_exn c g)) gates in
+  let cells0 = cells () in
+  let load0 = Array.copy e.Sta.Electrical.load
+  and slew0 = Array.copy e.Sta.Electrical.slew
+  and rows0 = Array.copy e.Sta.Electrical.arc_delay in
+  let raised = ref 0 in
+  List.iter
+    (fun g ->
+      match
+        Core.Window.capture_trial w ~lib (sub g) (strongest g) (fun () ->
+            raise Exit)
+      with
+      | () -> ()
+      | exception Exit -> incr raised)
+    gates;
+  check_int "every callback raised" (List.length gates) !raised;
+  check_true "cells restored" (cells () = cells0);
+  for id = 0 to Netlist.Circuit.size c - 1 do
+    check_true
+      (Printf.sprintf "node %d electrical state restored" id)
+      (bit_equal e.Sta.Electrical.load.(id) load0.(id)
+      && bit_equal e.Sta.Electrical.slew.(id) slew0.(id)
+      && e.Sta.Electrical.arc_delay.(id) == rows0.(id))
+  done;
+  let dirty_ids w g =
+    Core.Window.capture_trial w ~lib (sub g) (strongest g) (fun () ->
+        List.init (Sta.Electrical.dirty_count e) (Sta.Electrical.dirty e)
+        |> List.sort_uniq compare)
+  in
+  let fresh = window () in
+  List.iter
+    (fun g ->
+      let what = Printf.sprintf "gate %d: %s" g in
+      check_true (what "clip unchanged") (dirty_ids w g = dirty_ids fresh g);
+      let v = Core.Window.best_size w ~lib (sub g)
+      and v' = Core.Window.best_size fresh ~lib (sub g) in
+      Alcotest.(check string)
+        (what "best cell") (Cells.Cell.name v'.Core.Window.best)
+        (Cells.Cell.name v.Core.Window.best);
+      check_true (what "co-resizes")
+        (cell_names v.Core.Window.co_resizes = cell_names v'.Core.Window.co_resizes);
+      check_true (what "best_cost bit-equal")
+        (bit_equal v.Core.Window.best_cost v'.Core.Window.best_cost);
+      check_true (what "current_cost bit-equal")
+        (bit_equal v.Core.Window.current_cost v'.Core.Window.current_cost))
+    gates
 
 (* Area recovery as it stood before it judged on the Production window,
    verbatim up to module paths: every trial downsize priced from scratch by
@@ -410,6 +666,13 @@ let () =
             `Quick test_sizer_incremental_bitexact;
           Alcotest.test_case "Production and Reference windows agree per gate"
             `Quick test_window_engines_agree;
+        ] );
+      ( "trial",
+        [
+          Alcotest.test_case "trial update and rewind = logged oracle, bit for bit"
+            `Quick test_trial_update_matches_oracle;
+          Alcotest.test_case "a raising trial restores cells, clip and state"
+            `Quick test_raising_trial_restores;
         ] );
       ( "recovery",
         [
