@@ -64,6 +64,7 @@ type t = {
   in_window : bool array; (* scratch membership bitmap for clipped trials *)
   seeds : int array; (* a trial's resized ids: pivot, then co-sized fanins *)
   mutable saved : Cells.Cell.t array; (* co-sized fanins' cells before a trial *)
+  mutable trial_live : bool; (* a [with_trial] is running; trials do not nest *)
   stats : Ssta.Fassta.stats;
   (* Production caches (empty on the Reference engine). All of it is pure
      caching: every value read out of these structures is bit-identical to
@@ -394,6 +395,7 @@ let create ?(mode = Global) ?(engine = Reference) ?(area_weight = 0.0) ~circuit
       in_window = Array.make n false;
       seeds = Array.make (1 + !max_fanins) 0;
       saved = [||];
+      trial_live = false;
       stats = Ssta.Fassta.make_stats ();
       arc_off;
       f_arc_mean = Array.make narcs 0.0;
@@ -577,8 +579,13 @@ let rec fill_seeds t i = function
 (* Install [trial] on the pivot plus (with [co_size]) its fanin co-sizing,
    run [f adjustments], and restore every cell, also when [f] raises.
    Returns [f]'s result, the adjustments the trial would commit, and the
-   area the move adds (0 when area is not priced). *)
+   area the move adds (0 when area is not priced). Trials do not nest:
+   [saved], [in_window] and the electrical trial log each hold one trial,
+   so a trial started from inside [f] is refused before it touches any of
+   them, and the exception unwinds the live trial through its handlers. *)
 let with_trial t ~lib ~co_size pivot trial f =
+  if t.trial_live then invalid_arg "Window: a trial is already live";
+  t.trial_live <- true;
   let circuit = t.circuit in
   let original = Netlist.Circuit.cell_exn circuit pivot in
   let adjustments = ref [] in
@@ -596,6 +603,7 @@ let with_trial t ~lib ~co_size pivot trial f =
       let adj = !adjustments in
       restore_cells t 0 adj;
       Netlist.Circuit.set_cell circuit pivot original;
+      t.trial_live <- false;
       let area_delta =
         if t.area_weight = 0.0 then 0.0
         else
@@ -607,6 +615,7 @@ let with_trial t ~lib ~co_size pivot trial f =
       let bt = Printexc.get_raw_backtrace () in
       restore_cells t 0 !adjustments;
       Netlist.Circuit.set_cell circuit pivot original;
+      t.trial_live <- false;
       Printexc.raise_with_backtrace e bt
 
 let set_members t members v =
@@ -849,14 +858,15 @@ let vec_costs t ~lib ~co_size (sub : Netlist.Cone.subcircuit) trials =
       (rv +. (t.area_weight *. area_delta), adjustments))
     priced
 
-let capture_trial ?(co_size = true) t ~lib (sub : Netlist.Cone.subcircuit)
-    trial k =
+let capture_trial t ~lib (sub : Netlist.Cone.subcircuit) trial k =
   if t.engine <> Production then
     invalid_arg "Window.capture_trial: Reference window";
   ensure_vc t 1;
   t.gen <- t.gen + 1;
   Netlist.Wavefront.clear t.wavefront;
-  let r, _, _ = capture_candidate t ~lib ~co_size sub ~gen:t.gen 0 trial k in
+  let r, _, _ =
+    capture_candidate t ~lib ~co_size:true sub ~gen:t.gen 0 trial k
+  in
   Netlist.Wavefront.clear t.wavefront;
   r
 

@@ -65,7 +65,6 @@ val cost_with_cell :
     moves cross the load-coordination barrier. *)
 
 val capture_trial :
-  ?co_size:bool ->
   t ->
   lib:Cells.Library.t ->
   Netlist.Cone.subcircuit ->
@@ -74,14 +73,21 @@ val capture_trial :
   'a
 (** [capture_trial t ~lib sub cell k] runs one candidate's capture phase as
     {!best_size} runs it on a [Production] window: install [cell] on the
-    pivot (with its fanin co-sizing when [co_size], default true), run the
-    window-clipped logged electrical update
-    ({!Sta.Electrical.update_trial}) and capture the perturbed arc moments
-    of every dirty node. It then runs [k] while the trial is live (the
-    dirty ids are readable through {!Sta.Electrical.dirty}) and restores
-    the cells, the window's clip bitmap and the electrical state, also when
-    [k] raises. For tests and benchmarks of the capture layer; raises
-    [Invalid_argument] on a [Reference] window. *)
+    pivot with its fanin co-sizing, run the window-clipped logged
+    electrical update ({!Sta.Electrical.update_trial}) and capture the
+    perturbed arc moments of every dirty node. It then runs [k] while the
+    trial is live (the dirty ids are readable through
+    {!Sta.Electrical.dirty}) and restores the cells, the window's clip
+    bitmap and the electrical state, also when [k] raises. For tests and
+    benchmarks of the capture layer; raises [Invalid_argument] on a
+    [Reference] window.
+
+    Trials do not nest. [k] must not start another trial on [t]
+    ({!capture_trial}, {!cost_with_cell}, {!best_size}): that call raises
+    [Invalid_argument] before it changes anything, and the exception
+    unwinds this trial like any other raised by [k]. Nor may [k] open a
+    trial on the electrical state [t] shares (see
+    {!Sta.Electrical.update_trial}). *)
 
 type verdict = {
   best : Cells.Cell.t;

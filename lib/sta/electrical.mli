@@ -64,9 +64,11 @@ val update_trial :
     preallocated arrays before its first mutation, and new arc delays go
     into a per-node trial row, so no committed row is overwritten. Read
     the changed ids with {!dirty_count} and {!dirty}, then undo the trial
-    with {!rewind} before the next update. Raises [Invalid_argument] if
-    [within] is shorter than the circuit or the previous trial was not
-    rewound. *)
+    with {!rewind} before the next update. Trials do not nest: the state
+    holds one trial log, and {!rewind} undoes all of it, so a caller must
+    not open a second trial while its own is live, nor rewind a trial it
+    did not open. Raises [Invalid_argument], changing nothing, if [within]
+    is shorter than the circuit or the previous trial was not rewound. *)
 
 val dirty_count : t -> int
 (** Number of ids the last {!update} or {!update_trial} recorded as changed. *)

@@ -424,11 +424,13 @@ let test_trial_update_matches_oracle () =
     [ "alu2"; "c432"; "c880" ]
 
 (* A trial whose callback raises: the window must restore the cells, its
-   clip bitmap and the shared electrical state on the way out. Cells and
-   electrical state are compared directly (arc rows physically); the clip
-   bitmap through every later trial's dirty set, which a stale member
-   would widen, against a fresh window over the same state; and every
-   later verdict must be a fresh window's. *)
+   clip bitmap and the shared electrical state on the way out. Every other
+   gate's callback starts a nested trial on the previous gate instead,
+   which the window must refuse before it touches the live trial's state.
+   Cells and electrical state are compared directly (arc rows
+   physically); the clip bitmap through every later trial's dirty set,
+   which a stale member would widen, against a fresh window over the same
+   state; and every later verdict must be a fresh window's. *)
 let test_raising_trial_restores () =
   let c = sized "c432" in
   let objective = Core.Objective.create ~alpha:3.0 in
@@ -454,17 +456,23 @@ let test_raising_trial_restores () =
   let load0 = Array.copy e.Sta.Electrical.load
   and slew0 = Array.copy e.Sta.Electrical.slew
   and rows0 = Array.copy e.Sta.Electrical.arc_delay in
-  let raised = ref 0 in
-  List.iter
-    (fun g ->
+  let raised = ref 0 and refused = ref 0 in
+  let prev = ref (List.hd gates) in
+  List.iteri
+    (fun i g ->
+      let g' = !prev in
+      prev := g;
       match
         Core.Window.capture_trial w ~lib (sub g) (strongest g) (fun () ->
-            raise Exit)
+            if i mod 2 = 0 then raise Exit
+            else Core.Window.capture_trial w ~lib (sub g') (strongest g') ignore)
       with
       | () -> ()
-      | exception Exit -> incr raised)
+      | exception Exit -> incr raised
+      | exception Invalid_argument _ -> incr refused)
     gates;
-  check_int "every callback raised" (List.length gates) !raised;
+  check_int "every callback raised" (List.length gates) (!raised + !refused);
+  check_int "every nested trial refused" (List.length gates / 2) !refused;
   check_true "cells restored" (cells () = cells0);
   for id = 0 to Netlist.Circuit.size c - 1 do
     check_true
