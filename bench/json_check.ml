@@ -1,8 +1,9 @@
 (* Validator + counter-regression gate for the bench JSON emitters (the
    toolchain carries no JSON package; parsing comes from Obs.Json).
 
-   Plain mode — `json_check FILE...` — validates each file parses as JSON,
-   guarding the hand-rolled emitters from rotting into almost-JSON.
+   Plain mode — `json_check FILE...` — validates each file parses as JSON
+   (`-` reads standard input), guarding the emitters from rotting into
+   almost-JSON.
 
    Gate mode — `json_check --gate CURRENT BASELINE` — diffs the statobs
    counter block of a fresh BENCH_counters.json against the committed
@@ -15,25 +16,28 @@
    baseline-free serve check: the warm cache path must be faster than
    cold. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let body = really_input_string ic len in
-  close_in ic;
-  body
+let read_file = function
+  | "-" -> In_channel.input_all stdin
+  | path ->
+      let ic = open_in_bin path in
+      let len = in_channel_length ic in
+      let body = really_input_string ic len in
+      close_in ic;
+      body
 
 let validate path =
-  match Obs.Json.parse_result (read_file path) with
-  | Ok _ ->
-      Printf.printf "%s: valid JSON (%d bytes)\n" path
-        (String.length (read_file path));
-      true
-  | Error (msg, at) ->
-      Printf.eprintf "%s: INVALID JSON at byte %d: %s\n" path at msg;
-      false
+  match read_file path with
   | exception Sys_error e ->
       Printf.eprintf "%s: %s\n" path e;
       false
+  | body -> (
+      match Obs.Json.parse_result body with
+      | Ok _ ->
+          Printf.printf "%s: valid JSON (%d bytes)\n" path (String.length body);
+          true
+      | Error (msg, at) ->
+          Printf.eprintf "%s: INVALID JSON at byte %d: %s\n" path at msg;
+          false)
 
 (* ---- gate mode ----------------------------------------------------------- *)
 

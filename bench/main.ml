@@ -7,7 +7,7 @@
      dune exec bench/main.exe -- table1|fig1|fig3|fig4|approx|ablation|micro|incremental|serve|counters|statrace|statflow
 
    --json additionally emits machine-readable BENCH_micro.json /
-   BENCH_incremental.json (hand-rolled encoder; no JSON dependency);
+   BENCH_incremental.json (written through Obs.Json);
    --smoke is the tiny-quota --quick variant behind the @bench-smoke alias.
 
    Absolute numbers are not expected to match the paper (our substrate is a
@@ -31,62 +31,34 @@ let wants section =
 
 let heading title = Fmt.pr "@.=== %s ===@." title
 
-(* ---- hand-rolled JSON (the toolchain ships no JSON package) -------------- *)
+(* ---- BENCH documents: Obs.Json values, written indented --------------- *)
 
-type jsonv =
-  | Jnum of float
-  | Jint of int
-  | Jstr of string
-  | Jbool of bool
-  | Jlist of jsonv list
-  | Jobj of (string * jsonv) list
+module J = Obs.Json
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let jint n = J.Num (float_of_int n)
 
-let rec emit_json b ~indent v =
+(* Arrays and objects one member per line; every atom, key included, is
+   Obs.Json's compact text. *)
+let rec emit_json b ~indent (v : J.t) =
   let pad n = String.make n ' ' in
+  let block opening closing items emit_item =
+    Buffer.add_string b (opening ^ "\n");
+    List.iteri
+      (fun i item ->
+        if i > 0 then Buffer.add_string b ",\n";
+        Buffer.add_string b (pad (indent + 2));
+        emit_item item)
+      items;
+    Buffer.add_string b ("\n" ^ pad indent ^ closing)
+  in
   match v with
-  | Jint i -> Buffer.add_string b (string_of_int i)
-  | Jnum f ->
-      (* JSON has no NaN/inf literals; encode those as null *)
-      if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.17g" f)
-      else Buffer.add_string b "null"
-  | Jstr s -> Buffer.add_string b ("\"" ^ json_escape s ^ "\"")
-  | Jbool v -> Buffer.add_string b (if v then "true" else "false")
-  | Jlist [] -> Buffer.add_string b "[]"
-  | Jlist items ->
-      Buffer.add_string b "[\n";
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_string b ",\n";
-          Buffer.add_string b (pad (indent + 2));
+  | J.Arr (_ :: _ as items) ->
+      block "[" "]" items (emit_json b ~indent:(indent + 2))
+  | J.Obj (_ :: _ as fields) ->
+      block "{" "}" fields (fun (k, item) ->
+          Buffer.add_string b (J.to_string (J.Str k) ^ ": ");
           emit_json b ~indent:(indent + 2) item)
-        items;
-      Buffer.add_string b ("\n" ^ pad indent ^ "]")
-  | Jobj [] -> Buffer.add_string b "{}"
-  | Jobj fields ->
-      Buffer.add_string b "{\n";
-      List.iteri
-        (fun i (k, item) ->
-          if i > 0 then Buffer.add_string b ",\n";
-          Buffer.add_string b (pad (indent + 2) ^ "\"" ^ json_escape k ^ "\": ");
-          emit_json b ~indent:(indent + 2) item)
-        fields;
-      Buffer.add_string b ("\n" ^ pad indent ^ "}")
+  | atom -> Buffer.add_string b (J.to_string atom)
 
 (* BENCH_PREFIX lets two bench invocations coexist in one build directory:
    the smoke run and the counter gate both emit BENCH_counters.json, and
@@ -311,25 +283,25 @@ let run_micro () =
   | None -> ());
   if json then
     write_json "BENCH_micro.json"
-      (Jobj
+      (J.Obj
          [
-           ("section", Jstr "micro");
-           ("quota_s", Jnum quota_s);
-           ("smoke", Jbool smoke);
+           ("section", J.Str "micro");
+           ("quota_s", J.Num quota_s);
+           ("smoke", J.Bool smoke);
            ( "results",
-             Jlist
+             J.Arr
                (List.rev_map
                   (fun (name, est) ->
-                    Jobj [ ("name", Jstr name); ("ns_per_run", Jnum est) ])
+                    J.Obj [ ("name", J.Str name); ("ns_per_run", J.Num est) ])
                   !estimates) );
            ( "regressions",
-             Jobj
+             J.Obj
                [
                  ( "max2_48pt_over_12pt_ratio",
-                   match max2_ratio with Some r -> Jnum r | None -> Jnum Float.nan
+                   match max2_ratio with Some r -> J.Num r | None -> J.Num Float.nan
                  );
                  ( "max2_scaling_linear",
-                   Jbool
+                   J.Bool
                      (match max2_ratio with Some r -> r < 8.0 | None -> false) );
                ] );
          ])
@@ -405,34 +377,34 @@ let run_incremental () =
       total_s total_i aggregate;
   if json then
     write_json "BENCH_incremental.json"
-      (Jobj
+      (J.Obj
          [
-           ("section", Jstr "incremental");
-           ("smoke", Jbool smoke);
-           ("max_iterations", Jint max_iterations);
+           ("section", J.Str "incremental");
+           ("smoke", J.Bool smoke);
+           ("max_iterations", jint max_iterations);
            ( "quick_subset_aggregate",
-             Jobj
+             J.Obj
                [
-                 ("scratch_s", Jnum total_s);
-                 ("incremental_s", Jnum total_i);
-                 ("speedup", Jnum aggregate);
+                 ("scratch_s", J.Num total_s);
+                 ("incremental_s", J.Num total_i);
+                 ("speedup", J.Num aggregate);
                ] );
            ( "circuits",
-             Jlist
+             J.Arr
                (List.map
                   (fun (name, t_s, t_i, speedup, identical, r) ->
-                    Jobj
+                    J.Obj
                       [
-                        ("name", Jstr name);
-                        ("scratch_s", Jnum t_s);
-                        ("incremental_s", Jnum t_i);
-                        ("speedup", Jnum speedup);
-                        ("final_sizing_identical", Jbool identical);
-                        ("total_resizes", Jint r.Core.Sizer.total_resizes);
+                        ("name", J.Str name);
+                        ("scratch_s", J.Num t_s);
+                        ("incremental_s", J.Num t_i);
+                        ("speedup", J.Num speedup);
+                        ("final_sizing_identical", J.Bool identical);
+                        ("total_resizes", jint r.Core.Sizer.total_resizes);
                         ( "iterations",
-                          Jint (List.length r.Core.Sizer.iterations) );
+                          jint (List.length r.Core.Sizer.iterations) );
                         ( "final_sigma_over_mean",
-                          Jnum
+                          J.Num
                             (Core.Sizer.sigma_over_mean
                                r.Core.Sizer.final_moments) );
                       ])
@@ -478,13 +450,13 @@ let run_serve () =
     Netlist.Bench_io.to_string (Benchgen.Iscas_like.build_exn ~lib "c7552")
   in
   let info_line =
-    Serve.Protocol.to_line
-      (Obs.Json.Obj
+    J.to_string
+      (J.Obj
          [
-           ("serve", Obs.Json.Num 1.0);
-           ("id", Obs.Json.Str "cache");
-           ("op", Obs.Json.Str "info");
-           ("bench", Obs.Json.Str bench_text);
+           ("serve", J.Num 1.0);
+           ("id", J.Str "cache");
+           ("op", J.Str "info");
+           ("bench", J.Str bench_text);
          ])
   in
   let warm_reps = if smoke then 5 else 20 in
@@ -525,25 +497,25 @@ let run_serve () =
   Domain.join daemon;
   if json then
     write_json "BENCH_serve.json"
-      (Jobj
+      (J.Obj
          [
-           ("section", Jstr "serve");
-           ("smoke", Jbool smoke);
-           ("max_iterations", Jint max_iterations);
+           ("section", J.Str "serve");
+           ("smoke", J.Bool smoke);
+           ("max_iterations", jint max_iterations);
            ( "warm_cold",
-             Jobj
+             J.Obj
                [
-                 ("cold_s", Jnum cold_s);
-                 ("warm_s", Jnum warm_s);
-                 ("ratio", Jnum warm_cold_ratio);
-                 ("warm_faster", Jbool (warm_cold_ratio > 1.0));
+                 ("cold_s", J.Num cold_s);
+                 ("warm_s", J.Num warm_s);
+                 ("ratio", J.Num warm_cold_ratio);
+                 ("warm_faster", J.Bool (warm_cold_ratio > 1.0));
                ] );
            ( "throughput",
-             Jobj
+             J.Obj
                [
-                 ("jobs", Jint jobs);
-                 ("wall_s", Jnum batch_s);
-                 ("jobs_per_s", Jnum jobs_per_s);
+                 ("jobs", jint jobs);
+                 ("wall_s", J.Num batch_s);
+                 ("jobs_per_s", J.Num jobs_per_s);
                ] );
          ])
 
@@ -579,27 +551,27 @@ let run_counters () =
   Fmt.pr "  (%.2fs)@." wall_s;
   if json then
     write_json "BENCH_counters.json"
-      (Jobj
+      (J.Obj
          [
-           ("section", Jstr "counters");
-           ("schema", Jstr "statobs/1");
+           ("section", J.Str "counters");
+           ("schema", J.Str "statobs/1");
            ( "workload",
-             Jlist [ Jstr "analyze c432 (fullssta+fassta)"; Jstr "optimize alu1 (2 iterations)" ] );
-           ("counters", Jobj (List.map (fun (k, v) -> (k, Jint v)) counters));
+             J.Arr [ J.Str "analyze c432 (fullssta+fassta)"; J.Str "optimize alu1 (2 iterations)" ] );
+           ("counters", J.Obj (List.map (fun (k, v) -> (k, jint v)) counters));
            ( "timings",
-             Jobj
+             J.Obj
                [
-                 ("wall_s", Jnum wall_s);
+                 ("wall_s", J.Num wall_s);
                  ( "spans",
-                   Jlist
+                   J.Arr
                      (List.map
                         (fun (name, count, total_us, max_us) ->
-                          Jobj
+                          J.Obj
                             [
-                              ("name", Jstr name);
-                              ("count", Jint count);
-                              ("total_us", Jnum total_us);
-                              ("max_us", Jnum max_us);
+                              ("name", J.Str name);
+                              ("count", jint count);
+                              ("total_us", J.Num total_us);
+                              ("max_us", J.Num max_us);
                             ])
                         (Obs.Span.summaries ())) );
                ] );
@@ -641,28 +613,28 @@ let run_statrace () =
     List.iter (fun (code, n) -> Fmt.pr "  %-8s %d@." code n) histogram;
     if json then
       write_json "BENCH_statrace.json"
-        (Jobj
+        (J.Obj
            [
-             ("section", Jstr "statrace");
-             ("schema", Jstr "statrace/1");
-             ("roots", Jlist (List.map (fun r -> Jstr r) roots));
-             ("files_scanned", Jint result.Statrace.Analyze.files_scanned);
+             ("section", J.Str "statrace");
+             ("schema", J.Str "statrace/1");
+             ("roots", J.Arr (List.map (fun r -> J.Str r) roots));
+             ("files_scanned", jint result.Statrace.Analyze.files_scanned);
              ( "entry_points",
-               Jlist
+               J.Arr
                  (List.map
                     (fun (name, file, line) ->
-                      Jobj
+                      J.Obj
                         [
-                          ("name", Jstr name);
-                          ("file", Jstr file);
-                          ("line", Jint line);
+                          ("name", J.Str name);
+                          ("file", J.Str file);
+                          ("line", jint line);
                         ])
                     result.Statrace.Analyze.entry_points) );
              ( "findings_by_code",
-               Jobj (List.map (fun (c, n) -> (c, Jint n)) histogram) );
-             ("findings", Jint (List.length result.Statrace.Analyze.findings));
-             ("suppressed", Jint result.Statrace.Analyze.suppressed);
-             ("wall_s", Jnum wall_s);
+               J.Obj (List.map (fun (c, n) -> (c, jint n)) histogram) );
+             ("findings", jint (List.length result.Statrace.Analyze.findings));
+             ("suppressed", jint result.Statrace.Analyze.suppressed);
+             ("wall_s", J.Num wall_s);
            ])
   end
 
@@ -719,53 +691,53 @@ let run_statflow () =
     List.iter (fun (code, n) -> Fmt.pr "  %-8s %d@." code n) histogram;
     if json then
       write_json "BENCH_statflow.json"
-        (Jobj
+        (J.Obj
            [
-             ("section", Jstr "statflow");
-             ("schema", Jstr "statflow/1");
-             ("roots", Jlist (List.map (fun r -> Jstr r) roots));
-             ("files_scanned", Jint result.Statflow.Analyze.files_scanned);
+             ("section", J.Str "statflow");
+             ("schema", J.Str "statflow/1");
+             ("roots", J.Arr (List.map (fun r -> J.Str r) roots));
+             ("files_scanned", jint result.Statflow.Analyze.files_scanned);
              ( "hot_entries",
-               Jlist
+               J.Arr
                  (List.map
                     (fun (name, file, line) ->
-                      Jobj
+                      J.Obj
                         [
-                          ("name", Jstr name);
-                          ("file", Jstr file);
-                          ("line", Jint line);
+                          ("name", J.Str name);
+                          ("file", J.Str file);
+                          ("line", jint line);
                         ])
                     result.Statflow.Analyze.hot_entries) );
              ( "det_entries",
-               Jlist
+               J.Arr
                  (List.map
                     (fun (name, file, line) ->
-                      Jobj
+                      J.Obj
                         [
-                          ("name", Jstr name);
-                          ("file", Jstr file);
-                          ("line", Jint line);
+                          ("name", J.Str name);
+                          ("file", J.Str file);
+                          ("line", jint line);
                         ])
                     result.Statflow.Analyze.det_entries) );
              ( "alloc_summaries",
-               Jlist
+               J.Arr
                  (List.map
                     (fun (name, c) ->
-                      Jobj
+                      J.Obj
                         [
-                          ("entry", Jstr name);
-                          ("bindings", Jint c.Statflow.Analyze.bindings);
-                          ("constructs", Jint c.Statflow.Analyze.constructs);
-                          ("closures", Jint c.Statflow.Analyze.closures);
-                          ("builders", Jint c.Statflow.Analyze.builders);
-                          ("in_loop", Jint c.Statflow.Analyze.in_loop);
+                          ("entry", J.Str name);
+                          ("bindings", jint c.Statflow.Analyze.bindings);
+                          ("constructs", jint c.Statflow.Analyze.constructs);
+                          ("closures", jint c.Statflow.Analyze.closures);
+                          ("builders", jint c.Statflow.Analyze.builders);
+                          ("in_loop", jint c.Statflow.Analyze.in_loop);
                         ])
                     result.Statflow.Analyze.summaries) );
              ( "findings_by_code",
-               Jobj (List.map (fun (c, n) -> (c, Jint n)) histogram) );
-             ("findings", Jint (List.length result.Statflow.Analyze.findings));
-             ("suppressed", Jint result.Statflow.Analyze.suppressed);
-             ("wall_s", Jnum wall_s);
+               J.Obj (List.map (fun (c, n) -> (c, jint n)) histogram) );
+             ("findings", jint (List.length result.Statflow.Analyze.findings));
+             ("suppressed", jint result.Statflow.Analyze.suppressed);
+             ("wall_s", J.Num wall_s);
            ])
   end
 

@@ -405,16 +405,22 @@ let dot_cmd =
     (Cmd.info "dot" ~doc:"Graphviz export with the WNSS cone highlighted")
     Term.(const run $ circuit_arg $ path_arg)
 
-let lint_cmd =
-  let targets_arg =
-    let doc = "Circuits to lint: suite names or .bench files. With no \
-               targets, only the library and variation model are checked." in
-    Arg.(value & pos_all string [] & info [] ~docv:"CIRCUIT" ~doc)
-  in
-  let all_arg =
-    Arg.(value & flag
-         & info [ "all" ] ~doc:"Also lint every built-in suite circuit.")
-  in
+(* ---- report subcommands: lint, check, races, flow ---------------------- *)
+
+(* Usage problems exit 2 with a plain message so CI can tell "you called it
+   wrong" (2) apart from "the design is bad" (1/3). *)
+let usage_error cmd fmt =
+  Fmt.kstr (fun m -> Fmt.epr "statsize %s: %s@." cmd m; exit 2) fmt
+
+type report = {
+  format : [ `Text | `Json ];
+  strict : bool;
+  registry : Lint.Registry.t;
+}
+
+(* The options every report subcommand takes: --format, --strict, and the
+   --disable/--severity registry spec. *)
+let report_term ~cmd ~severity_example =
   let format_arg =
     Arg.(value
          & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
@@ -432,8 +438,54 @@ let lint_cmd =
   let severity_arg =
     Arg.(value & opt (list string) []
          & info [ "severity" ]
-             ~doc:"Comma-separated severity overrides, e.g. \
-                   CIRC007=error,LIB002=info.")
+             ~doc:
+               ("Comma-separated severity overrides, e.g. " ^ severity_example
+              ^ "."))
+  in
+  let make format strict disable overrides =
+    match Lint.Registry.of_spec ~disable ~overrides () with
+    | Ok registry -> { format; strict; registry }
+    | Error msg -> usage_error cmd "--disable/--severity: %s" msg
+  in
+  Term.(const make $ format_arg $ strict_arg $ disable_arg $ severity_arg)
+
+(* Print the named targets' findings — the JSON document, or [text ()] —
+   and exit with the lint exit code over all of them. *)
+let report_and_exit report targets ~text =
+  (match report.format with
+  | `Json -> print_endline (Lint.Report.to_json targets)
+  | `Text -> text ());
+  exit
+    (Lint.Report.exit_code ~strict:report.strict (List.concat_map snd targets))
+
+let roots_arg =
+  let doc = "Source roots to scan for .ml files (recursive; _build and \
+             dot-directories skipped). Default: $(b,lib) $(b,bin)." in
+  Arg.(value & pos_all dir [] & info [] ~docv:"ROOT" ~doc)
+
+let source_roots ~cmd roots =
+  let roots = if roots = [] then [ "lib"; "bin" ] else roots in
+  List.iter
+    (fun r -> if not (Sys.file_exists r) then usage_error cmd "no such root %s" r)
+    roots;
+  roots
+
+let allow_entries ~cmd parse = function
+  | None -> []
+  | Some path -> (
+      match parse path with
+      | Ok a -> a
+      | Error msg -> usage_error cmd "--allow-file: %s" msg)
+
+let lint_cmd =
+  let targets_arg =
+    let doc = "Circuits to lint: suite names or .bench files. With no \
+               targets, only the library and variation model are checked." in
+    Arg.(value & pos_all string [] & info [] ~docv:"CIRCUIT" ~doc)
+  in
+  let all_arg =
+    Arg.(value & flag
+         & info [ "all" ] ~doc:"Also lint every built-in suite circuit.")
   in
   let liberty_arg =
     Arg.(value & opt (some file) None
@@ -441,15 +493,8 @@ let lint_cmd =
              ~doc:"Lint this liberty-like library dump instead of the \
                    generated default.")
   in
-  (* Usage problems exit 2 with a plain message so CI can tell "you called
-     it wrong" (2) apart from "the design is bad" (1/3). *)
-  let die fmt = Fmt.kstr (fun m -> Fmt.epr "statsize lint: %s@." m; exit 2) fmt in
-  let run targets all format strict disable overrides liberty =
-    let registry =
-      match Lint.Registry.of_spec ~disable ~overrides () with
-      | Ok r -> r
-      | Error msg -> die "--disable/--severity: %s" msg
-    in
+  let die fmt = usage_error "lint" fmt in
+  let run report targets all liberty =
     let model = Variation.Model.default in
     let lib =
       match liberty with
@@ -484,15 +529,12 @@ let lint_cmd =
       :: List.map (fun t -> (t, lint_target t)) targets
     in
     let results =
-      List.map (fun (t, ds) -> (t, Lint.Registry.apply registry ds)) results
+      List.map (fun (t, ds) -> (t, Lint.Registry.apply report.registry ds)) results
     in
-    (match format with
-    | `Json -> print_endline (Lint.Report.to_json results)
-    | `Text ->
+    report_and_exit report results ~text:(fun () ->
         List.iter
           (fun (t, ds) -> Fmt.pr "%s:@.%a" t Lint.Report.pp ds)
-          results);
-    exit (Lint.Report.exit_code ~strict (List.concat_map snd results))
+          results)
   in
   Cmd.v
     (Cmd.info "lint"
@@ -505,8 +547,9 @@ let lint_cmd =
                0 clean or warnings, 1 errors, 2 usage errors, 3 warnings \
                with $(b,--strict).";
          ])
-    Term.(const run $ targets_arg $ all_arg $ format_arg $ strict_arg
-          $ disable_arg $ severity_arg $ liberty_arg)
+    Term.(const run
+          $ report_term ~cmd:"lint" ~severity_example:"CIRC007=error,LIB002=info"
+          $ targets_arg $ all_arg $ liberty_arg)
 
 let check_cmd =
   let targets_arg =
@@ -516,11 +559,6 @@ let check_cmd =
   let all_arg =
     Arg.(value & flag
          & info [ "all" ] ~doc:"Also certify every built-in suite circuit.")
-  in
-  let format_arg =
-    Arg.(value
-         & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-         & info [ "format" ] ~doc:"Output format: $(b,text) or $(b,json).")
   in
   let scope_arg =
     Arg.(value
@@ -536,27 +574,8 @@ let check_cmd =
              ~doc:"ABS005 threshold: accumulated FASSTA budget as a fraction \
                    of the certified RV_O mean bound.")
   in
-  let strict_arg =
-    Arg.(value & flag
-         & info [ "strict" ] ~doc:"Exit 3 when warnings are present (errors \
-                                   always exit 1).")
-  in
-  let disable_arg =
-    Arg.(value & opt (list string) []
-         & info [ "disable" ] ~doc:"Comma-separated rule codes to disable.")
-  in
-  let severity_arg =
-    Arg.(value & opt (list string) []
-         & info [ "severity" ]
-             ~doc:"Comma-separated severity overrides, e.g. ABS005=info.")
-  in
-  let die fmt = Fmt.kstr (fun m -> Fmt.epr "statsize check: %s@." m; exit 2) fmt in
-  let run targets all format scope budget_tol strict disable overrides =
-    let registry =
-      match Lint.Registry.of_spec ~disable ~overrides () with
-      | Ok r -> r
-      | Error msg -> die "--disable/--severity: %s" msg
-    in
+  let die fmt = usage_error "check" fmt in
+  let run report targets all scope budget_tol =
     let targets = targets @ if all then Benchgen.Iscas_like.names else [] in
     if targets = [] then
       die "no circuits to certify (pass suite names, .bench paths, or --all)";
@@ -601,24 +620,18 @@ let check_cmd =
             ~exact:(fun id -> exact.(id))
         @ Lint.Absint_rules.check_budget_tolerance ~tol:budget_tol sc
       in
-      (sc, scd, Lint.Registry.apply registry diags)
+      (sc, scd, Lint.Registry.apply report.registry diags)
     in
     let results = List.map (fun t -> (t, check_target t)) targets in
-    (match format with
-    | `Json ->
-        print_endline
-          (Lint.Report.to_json
-             (List.map (fun (t, (_, _, ds)) -> (t, ds)) results))
-    | `Text ->
+    report_and_exit report
+      (List.map (fun (t, (_, _, ds)) -> (t, ds)) results)
+      ~text:(fun () ->
         List.iter
           (fun (t, (sc, scd, ds)) ->
             Fmt.pr "%s:@.  clark:     %a@.  dist-free: %a@." t
               Absint.Statcheck.pp_summary sc Absint.Statcheck.pp_summary scd;
             Fmt.pr "%a" Lint.Report.pp ds)
-          results);
-    exit
-      (Lint.Report.exit_code ~strict
-         (List.concat_map (fun (_, (_, _, ds)) -> ds) results))
+          results)
   in
   Cmd.v
     (Cmd.info "check"
@@ -634,16 +647,11 @@ let check_cmd =
                match $(b,statsize lint): 0 clean or warnings, 1 \
                errors, 2 usage errors, 3 warnings with $(b,--strict).";
          ])
-    Term.(const run $ targets_arg $ all_arg $ format_arg $ scope_arg
-          $ budget_tol_arg $ strict_arg $ disable_arg
-          $ severity_arg)
+    Term.(const run
+          $ report_term ~cmd:"check" ~severity_example:"ABS005=info"
+          $ targets_arg $ all_arg $ scope_arg $ budget_tol_arg)
 
 let races_cmd =
-  let roots_arg =
-    let doc = "Source roots to scan for .ml files (recursive; _build and \
-               dot-directories skipped). Default: $(b,lib) $(b,bin)." in
-    Arg.(value & pos_all dir [] & info [] ~docv:"ROOT" ~doc)
-  in
   let entry_arg =
     Arg.(value & opt_all string []
          & info [ "entry" ] ~docv:"NAME"
@@ -657,54 +665,19 @@ let races_cmd =
              ~doc:"Allowlist file: lines of CODE PATH[:LINE] reason. Entries \
                    that suppress nothing are flagged PAR007.")
   in
-  let format_arg =
-    Arg.(value
-         & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-         & info [ "format" ] ~doc:"Output format: $(b,text) or $(b,json).")
-  in
-  let strict_arg =
-    Arg.(value & flag
-         & info [ "strict" ] ~doc:"Exit 3 when warnings are present (errors \
-                                   always exit 1).")
-  in
-  let disable_arg =
-    Arg.(value & opt (list string) []
-         & info [ "disable" ] ~doc:"Comma-separated rule codes to disable.")
-  in
-  let severity_arg =
-    Arg.(value & opt (list string) []
-         & info [ "severity" ]
-             ~doc:"Comma-separated severity overrides, e.g. \
-                   PAR005=error,PAR004=info.")
-  in
-  let die fmt = Fmt.kstr (fun m -> Fmt.epr "statsize races: %s@." m; exit 2) fmt in
-  let run roots entries allow_file format strict disable overrides =
-    let registry =
-      match Lint.Registry.of_spec ~disable ~overrides () with
-      | Ok r -> r
-      | Error msg -> die "--disable/--severity: %s" msg
-    in
-    let roots = if roots = [] then [ "lib"; "bin" ] else roots in
-    List.iter
-      (fun r -> if not (Sys.file_exists r) then die "no such root %s" r)
-      roots;
+  let run report roots entries allow_file =
+    let roots = source_roots ~cmd:"races" roots in
     let allow =
-      match allow_file with
-      | None -> []
-      | Some path -> (
-          match Statrace.Analyze.parse_allow_file path with
-          | Ok a -> a
-          | Error msg -> die "--allow-file: %s" msg)
+      allow_entries ~cmd:"races" Statrace.Analyze.parse_allow_file allow_file
     in
     let result =
       Statrace.Analyze.run_dirs ~config:{ Statrace.Analyze.entries; allow }
         roots
     in
-    let findings = Lint.Registry.apply registry result.Statrace.Analyze.findings in
-    (match format with
-    | `Json ->
-        print_endline (Lint.Report.to_json [ ("races", findings) ])
-    | `Text ->
+    let findings =
+      Lint.Registry.apply report.registry result.Statrace.Analyze.findings
+    in
+    report_and_exit report [ ("races", findings) ] ~text:(fun () ->
         Fmt.pr "scanned %d files under %s; %d parallel entry point%s:@."
           result.Statrace.Analyze.files_scanned
           (String.concat ", " roots)
@@ -719,8 +692,7 @@ let races_cmd =
           Fmt.pr "%d finding%s suppressed by pragmas/allowlist@."
             result.Statrace.Analyze.suppressed
             (if result.Statrace.Analyze.suppressed = 1 then "" else "s");
-        Fmt.pr "races:@.%a" Lint.Report.pp findings);
-    exit (Lint.Report.exit_code ~strict findings)
+        Fmt.pr "races:@.%a" Lint.Report.pp findings)
   in
   Cmd.v
     (Cmd.info "races"
@@ -741,15 +713,11 @@ let races_cmd =
                match $(b,statsize lint): 0 clean or warnings, 1 errors, 2 \
                usage errors, 3 warnings with $(b,--strict).";
          ])
-    Term.(const run $ roots_arg $ entry_arg $ allow_file_arg $ format_arg
-          $ strict_arg $ disable_arg $ severity_arg)
+    Term.(const run
+          $ report_term ~cmd:"races" ~severity_example:"PAR005=error,PAR004=info"
+          $ roots_arg $ entry_arg $ allow_file_arg)
 
 let flow_cmd =
-  let roots_arg =
-    let doc = "Source roots to scan for .ml files (recursive; _build and \
-               dot-directories skipped). Default: $(b,lib) $(b,bin)." in
-    Arg.(value & pos_all dir [] & info [] ~docv:"ROOT" ~doc)
-  in
   let entry_arg =
     Arg.(value & opt_all string []
          & info [ "entry" ] ~docv:"NAME"
@@ -764,53 +732,19 @@ let flow_cmd =
              ~doc:"Allowlist file: lines of CODE PATH[:LINE] reason. Entries \
                    that suppress nothing are flagged FLOW007.")
   in
-  let format_arg =
-    Arg.(value
-         & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-         & info [ "format" ] ~doc:"Output format: $(b,text) or $(b,json).")
-  in
-  let strict_arg =
-    Arg.(value & flag
-         & info [ "strict" ] ~doc:"Exit 3 when warnings are present (errors \
-                                   always exit 1).")
-  in
-  let disable_arg =
-    Arg.(value & opt (list string) []
-         & info [ "disable" ] ~doc:"Comma-separated rule codes to disable.")
-  in
-  let severity_arg =
-    Arg.(value & opt (list string) []
-         & info [ "severity" ]
-             ~doc:"Comma-separated severity overrides, e.g. \
-                   HOT001=error,EXC002=info.")
-  in
-  let die fmt = Fmt.kstr (fun m -> Fmt.epr "statsize flow: %s@." m; exit 2) fmt in
-  let run roots entries allow_file format strict disable overrides =
-    let registry =
-      match Lint.Registry.of_spec ~disable ~overrides () with
-      | Ok r -> r
-      | Error msg -> die "--disable/--severity: %s" msg
-    in
-    let roots = if roots = [] then [ "lib"; "bin" ] else roots in
-    List.iter
-      (fun r -> if not (Sys.file_exists r) then die "no such root %s" r)
-      roots;
+  let run report roots entries allow_file =
+    let roots = source_roots ~cmd:"flow" roots in
     let allow =
-      match allow_file with
-      | None -> []
-      | Some path -> (
-          match Statflow.Analyze.parse_allow_file path with
-          | Ok a -> a
-          | Error msg -> die "--allow-file: %s" msg)
+      allow_entries ~cmd:"flow" Statflow.Analyze.parse_allow_file allow_file
     in
     let result =
       Statflow.Analyze.run_dirs ~config:{ Statflow.Analyze.entries; allow }
         roots
     in
-    let findings = Lint.Registry.apply registry result.Statflow.Analyze.findings in
-    (match format with
-    | `Json -> print_endline (Lint.Report.to_json [ ("flow", findings) ])
-    | `Text ->
+    let findings =
+      Lint.Registry.apply report.registry result.Statflow.Analyze.findings
+    in
+    report_and_exit report [ ("flow", findings) ] ~text:(fun () ->
         Fmt.pr
           "scanned %d files under %s; %d hot entr%s, %d result entr%s:@."
           result.Statflow.Analyze.files_scanned
@@ -840,8 +774,7 @@ let flow_cmd =
           Fmt.pr "%d finding%s suppressed by pragmas/allowlist@."
             result.Statflow.Analyze.suppressed
             (if result.Statflow.Analyze.suppressed = 1 then "" else "s");
-        Fmt.pr "flow:@.%a" Lint.Report.pp findings);
-    exit (Lint.Report.exit_code ~strict findings)
+        Fmt.pr "flow:@.%a" Lint.Report.pp findings)
   in
   Cmd.v
     (Cmd.info "flow"
@@ -868,8 +801,9 @@ let flow_cmd =
                warnings, 1 errors, 2 usage errors, 3 warnings with \
                $(b,--strict).";
          ])
-    Term.(const run $ roots_arg $ entry_arg $ allow_file_arg $ format_arg
-          $ strict_arg $ disable_arg $ severity_arg)
+    Term.(const run
+          $ report_term ~cmd:"flow" ~severity_example:"HOT001=error,EXC002=info"
+          $ roots_arg $ entry_arg $ allow_file_arg)
 
 let serve_cmd =
   let socket_arg =

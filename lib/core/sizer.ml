@@ -49,10 +49,8 @@ type config = {
   window_depth : int;
   max_iterations : int;
   samples : int; (* FULLSSTA pdf points *)
-  min_improvement : float; (* relative outer-cost improvement to continue *)
   patience : int; (* consecutive non-improving iterations tolerated *)
   move_threshold : float; (* minimum window-cost gain (ps) to commit a move *)
-  area_weight : float; (* ps of move cost per unit of added area *)
   commit_mode : commit_mode;
   path_source : path_source;
   evaluation : Window.mode; (* trial scoring: windowed (paper) or global *)
@@ -70,10 +68,8 @@ let default_config =
     window_depth = 2;
     max_iterations = 120;
     samples = 12;
-    min_improvement = 0.0;
     patience = 4;
     move_threshold = 0.02;
-    area_weight = 0.0;
     commit_mode = Sequential;
     path_source = Critical_cone;
     evaluation = Window.Global;
@@ -83,10 +79,10 @@ let default_config =
   }
 
 (* The "Original" baseline: pure mean delay with a coarser per-move gain
-   threshold — a mean optimizer run to diminishing returns. (An area-aware
-   variant is available through [area_weight], but because sigma scales as
-   1/size here, any baseline that squeezes the mean harder also pre-crushes
-   sigma and removes the paper's starting point; see DESIGN.md §5.7.) *)
+   threshold — a mean optimizer run to diminishing returns. (Because sigma
+   scales as 1/size here, any baseline that squeezes the mean harder also
+   pre-crushes sigma and removes the paper's starting point; see DESIGN.md
+   §5.7.) *)
 let mean_delay_config =
   { default_config with objective = Objective.mean_delay; move_threshold = 0.5 }
 
@@ -257,9 +253,8 @@ let optimize ?(ignore_lint = false) ?(config = default_config) ~lib circuit =
       (Netlist.Circuit.outputs circuit)
   in
   let make_window full =
-    Window.create ~mode:config.evaluation ~engine:config.engine
-      ~area_weight:config.area_weight ~circuit ~model:config.model
-      ~objective:config.objective ~full ()
+    Window.create ~mode:config.evaluation ~engine:config.engine ~circuit
+      ~model:config.model ~objective:config.objective ~full ()
   in
   (* The persistent window (Production): one allocation for the whole run,
      its shared electrical state and cached base arrivals kept in sync by
@@ -314,9 +309,7 @@ let optimize ?(ignore_lint = false) ?(config = default_config) ~lib circuit =
             | Some w -> Window.base_cost w
             | None -> judge_cost ()
           in
-          let improved =
-            cost' < !best_cost -. (config.min_improvement *. Float.abs !best_cost)
-          in
+          let improved = cost' < !best_cost in
           Log.debug (fun m ->
               m "iter %d: cost %.3f (best %.3f, %d resizes)" index cost'
                 !best_cost (List.length schedule));

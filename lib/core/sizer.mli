@@ -22,10 +22,8 @@ type config = {
   window_depth : int;  (** TFI/TFO levels, paper uses 2 *)
   max_iterations : int;
   samples : int;  (** FULLSSTA pdf points *)
-  min_improvement : float;  (** relative outer-cost decrease to continue *)
   patience : int;  (** consecutive non-improving iterations tolerated *)
   move_threshold : float;  (** minimum window-cost gain (ps) per move *)
-  area_weight : float;  (** ps of move cost per unit of added area *)
   commit_mode : commit_mode;
   path_source : path_source;
   evaluation : Window.mode;  (** trial scoring: windowed (paper) or global *)
@@ -57,6 +55,10 @@ val mean_delay_config : config
 (** The "Original" baseline: identical machinery at α = 0 (pure mean
     delay) with a 0.5 ps move threshold, so the mean optimizer stops at
     diminishing returns. *)
+
+val fullssta_config : config -> Ssta.Fullssta.config
+(** The FULLSSTA settings a sizing run uses: [config]'s [samples], [model]
+    and [electrical]. Its final moments come from a run under them. *)
 
 type iteration = {
   index : int;

@@ -59,7 +59,6 @@ type t = {
   base_var : float array; (* ... and variances *)
   mutable base_cost : float; (* RV_O cost of the base arrivals *)
   override : (int, Numerics.Clark.moments) Hashtbl.t; (* Reference trial deltas *)
-  area_weight : float; (* ps of cost per unit of added area *)
   wavefront : Netlist.Wavefront.t; (* scratch queue for incremental trials *)
   in_window : bool array; (* scratch membership bitmap for clipped trials *)
   seeds : int array; (* a trial's resized ids: pivot, then co-sized fanins *)
@@ -345,8 +344,8 @@ let refresh_base t =
     done
   end
 
-let create ?(mode = Global) ?(engine = Reference) ?(area_weight = 0.0) ~circuit
-    ~model ~objective ~full () =
+let create ?(mode = Global) ?(engine = Reference) ~circuit ~model ~objective
+    ~full () =
   let electrical = Ssta.Fullssta.electrical full in
   let n = Netlist.Circuit.size circuit in
   let down_mean = Array.make n 0.0 and down_var = Array.make n 0.0 in
@@ -390,7 +389,6 @@ let create ?(mode = Global) ?(engine = Reference) ?(area_weight = 0.0) ~circuit
       base_var = Array.make n 0.0;
       base_cost = 0.0;
       override = Hashtbl.create 997;
-      area_weight;
       wavefront = Netlist.Wavefront.create n;
       in_window = Array.make n false;
       seeds = Array.make (1 + !max_fanins) 0;
@@ -563,13 +561,6 @@ let rec restore_cells t i = function
       Netlist.Circuit.set_cell t.circuit fi t.saved.(i);
       restore_cells t (i + 1) rest
 
-let rec added_area t i acc = function
-  | [] -> acc
-  | (_, cell) :: rest ->
-      added_area t (i + 1)
-        (acc +. Cells.Cell.area cell -. Cells.Cell.area t.saved.(i))
-        rest
-
 let rec fill_seeds t i = function
   | [] -> i
   | (fi, _) :: rest ->
@@ -578,11 +569,11 @@ let rec fill_seeds t i = function
 
 (* Install [trial] on the pivot plus (with [co_size]) its fanin co-sizing,
    run [f adjustments], and restore every cell, also when [f] raises.
-   Returns [f]'s result, the adjustments the trial would commit, and the
-   area the move adds (0 when area is not priced). Trials do not nest:
-   [saved], [in_window] and the electrical trial log each hold one trial,
-   so a trial started from inside [f] is refused before it touches any of
-   them, and the exception unwinds the live trial through its handlers. *)
+   Returns [f]'s result and the adjustments the trial would commit. Trials
+   do not nest: [saved], [in_window] and the electrical trial log each hold
+   one trial, so a trial started from inside [f] is refused before it
+   touches any of them, and the exception unwinds the live trial through
+   its handlers. *)
 let with_trial t ~lib ~co_size pivot trial f =
   if t.trial_live then invalid_arg "Window: a trial is already live";
   t.trial_live <- true;
@@ -604,13 +595,7 @@ let with_trial t ~lib ~co_size pivot trial f =
       restore_cells t 0 adj;
       Netlist.Circuit.set_cell circuit pivot original;
       t.trial_live <- false;
-      let area_delta =
-        if t.area_weight = 0.0 then 0.0
-        else
-          Cells.Cell.area trial -. Cells.Cell.area original
-          +. added_area t 0 0.0 adj
-      in
-      (r, adj, area_delta)
+      (r, adj)
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
       restore_cells t 0 !adjustments;
@@ -730,10 +715,7 @@ let vec_costs t ~lib ~co_size (sub : Netlist.Cone.subcircuit) trials =
   let priced =
     Array.mapi
       (fun c trial ->
-        let (), adjustments, area_delta =
-          capture_candidate t ~lib ~co_size sub ~gen c trial ignore
-        in
-        (adjustments, area_delta))
+        snd (capture_candidate t ~lib ~co_size sub ~gen c trial ignore))
       trials
   in
   let acc = { am = 0.0; av = 0.0 } in
@@ -823,7 +805,7 @@ let vec_costs t ~lib ~co_size (sub : Netlist.Cone.subcircuit) trials =
      folding all-base values: [base_cost] was produced by that very fold) *)
   let outs = t.outputs_arr in
   Array.mapi
-    (fun c (adjustments, area_delta) ->
+    (fun c adjustments ->
       let j = t.vc_min_out.(c) in
       let rv =
         if j = max_int then t.base_cost
@@ -855,7 +837,7 @@ let vec_costs t ~lib ~co_size (sub : Netlist.Cone.subcircuit) trials =
             (Numerics.Clark.moments ~mean:acc.am ~var:acc.av)
         end
       in
-      (rv +. (t.area_weight *. area_delta), adjustments))
+      (rv, adjustments))
     priced
 
 let capture_trial t ~lib (sub : Netlist.Cone.subcircuit) trial k =
@@ -864,7 +846,7 @@ let capture_trial t ~lib (sub : Netlist.Cone.subcircuit) trial k =
   ensure_vc t 1;
   t.gen <- t.gen + 1;
   Netlist.Wavefront.clear t.wavefront;
-  let r, _, _ =
+  let r, _ =
     capture_candidate t ~lib ~co_size:true sub ~gen:t.gen 0 trial k
   in
   Netlist.Wavefront.clear t.wavefront;
@@ -888,25 +870,20 @@ let cost_with_cell ?(co_size = true) ~lib t (sub : Netlist.Cone.subcircuit) tria
   | Production, Windowed | Reference, _ ->
       let pivot = sub.Netlist.Cone.pivot in
       let members = sub.Netlist.Cone.members in
-      let c, adjustments, area_delta =
-        with_trial t ~lib ~co_size pivot trial (fun adjustments ->
-            match t.engine with
-            | Production ->
-                with_clipped_update t sub adjustments (fun () ->
-                    windowed_cost t sub)
-            | Reference -> (
-                let snap = Sta.Electrical.snapshot t.electrical members in
-                Fun.protect
-                  ~finally:(fun () -> Sta.Electrical.restore t.electrical snap)
-                @@ fun () ->
-                Sta.Electrical.recompute_nodes t.electrical t.circuit members;
-                match t.mode with
-                | Windowed -> windowed_cost t sub
-                | Global -> trial_cost t ~seed:(fun push -> Array.iter push members)))
-      in
-      (* area-aware variant: price the area this move adds (baseline mean
-         optimization uses it to stop at diminishing returns) *)
-      (c +. (t.area_weight *. area_delta), adjustments)
+      with_trial t ~lib ~co_size pivot trial (fun adjustments ->
+          match t.engine with
+          | Production ->
+              with_clipped_update t sub adjustments (fun () ->
+                  windowed_cost t sub)
+          | Reference -> (
+              let snap = Sta.Electrical.snapshot t.electrical members in
+              Fun.protect
+                ~finally:(fun () -> Sta.Electrical.restore t.electrical snap)
+              @@ fun () ->
+              Sta.Electrical.recompute_nodes t.electrical t.circuit members;
+              match t.mode with
+              | Windowed -> windowed_cost t sub
+              | Global -> trial_cost t ~seed:(fun push -> Array.iter push members)))
 
 type verdict = {
   best : Cells.Cell.t;

@@ -27,7 +27,6 @@ type engine =
 val create :
   ?mode:mode ->
   ?engine:engine ->
-  ?area_weight:float ->
   circuit:Netlist.Circuit.t ->
   model:Variation.Model.t ->
   objective:Objective.t ->
@@ -38,9 +37,7 @@ val create :
     it, so the [full] annotation must come from the same circuit object.
     Default mode: [Global]; default engine: [Reference]. Every trial cost,
     and hence every {!best_size} verdict, is bit-identical across the two
-    engines. [area_weight] (default 0) adds ps-per-area-unit pricing of
-    each move's area delta to trial costs — the baseline mean optimizer
-    uses it to stop at diminishing returns. *)
+    engines. *)
 
 val refresh : t -> unit
 (** Bring a persistent window up to date at the start of a new outer

@@ -32,14 +32,7 @@ type result = {
 
 let measure config circuit ~period =
   let full =
-    Ssta.Fullssta.run
-      ~config:
-        {
-          Ssta.Fullssta.samples = config.sizer.Sizer.samples;
-          model = config.sizer.Sizer.model;
-          electrical = config.sizer.Sizer.electrical;
-        }
-      circuit
+    Ssta.Fullssta.run ~config:(Sizer.fullssta_config config.sizer) circuit
   in
   let m = Ssta.Fullssta.output_moments full in
   ( Ssta.Fullssta.yield_at full ~period,

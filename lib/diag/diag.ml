@@ -1,8 +1,5 @@
-(* Typed diagnostics shared by the lint subsystem and the validators.
-
-   The JSON codec is deliberately hand-rolled: the container ships no JSON
-   library, the schema is ours, and writing both directions in one place is
-   what makes the CLI's --format=json output round-trip by construction. *)
+(* Typed diagnostics shared by the lint subsystem and the validators. Their
+   JSON schema lives with the report renderer, in Lint.Report. *)
 
 module Severity = struct
   type t = Error | Warning | Info
@@ -103,321 +100,3 @@ let pp ppf t =
     t.hint
 
 let to_string t = Fmt.str "%a" pp t
-
-module Json = struct
-  type value =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | List of value list
-    | Obj of (string * value) list
-
-  (* ---- writer ---------------------------------------------------------- *)
-
-  let escape_into buf s =
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s
-
-  let number_string f =
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.17g" f
-
-  let to_string v =
-    let buf = Buffer.create 256 in
-    let rec go = function
-      | Null -> Buffer.add_string buf "null"
-      | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-      | Num f -> Buffer.add_string buf (number_string f)
-      | Str s ->
-          Buffer.add_char buf '"';
-          escape_into buf s;
-          Buffer.add_char buf '"'
-      | List vs ->
-          Buffer.add_char buf '[';
-          List.iteri
-            (fun i v ->
-              if i > 0 then Buffer.add_char buf ',';
-              go v)
-            vs;
-          Buffer.add_char buf ']'
-      | Obj fields ->
-          Buffer.add_char buf '{';
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then Buffer.add_char buf ',';
-              Buffer.add_char buf '"';
-              escape_into buf k;
-              Buffer.add_string buf "\":";
-              go v)
-            fields;
-          Buffer.add_char buf '}'
-    in
-    go v;
-    Buffer.contents buf
-
-  (* ---- parser ---------------------------------------------------------- *)
-
-  exception Bad of string
-
-  let parse text =
-    let n = String.length text in
-    let pos = ref 0 in
-    let fail fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
-    let peek () = if !pos < n then Some text.[!pos] else None in
-    let advance () = incr pos in
-    let skip_ws () =
-      while
-        !pos < n
-        && (match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do
-        advance ()
-      done
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail "expected %C at offset %d" c !pos
-    in
-    let literal word value =
-      let l = String.length word in
-      if !pos + l <= n && String.sub text !pos l = word then begin
-        pos := !pos + l;
-        value
-      end
-      else fail "bad literal at offset %d" !pos
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        let c = text.[!pos] in
-        advance ();
-        if c = '"' then Buffer.contents buf
-        else if c = '\\' then begin
-          (if !pos >= n then fail "unterminated escape");
-          let e = text.[!pos] in
-          advance ();
-          (match e with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'u' ->
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub text !pos 4 in
-              pos := !pos + 4;
-              let cp =
-                try int_of_string ("0x" ^ hex)
-                with _ -> fail "bad \\u escape %S" hex
-              in
-              (* UTF-8 encode the code point (BMP only — all we ever emit). *)
-              if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-              else if cp < 0x800 then begin
-                Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-                Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-              end
-              else begin
-                Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-                Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-                Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-              end
-          | c -> fail "bad escape \\%C" c);
-          go ()
-        end
-        else begin
-          Buffer.add_char buf c;
-          go ()
-        end
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && is_num_char text.[!pos] do
-        advance ()
-      done;
-      let s = String.sub text start (!pos - start) in
-      match float_of_string_opt s with
-      | Some f -> f
-      | None -> fail "bad number %S at offset %d" s start
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then begin
-            advance ();
-            Obj []
-          end
-          else
-            let rec fields acc =
-              skip_ws ();
-              let key = parse_string () in
-              skip_ws ();
-              expect ':';
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  fields ((key, v) :: acc)
-              | Some '}' ->
-                  advance ();
-                  Obj (List.rev ((key, v) :: acc))
-              | _ -> fail "expected ',' or '}' at offset %d" !pos
-            in
-            fields []
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then begin
-            advance ();
-            List []
-          end
-          else
-            let rec elements acc =
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  elements (v :: acc)
-              | Some ']' ->
-                  advance ();
-                  List (List.rev (v :: acc))
-              | _ -> fail "expected ',' or ']' at offset %d" !pos
-            in
-            elements []
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> Num (parse_number ())
-    in
-    match
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then fail "trailing garbage at offset %d" !pos;
-      v
-    with
-    | v -> Ok v
-    | exception Bad msg -> Error msg
-
-  let member key = function
-    | Obj fields -> List.assoc_opt key fields
-    | _ -> None
-
-  (* ---- diagnostic schema ------------------------------------------------ *)
-
-  let location_to_json = function
-    | Circuit -> Obj [ ("kind", Str "circuit") ]
-    | Net n -> Obj [ ("kind", Str "net"); ("name", Str n) ]
-    | Gate g -> Obj [ ("kind", Str "gate"); ("name", Str g) ]
-    | Cell c -> Obj [ ("kind", Str "cell"); ("name", Str c) ]
-    | Lut { cell; table } ->
-        Obj [ ("kind", Str "lut"); ("cell", Str cell); ("table", Str table) ]
-    | Pdf -> Obj [ ("kind", Str "pdf") ]
-    | Pdf_point { index; value } ->
-        Obj
-          [ ("kind", Str "pdf_point"); ("index", Num (float_of_int index));
-            ("value", Num value) ]
-    | Model -> Obj [ ("kind", Str "model") ]
-    | File { file; line } ->
-        Obj
-          [ ("kind", Str "file"); ("file", Str file);
-            ("line", Num (float_of_int line)) ]
-
-  let str_member key v =
-    match member key v with
-    | Some (Str s) -> Ok s
-    | _ -> Error (Printf.sprintf "missing string field %S" key)
-
-  let num_member key v =
-    match member key v with
-    | Some (Num f) -> Ok f
-    | _ -> Error (Printf.sprintf "missing numeric field %S" key)
-
-  let ( let* ) r f = Result.bind r f
-
-  let location_of_json v =
-    let* kind = str_member "kind" v in
-    match kind with
-    | "circuit" -> Ok Circuit
-    | "net" ->
-        let* n = str_member "name" v in
-        Ok (Net n)
-    | "gate" ->
-        let* n = str_member "name" v in
-        Ok (Gate n)
-    | "cell" ->
-        let* n = str_member "name" v in
-        Ok (Cell n)
-    | "lut" ->
-        let* cell = str_member "cell" v in
-        let* table = str_member "table" v in
-        Ok (Lut { cell; table })
-    | "pdf" -> Ok Pdf
-    | "pdf_point" ->
-        let* index = num_member "index" v in
-        let* value = num_member "value" v in
-        Ok (Pdf_point { index = int_of_float index; value })
-    | "model" -> Ok Model
-    | "file" ->
-        let* file = str_member "file" v in
-        let* line = num_member "line" v in
-        Ok (File { file; line = int_of_float line })
-    | k -> Error (Printf.sprintf "unknown location kind %S" k)
-
-  let of_diag t =
-    Obj
-      ([
-         ("code", Str t.code);
-         ("severity", Str (Severity.to_string t.severity));
-         ("location", location_to_json t.location);
-         ("message", Str t.message);
-       ]
-      @ match t.hint with None -> [] | Some h -> [ ("hint", Str h) ])
-
-  let to_diag v =
-    let* code = str_member "code" v in
-    let* sev_s = str_member "severity" v in
-    let* severity =
-      match Severity.of_string sev_s with
-      | Some s -> Ok s
-      | None -> Error (Printf.sprintf "unknown severity %S" sev_s)
-    in
-    let* loc_v =
-      match member "location" v with
-      | Some l -> Ok l
-      | None -> Error "missing location"
-    in
-    let* location = location_of_json loc_v in
-    let* message = str_member "message" v in
-    let hint = match member "hint" v with Some (Str h) -> Some h | _ -> None in
-    Ok { code; severity; location; message; hint }
-end

@@ -1,8 +1,7 @@
 (** Typed diagnostics — the shared currency of the lint subsystem and the
     structural validators: a stable code (e.g. [CIRC001]), a severity, a
     location (net/gate/cell/pdf-point/file:line), a message, and an optional
-    fix hint. The JSON codec is self-contained so the CLI's [--format=json]
-    output round-trips without external dependencies. *)
+    fix hint. [Lint.Report] holds the JSON schema of a diagnostic. *)
 
 module Severity : sig
   type t = Error | Warning | Info
@@ -73,25 +72,3 @@ val pp : t Fmt.t
     output or remove it)]. *)
 
 val to_string : t -> string
-
-(** Minimal self-contained JSON: enough for the lint CLI schema, written and
-    parsed by the same code so output round-trips. *)
-module Json : sig
-  type value =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | List of value list
-    | Obj of (string * value) list
-
-  val to_string : value -> string
-  val parse : string -> (value, string) result
-  (** Parse one JSON document (trailing whitespace allowed). *)
-
-  val member : string -> value -> value option
-  (** Field lookup on [Obj]; [None] otherwise. *)
-
-  val of_diag : t -> value
-  val to_diag : value -> (t, string) result
-end

@@ -66,7 +66,9 @@ let run_alpha ?(ignore_lint = false) ?(recover = true)
       (Core.Area_recovery.recover
          ~config:(Core.Area_recovery.config_of_sizer config)
          ~lib circuit);
-  let full = Ssta.Fullssta.run circuit in
+  let full =
+    Ssta.Fullssta.run ~config:(Core.Sizer.fullssta_config config) circuit
+  in
   let m = Ssta.Fullssta.output_moments full in
   let area = Netlist.Circuit.total_area circuit in
   let b = baseline.moments in

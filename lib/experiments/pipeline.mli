@@ -49,4 +49,7 @@ val run_alpha :
   baseline ->
   alpha:float ->
   stat_run
-(** Copies the baseline circuit, so runs at different α are independent. *)
+(** Copies the baseline circuit, so runs at different α are independent.
+    Sizing, area recovery and the final FULLSSTA run that prices the result
+    all use [config]'s samples, variation model and electrical settings
+    ({!Core.Sizer.fullssta_config}). *)

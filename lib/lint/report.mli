@@ -1,5 +1,6 @@
 (** Rendering and CI plumbing for lint results: pretty text, the JSON
-    document the CLI emits (and can parse back), and exit codes. *)
+    document the CLI emits (and can parse back), and exit codes. The
+    diagnostic JSON schema lives here, written and read with {!Obs.Json}. *)
 
 val pp : Diag.t list Fmt.t
 (** One line per diagnostic plus a summary line. *)
@@ -14,7 +15,10 @@ val exit_code : ?strict:bool -> Diag.t list -> int
 
 val to_json : (string * Diag.t list) list -> string
 (** The CLI's [--format=json] document: named targets, each with its sorted
-    diagnostics. *)
+    diagnostics. A [Pdf_point] value that is NaN or infinite is written as
+    [null], since JSON has no such numbers. *)
 
 val of_json : string -> ((string * Diag.t list) list, string) result
-(** Parse {!to_json} output back — the round-trip contract. *)
+(** Parse {!to_json} output back — the round-trip contract, with one
+    exception: a [null] numeric value reads back as NaN, so an infinite
+    [Pdf_point] value does not survive the round trip. *)

@@ -1,7 +1,9 @@
-(* Minimal hand-rolled JSON reader (the toolchain ships no JSON library).
-   Covers RFC 8259 except surrogate-pair recombination — escaped non-BMP
-   characters decode as two replacement bytes, which none of our emitters
-   produce. Shared by the bench counter gate and the observability tests. *)
+(* The project's one JSON codec, hand-rolled because the toolchain ships no
+   JSON library. The reader covers RFC 8259 except surrogate-pair
+   recombination — escaped non-BMP characters decode as two replacement
+   bytes, which the writer never produces. The writer is compact and
+   single-line: serve/1 responses, lint and certification reports, statobs
+   exports and the bench records all go through it. *)
 
 type t =
   | Null
@@ -207,3 +209,59 @@ let parse_result s =
 let member key = function
   | Obj kvs -> List.assoc_opt key kvs
   | _ -> None
+
+(* ---- writer ---- *)
+
+let add_quoted b s =
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+(* RFC 8259 has no NaN or infinity, so every non-finite number is null. *)
+let add_number b f =
+  if Float.is_integer f && Float.abs f < 1e15 then
+    Buffer.add_string b (Printf.sprintf "%.0f" f)
+  else if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.17g" f)
+  else Buffer.add_string b "null"
+
+(* A fresh buffer per call and no module-level state: pool lanes encode
+   responses concurrently. *)
+let to_string v =
+  let b = Buffer.create 256 in
+  let rec go = function
+    | Null -> Buffer.add_string b "null"
+    | Bool x -> Buffer.add_string b (if x then "true" else "false")
+    | Num f -> add_number b f
+    | Str s -> add_quoted b s
+    | Arr xs ->
+        Buffer.add_char b '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char b ',';
+            go x)
+          xs;
+        Buffer.add_char b ']'
+    | Obj kvs ->
+        Buffer.add_char b '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char b ',';
+            add_quoted b k;
+            Buffer.add_char b ':';
+            go v)
+          kvs;
+        Buffer.add_char b '}'
+  in
+  go v;
+  Buffer.contents b

@@ -6,26 +6,12 @@ let reset () =
   Counters.reset_all ();
   Span.reset ()
 
-(* Hand-rolled emission: the toolchain has no JSON library, and the shapes
-   here are flat enough that a Buffer is clearer than a combinator layer.
-   Floats print as %.3f (microsecond fields with nanosecond noise would
+(* Emitted straight into a Buffer: the shapes here are flat, so that is
+   clearer than building a Json.t first. Names go through Json.to_string;
+   timings print as %.3f (microsecond fields with nanosecond noise would
    defeat eyeball diffing); counters print as plain ints. *)
 
-let escape b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+let add_name b name = Buffer.add_string b (Json.to_string (Json.Str name))
 
 let metrics_json () =
   let b = Buffer.create 1024 in
@@ -33,7 +19,7 @@ let metrics_json () =
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char b ',';
-      escape b name;
+      add_name b name;
       Buffer.add_char b ':';
       Buffer.add_string b (string_of_int v))
     (Counters.dump ());
@@ -42,7 +28,7 @@ let metrics_json () =
     (fun i (name, count, total_us, max_us) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "{\"name\":";
-      escape b name;
+      add_name b name;
       Buffer.add_string b (Printf.sprintf ",\"count\":%d" count);
       Buffer.add_string b (Printf.sprintf ",\"total_us\":%.3f" total_us);
       Buffer.add_string b (Printf.sprintf ",\"max_us\":%.3f}" max_us))
@@ -58,7 +44,7 @@ let trace_json () =
     (fun i (e : Span.event) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "{\"name\":";
-      escape b e.name;
+      add_name b e.name;
       Buffer.add_string b ",\"cat\":\"statsize\",\"ph\":";
       Buffer.add_string b (if e.enter then "\"B\"" else "\"E\"");
       Buffer.add_string b

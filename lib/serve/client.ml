@@ -25,7 +25,7 @@ let request t line =
   | None -> failwith "serve client: daemon closed the connection"
 
 let request_json t json =
-  Obs.Json.parse_exn (request t (Protocol.to_line json))
+  Obs.Json.parse_exn (request t (Obs.Json.to_string json))
 
 let close t =
   (* closing the channel closes the underlying fd *)

@@ -68,60 +68,7 @@ type job =
 type request = { id : Obs.Json.t; job : job }
 type payload = Single of request | Batch of request list
 
-(* ---- compact single-line JSON emitter ---- *)
-
-let escape_into b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let number_text f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else if Float.is_nan f then "null" (* RFC 8259 has no NaN *)
-  else Printf.sprintf "%.17g" f
-
-let to_line json =
-  let b = Buffer.create 256 in
-  let rec go = function
-    | Obs.Json.Null -> Buffer.add_string b "null"
-    | Obs.Json.Bool x -> Buffer.add_string b (if x then "true" else "false")
-    | Obs.Json.Num f -> Buffer.add_string b (number_text f)
-    | Obs.Json.Str s ->
-        Buffer.add_char b '"';
-        escape_into b s;
-        Buffer.add_char b '"'
-    | Obs.Json.Arr xs ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char b ',';
-            go x)
-          xs;
-        Buffer.add_char b ']'
-    | Obs.Json.Obj kvs ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char b ',';
-            Buffer.add_char b '"';
-            escape_into b k;
-            Buffer.add_string b "\":";
-            go v)
-          kvs;
-        Buffer.add_char b '}'
-  in
-  go json;
-  Buffer.contents b
+let to_line = Obs.Json.to_string
 
 (* ---- request parsing ---- *)
 
@@ -307,4 +254,4 @@ let response_json { id; body } =
   in
   Obs.Json.Obj fields
 
-let render_response r = to_line (response_json r)
+let render_response r = Obs.Json.to_string (response_json r)

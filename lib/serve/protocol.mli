@@ -1,7 +1,8 @@
 (** The [serve/1] wire protocol: newline-delimited JSON over a Unix socket
     (statserve tentpole). One request object per line; one response object
-    per line, in request order. Parsed with {!Obs.Json}; emitted by a
-    compact single-line encoder (responses must never contain newlines).
+    per line, in request order. Parsed and encoded by {!Obs.Json}: its
+    writer emits one line (responses never contain newlines) and writes
+    NaN and infinite numbers as [null].
 
     Request: [{"serve":1, "id":..., "op":"...", ...params}] where [id] is
     echoed verbatim (any JSON value). Ops: [ping], [info], [analyze],
@@ -76,4 +77,5 @@ val render_response : response -> string
 (** One line, no trailing newline. *)
 
 val to_line : Obs.Json.t -> string
-(** Compact single-line JSON encoding (strings RFC 8259-escaped). *)
+(** The same function as {!Obs.Json.to_string}; statbench's serve workload
+    calls it under this name. *)

@@ -92,7 +92,7 @@ let parse_row line =
       match Obs.Json.member "error" json with
       | Some e ->
           Error
-            (Printf.sprintf "daemon error: %s" (Protocol.to_line e))
+            (Printf.sprintf "daemon error: %s" (Obs.Json.to_string e))
       | None -> Error "table1 response: not ok, no error")
 
 let run ~socket ?(alphas = Experiments.Table1.default_alphas)
@@ -111,7 +111,7 @@ let run ~socket ?(alphas = Experiments.Table1.default_alphas)
       | None -> []
       | Some n -> [ ("max_iterations", Obs.Json.Num (float_of_int n)) ]
     in
-    Protocol.to_line (Obs.Json.Obj fields)
+    Obs.Json.to_string (Obs.Json.Obj fields)
   in
   match Client.session ~socket (List.map request names) with
   | responses ->

@@ -49,30 +49,6 @@ type t = {
   mutable work : work option;
 }
 
-let compute ?(config = default_config) circuit =
-  let n = Netlist.Circuit.size circuit in
-  Obs.Counters.add c_compute_nodes n;
-  let load = Array.make n 0.0 in
-  let slew = Array.make n config.input_slew in
-  let arc_delay = Array.make n [||] in
-  List.iter
-    (fun id ->
-      load.(id) <- Netlist.Circuit.load circuit id;
-      match Netlist.Circuit.cell circuit id with
-      | None -> () (* primary input: slew stays at the boundary value *)
-      | Some cell ->
-          let fanins = Netlist.Circuit.fanins circuit id in
-          let worst_in_slew =
-            Array.fold_left (fun acc fi -> Float.max acc slew.(fi)) 0.0 fanins
-          in
-          arc_delay.(id) <-
-            Array.map
-              (fun fi -> Cells.Cell.delay cell ~slew:slew.(fi) ~load:load.(id))
-              fanins;
-          slew.(id) <- Cells.Cell.slew cell ~slew:worst_in_slew ~load:load.(id))
-    (Netlist.Circuit.topological circuit);
-  { config; load; slew; arc_delay; work = None }
-
 let load t id = t.load.(id)
 let slew t id = t.slew.(id)
 let arc_delays t id = t.arc_delay.(id)
@@ -108,6 +84,22 @@ let recompute_all t circuit =
   List.iter
     (fun id -> recompute_node t circuit id)
     (Netlist.Circuit.topological circuit)
+
+(* A fresh state is the full refresh of an empty one: primary inputs keep
+   the boundary slew, every gate is derived in topological order. *)
+let compute ?(config = default_config) circuit =
+  let n = Netlist.Circuit.size circuit in
+  let t =
+    {
+      config;
+      load = Array.make n 0.0;
+      slew = Array.make n config.input_slew;
+      arc_delay = Array.make n [||];
+      work = None;
+    }
+  in
+  recompute_all t circuit;
+  t
 
 (* Saved per-node electrical state, for undoing a trial recomputation. *)
 type snapshot = (int * float * float * float array) array

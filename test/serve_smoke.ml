@@ -90,7 +90,7 @@ let () =
           Option.iter
             (fun d -> Hashtbl.replace digests id d)
             (field_string "sizing_digest" json)
-      | _ -> failf "job %s errored: %s" id (Serve.Protocol.to_line json))
+      | _ -> failf "job %s errored: %s" id (Obs.Json.to_string json))
     responses;
   List.iter
     (fun name ->

@@ -86,6 +86,37 @@ let prepare_moments_match_a_fresh_run () =
         (Int64.equal (bits m.Numerics.Clark.var) (bits fresh.Numerics.Clark.var)))
     [ "alu1"; "alu2"; "alu3"; "c432"; "c499"; "c880" ]
 
+(* [run_alpha] prices its result under the FULLSSTA settings its sizer and
+   area recovery ran with, not under [Fullssta.default_config]: with a
+   non-default variation model its final moments are a fresh run's under
+   [Sizer.fullssta_config config], to the bit. *)
+let run_alpha_measures_under_its_config () =
+  let entry = Option.get (Benchgen.Iscas_like.find "alu1") in
+  let baseline =
+    Experiments.Pipeline.prepare ~lib (fun () ->
+        entry.Benchgen.Iscas_like.build ~lib)
+  in
+  let config =
+    {
+      Core.Sizer.default_config with
+      model = Variation.Model.create ~systematic:0.3 ~random_floor:0.6 ();
+      max_iterations = 2;
+    }
+  in
+  let r = Experiments.Pipeline.run_alpha ~config ~lib baseline ~alpha:3.0 in
+  let m = r.Experiments.Pipeline.final_moments
+  and fresh =
+    Ssta.Fullssta.output_moments
+      (Ssta.Fullssta.run
+         ~config:(Core.Sizer.fullssta_config config)
+         r.Experiments.Pipeline.circuit)
+  in
+  let bits = Int64.bits_of_float in
+  check_true "mean bit-equal"
+    (Int64.equal (bits m.Numerics.Clark.mean) (bits fresh.Numerics.Clark.mean));
+  check_true "var bit-equal"
+    (Int64.equal (bits m.Numerics.Clark.var) (bits fresh.Numerics.Clark.var))
+
 let table1_row_small () =
   let entry = Option.get (Benchgen.Iscas_like.find "alu2") in
   let row = Experiments.Table1.run_circuit ~alphas:[ 3.0 ] ~lib entry in
@@ -145,6 +176,8 @@ let () =
           Alcotest.test_case "end to end (alu2)" `Slow pipeline_end_to_end_small;
           Alcotest.test_case "prepare moments = a fresh FULLSSTA run" `Slow
             prepare_moments_match_a_fresh_run;
+          Alcotest.test_case "run_alpha measures under its config" `Quick
+            run_alpha_measures_under_its_config;
         ] );
       ( "table1",
         [

@@ -609,6 +609,27 @@ let json_roundtrip () =
           if d1 <> d2 then Alcotest.failf "diagnostics for %s did not round-trip" n1)
         targets back
 
+(* JSON has no NaN or infinity: the writer prints both as null, and a null
+   value reads back as NaN. *)
+let json_non_finite_values () =
+  let ds =
+    Lint.Stat_rules.check_points
+      [ (Float.nan, -0.5); (Float.infinity, -0.5); (0.0, 2.0) ]
+  in
+  check_int "two negative-mass points" 2 (List.length ds);
+  match Lint.Report.of_json (Lint.Report.to_json [ ("pdf", ds) ]) with
+  | Error e -> Alcotest.failf "parse failed: %s" e
+  | Ok [ ("pdf", back) ] ->
+      check_int "both read back" 2 (List.length back);
+      List.iter
+        (fun d ->
+          match d.Diag.location with
+          | Diag.Pdf_point { value; _ } ->
+              check_true "value reads back as NaN" (Float.is_nan value)
+          | _ -> Alcotest.fail "location changed")
+        back
+  | Ok _ -> Alcotest.fail "expected the one target"
+
 let json_rejects_garbage () =
   (match Lint.Report.of_json "{\"version\":2,\"targets\":[]}" with
   | Error _ -> ()
@@ -733,6 +754,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick json_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick json_rejects_garbage;
+          Alcotest.test_case "non-finite values" `Quick json_non_finite_values;
         ] );
       ("report", [ Alcotest.test_case "exit codes" `Quick exit_codes ]);
       ( "engine",

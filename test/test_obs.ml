@@ -132,6 +132,126 @@ let test_exports_parse () =
                 evs
           | _ -> Alcotest.fail "no traceEvents array"))
 
+(* A span name that needs escaping comes back by that name from both
+   exports: names go through Obs.Json's writer. *)
+let test_exports_escape_names () =
+  let name = "a\"b\nc" in
+  scoped (fun () ->
+      Obs.Span.with_ name (fun () -> ());
+      (match
+         Obs.Json.member "spans" (Obs.Json.parse_exn (Obs.Sink.metrics_json ()))
+       with
+      | Some (Obs.Json.Arr [ span ]) ->
+          check_true "metrics span name"
+            (Obs.Json.member "name" span = Some (Obs.Json.Str name))
+      | _ -> Alcotest.fail "expected one span summary");
+      match
+        Obs.Json.member "traceEvents"
+          (Obs.Json.parse_exn (Obs.Sink.trace_json ()))
+      with
+      | Some (Obs.Json.Arr evs) ->
+          check_int "B and E" 2 (List.length evs);
+          List.iter
+            (fun e ->
+              check_true "trace event name"
+                (Obs.Json.member "name" e = Some (Obs.Json.Str name)))
+            evs
+      | _ -> Alcotest.fail "no traceEvents array")
+
+(* ---- the JSON codec ---------------------------------------------------- *)
+
+let test_to_string_golden () =
+  let open Obs.Json in
+  let bytes what expected v = Alcotest.(check string) what expected (to_string v) in
+  bytes "quote" {|"\""|} (Str "\"");
+  bytes "backslash" {|"\\"|} (Str "\\");
+  bytes "newline" {|"\n"|} (Str "\n");
+  bytes "carriage return" {|"\r"|} (Str "\r");
+  bytes "tab" {|"\t"|} (Str "\t");
+  bytes "other bytes below 0x20" {|"\u0000\u0001\u0008\u000c\u001f"|}
+    (Str "\000\001\b\012\031");
+  bytes "bytes at or above 0x80 raw" "\"\xc3\xa9\x7f\x80\xff/\"" (Str "\xc3\xa9\x7f\x80\xff/");
+  bytes "keys escape too" {|{"a\"b":1}|} (Obj [ ("a\"b", Num 1.0) ]);
+  bytes "integer-valued" "3" (Num 3.0);
+  bytes "1e15" "1000000000000000" (Num 1e15);
+  bytes "just below 1e15" "999999999999999" (Num 999999999999999.0);
+  bytes "negative zero" "-0" (Num (-0.0));
+  bytes "0.1" "0.10000000000000001" (Num 0.1);
+  bytes "large" "1.0000000000000001e+300" (Num 1e300);
+  bytes "NaN" "null" (Num Float.nan);
+  bytes "infinity" "null" (Num Float.infinity);
+  bytes "minus infinity" "null" (Num Float.neg_infinity);
+  bytes "literals" "[null,true,false]" (Arr [ Null; Bool true; Bool false ]);
+  bytes "empty array" "[]" (Arr []);
+  bytes "empty object" "{}" (Obj []);
+  bytes "nested" {|{"a":[1,[],{}],"b":{"c":[[-2.5]],"d":{}}}|}
+    (Obj
+       [
+         ("a", Arr [ Num 1.0; Arr []; Obj [] ]);
+         ("b", Obj [ ("c", Arr [ Arr [ Num (-2.5) ] ]); ("d", Obj []) ]);
+       ])
+
+(* Finite numbers from every branch of the writer: integer-valued ones on
+   both sides of 1e15, signed zeros, subnormals and the extremes. *)
+let gen_finite =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun f -> if Float.is_finite f then f else 0.5) float);
+        (2, map float_of_int int);
+        ( 1,
+          oneofl
+            [ 0.0; -0.0; 1e15; -1e15; 999999999999999.0; 1e16 +. 2.0;
+              5e-324; Float.min_float; Float.max_float; -.Float.max_float;
+              0.1 ] );
+      ])
+
+let gen_json =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:char (int_range 0 6) in
+  let leaf =
+    frequency
+      [
+        (1, return Obs.Json.Null);
+        (1, map (fun b -> Obs.Json.Bool b) bool);
+        (3, map (fun f -> Obs.Json.Num f) gen_finite);
+        (3, map (fun s -> Obs.Json.Str s) bytes);
+      ]
+  in
+  sized_size (int_range 0 24)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               ( 1,
+                 map
+                   (fun xs -> Obs.Json.Arr xs)
+                   (list_size (int_range 0 4) (self (n / 3))) );
+               ( 1,
+                 map
+                   (fun kvs -> Obs.Json.Obj kvs)
+                   (list_size (int_range 0 4) (pair bytes (self (n / 3)))) );
+             ])
+
+(* Structural equality with numbers compared bit for bit. *)
+let rec json_equal (a : Obs.Json.t) (b : Obs.Json.t) =
+  match (a, b) with
+  | Num x, Num y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Arr xs, Arr ys -> List.equal json_equal xs ys
+  | Obj xs, Obj ys ->
+      List.equal
+        (fun (k, v) (k', v') -> String.equal k k' && json_equal v v')
+        xs ys
+  | (Null | Bool _ | Str _), _ -> a = b
+  | (Num _ | Arr _ | Obj _), _ -> false
+
+let test_roundtrip =
+  qcheck ~count:500 "parse_exn (to_string v) = v"
+    (QCheck.make ~print:Obs.Json.to_string gen_json)
+    (fun v -> json_equal (Obs.Json.parse_exn (Obs.Json.to_string v)) v)
+
 (* Multi-domain exactness. On a 1-core box the scheduler gives no real
    parallelism, so the race these tests pin down cannot be exercised —
    note it and pass rather than fail. *)
@@ -202,6 +322,14 @@ let () =
           Alcotest.test_case "exception safety" `Quick
             test_span_exception_safety;
           Alcotest.test_case "exports parse" `Quick test_exports_parse;
+          Alcotest.test_case "exports escape names" `Quick
+            test_exports_escape_names;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "to_string golden bytes" `Quick
+            test_to_string_golden;
+          test_roundtrip;
         ] );
       ( "lut",
         [

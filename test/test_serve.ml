@@ -120,6 +120,27 @@ let test_render_response () =
         (Obs.Json.member "s" r = Some (Obs.Json.Str "a\"b\nc\\d"))
   | None -> Alcotest.fail "no result member"
 
+(* A cost that overflows to infinity is written as null, so the response
+   still parses (RFC 8259 has no infinity). *)
+let test_render_non_finite () =
+  let line =
+    {|{"serve":1,"id":7,"op":"analyze","circuit":"alu1","alpha":1e308}|}
+  in
+  match P.parse_line line with
+  | Ok (P.Single { id; job }) -> (
+      let env = Serve.Jobs.create_env () in
+      let rendered = P.render_response { P.id; body = Serve.Jobs.run env job } in
+      match Obs.Json.parse_result rendered with
+      | Error (msg, at) ->
+          Alcotest.failf "response does not parse at byte %d: %s" at msg
+      | Ok json -> (
+          match Obs.Json.member "result" json with
+          | Some r ->
+              check_true "cost is null"
+                (Obs.Json.member "cost" r = Some Obs.Json.Null)
+          | None -> Alcotest.failf "no result: %s" rendered))
+  | _ -> Alcotest.fail "request did not parse as one job"
+
 (* ---- cache ------------------------------------------------------------- *)
 
 let test_cache_hit_miss () =
@@ -365,6 +386,8 @@ let suite =
         Alcotest.test_case "stale domains ignored" `Quick test_parse_stale_domains;
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
         Alcotest.test_case "render response" `Quick test_render_response;
+        Alcotest.test_case "non-finite numbers render as null" `Quick
+          test_render_non_finite;
       ] );
     ( "cache",
       [
