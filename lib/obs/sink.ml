@@ -6,10 +6,10 @@ let reset () =
   Counters.reset_all ();
   Span.reset ()
 
-(* Emitted straight into a Buffer: the shapes here are flat, so that is
-   clearer than building a Json.t first. Names go through Json.to_string;
-   timings print as %.3f (microsecond fields with nanosecond noise would
-   defeat eyeball diffing); counters print as plain ints. *)
+(* Written into a Buffer rather than built as a Json.t, because timings
+   print as %.3f, which Json.to_string does not do: microsecond fields with
+   nanosecond noise would defeat eyeball diffing. Names go through
+   Json.to_string; counters print as plain ints. *)
 
 let add_name b name = Buffer.add_string b (Json.to_string (Json.Str name))
 
