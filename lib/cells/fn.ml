@@ -18,6 +18,24 @@ let all_shapes =
   [ Inv; Buf; Nand 2; Nand 3; Nand 4; Nor 2; Nor 3; Nor 4; And 2; And 3; And 4;
     Or 2; Or 3; Or 4; Xor2; Xnor2; Aoi21; Oai21; Mux2 ]
 
+(* A dense index over the valid functions, [all_shapes]' positions: library
+   lookups index an array by it instead of comparing constructors. *)
+let index_count = 19
+
+let index = function
+  | Inv -> 0
+  | Buf -> 1
+  | Nand n when n >= 2 && n <= 4 -> n
+  | Nor n when n >= 2 && n <= 4 -> n + 3
+  | And n when n >= 2 && n <= 4 -> n + 6
+  | Or n when n >= 2 && n <= 4 -> n + 9
+  | Nand _ | Nor _ | And _ | Or _ -> -1
+  | Xor2 -> 14
+  | Xnor2 -> 15
+  | Aoi21 -> 16
+  | Oai21 -> 17
+  | Mux2 -> 18
+
 let valid = function
   | Inv | Buf | Xor2 | Xnor2 | Aoi21 | Oai21 | Mux2 -> true
   | Nand n | Nor n | And n | Or n -> n >= 2 && n <= 4

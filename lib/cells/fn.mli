@@ -18,6 +18,12 @@ val all_shapes : t list
 (** Every function the default library provides (arities 2–4 for the
     n-ary gates). *)
 
+val index_count : int
+
+val index : t -> int
+(** The function's position in {!all_shapes}, in [\[0, index_count)], for a
+    valid function; [-1] for an n-ary gate outside arities 2–4. *)
+
 val valid : t -> bool
 val arity : t -> int
 val name : t -> string

@@ -12,6 +12,9 @@ type t = {
   tau : float; (* technology time constant, ps *)
   strengths : float array; (* drive-strength ladder, ascending *)
   groups : (Fn.t * Cell.t array) list; (* cells per function, by drive *)
+  by_fn : Cell.t array array;
+      (* [groups]' arrays at their function's [Fn.index], [||] where absent:
+         the sizer's lookups run in O(1), without polymorphic compare *)
   by_name : (string, Cell.t) Hashtbl.t;
 }
 
@@ -28,15 +31,19 @@ let iter_cells t ~f = List.iter (fun (_, cs) -> Array.iter f cs) t.groups
 let cells t =
   List.concat_map (fun (_, cs) -> Array.to_list cs) t.groups
 
-let sizes_of_fn t fn =
-  match List.assoc_opt fn t.groups with
-  | Some cells -> cells
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Library.sizes_of_fn: %s not in library %s" (Fn.name fn)
-           t.name)
+let group t fn =
+  let i = Fn.index fn in
+  if i < 0 then [||] else t.by_fn.(i)
 
-let mem_fn t fn = List.mem_assoc fn t.groups
+let sizes_of_fn t fn =
+  let cells = group t fn in
+  if Array.length cells > 0 then cells
+  else
+    invalid_arg
+      (Printf.sprintf "Library.sizes_of_fn: %s not in library %s" (Fn.name fn)
+         t.name)
+
+let mem_fn t fn = Array.length (group t fn) > 0
 
 let find t ~name = Hashtbl.find_opt t.by_name name
 
@@ -70,6 +77,10 @@ let of_cells ~name ~tau ~strengths cells =
     (fun (c : Cell.t) ->
       if Hashtbl.mem by_name c.Cell.name then
         invalid_arg ("Library.of_cells: duplicate cell " ^ c.Cell.name);
+      if Fn.index c.Cell.fn < 0 then
+        invalid_arg
+          (Printf.sprintf "Library.of_cells: cell %s has invalid function %s"
+             c.Cell.name (Fn.name c.Cell.fn));
       Hashtbl.add by_name c.Cell.name c)
     cells;
   let groups =
@@ -82,7 +93,9 @@ let of_cells ~name ~tau ~strengths cells =
         match group with [] -> None | _ -> Some (fn, Array.of_list group))
       (List.sort_uniq Fn.compare (List.map Cell.fn cells))
   in
-  { name; tau; strengths; groups; by_name }
+  let by_fn = Array.make Fn.index_count [||] in
+  List.iter (fun (fn, cs) -> by_fn.(Fn.index fn) <- cs) groups;
+  { name; tau; strengths; groups; by_fn; by_name }
 
 (* ---- generated default library ---------------------------------------- *)
 

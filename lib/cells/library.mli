@@ -20,8 +20,9 @@ val iter_cells : t -> f:(Cell.t -> unit) -> unit
 val cells : t -> Cell.t list
 
 val sizes_of_fn : t -> Fn.t -> Cell.t array
-(** All drive variants of a function, ascending by strength; raises
-    [Invalid_argument] when the function is not in the library. *)
+(** All drive variants of a function, ascending by strength, in O(1);
+    raises [Invalid_argument] when the function is not in the library. The
+    array is the library's own: do not mutate it. *)
 
 val mem_fn : t -> Fn.t -> bool
 val find : t -> name:string -> Cell.t option
@@ -33,7 +34,8 @@ val next_down : t -> Cell.t -> Cell.t option
 
 val of_cells : name:string -> tau:float -> strengths:float array -> Cell.t list -> t
 (** Assemble a library from explicit cells (used by the liberty reader);
-    raises on duplicate cell names. *)
+    raises on duplicate cell names and on a cell whose function is not
+    {!Fn.valid}. *)
 
 val generate :
   ?name:string ->

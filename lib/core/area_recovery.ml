@@ -6,7 +6,8 @@
    Gates are visited in descending area order; each is stepped down one
    drive at a time while the exact-Clark objective, kept up to date
    incrementally, stays within budget, with a FULLSSTA confirmation at the
-   end. *)
+   end. The confirming run is the result's [final_run], so a caller that
+   reports the recovered circuit's moments need not price it again. *)
 
 type config = {
   objective : Objective.t;
@@ -42,6 +43,7 @@ type result = {
   area_after : float;
   cost_before : float;
   cost_after : float;
+  final_run : Ssta.Fullssta.t; (* the run behind [cost_after] *)
 }
 
 let fullssta config circuit =
@@ -55,18 +57,20 @@ let fullssta config circuit =
     circuit
 
 (* Each trial downsize is judged on a Production Global window over the
-   FULLSSTA run that priced [cost_before]: the window's committed cost is the
-   exact-Clark RV_O cost the sizer optimizes (so the budget is measured in
-   the currency the sizing gains were bought in), and [commit_incremental]
-   keeps it bit-equal to a from-scratch electrical + exact FASSTA pass —
-   its electrical update stops exactly and its arrival resync stops on
-   bit-equality — at the cost of the perturbed cone only. A rejected
+   FULLSSTA run that priced [cost_before] ([full] when the caller hands in
+   the run it already made over these cells, such as the sizer's final
+   one): the window's committed cost is the exact-Clark RV_O cost the
+   sizer optimizes (so the budget is measured in the currency the sizing
+   gains were bought in), and [commit_incremental] keeps it bit-equal to a
+   from-scratch electrical + exact FASSTA pass — its electrical update
+   stops exactly and its arrival resync stops on bit-equality — at the
+   cost of the perturbed cone only. A rejected
    downsize is undone the same way: the old cell goes back and is
    committed, which returns the window to bit-identical state. *)
-let recover ?(config = default_config) ~lib circuit =
+let recover ?(config = default_config) ?full ~lib circuit =
   Obs.Span.with_ "area_recovery.recover" @@ fun () ->
   let area_before = Netlist.Circuit.total_area circuit in
-  let full = fullssta config circuit in
+  let full = match full with Some f -> f | None -> fullssta config circuit in
   let cost_before = Objective.circuit_cost config.objective full in
   let window =
     Window.create ~mode:Window.Global ~engine:Window.Production ~circuit
@@ -103,12 +107,14 @@ let recover ?(config = default_config) ~lib circuit =
       in
       step ())
     by_area_desc;
+  let final_run = fullssta config circuit in
   {
     downsized = !downsized;
     area_before;
     area_after = Netlist.Circuit.total_area circuit;
     cost_before;
-    cost_after = Objective.circuit_cost config.objective (fullssta config circuit);
+    cost_after = Objective.circuit_cost config.objective final_run;
+    final_run;
   }
 
 let pp_result ppf r =

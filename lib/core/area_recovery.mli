@@ -24,10 +24,25 @@ type result = {
   area_after : float;
   cost_before : float;
   cost_after : float;
+  final_run : Ssta.Fullssta.t;
+      (** The FULLSSTA run behind [cost_after]: a fresh run under [config]'s
+          samples, model and electrical settings over the recovered cells.
+          The caller owns it. *)
 }
 
 val recover :
-  ?config:config -> lib:Cells.Library.t -> Netlist.Circuit.t -> result
-(** Mutates the circuit in place. *)
+  ?config:config ->
+  ?full:Ssta.Fullssta.t ->
+  lib:Cells.Library.t ->
+  Netlist.Circuit.t ->
+  result
+(** Mutates the circuit in place. [full], when given, must be a run that
+    prices the circuit's current cells under [config]'s samples, model and
+    electrical settings (such as {!Sizer.result.final_run} after a sizing
+    under the config {!config_of_sizer} derives from); recovery then prices
+    [cost_before] with it instead of running FULLSSTA again. Recovery owns
+    [full] from then on: its judging window mutates the run's electrical
+    state, so the caller must not read it afterwards. Without [full],
+    recovery makes that run itself. *)
 
 val pp_result : result Fmt.t

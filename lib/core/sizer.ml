@@ -102,6 +102,7 @@ type result = {
   config : config;
   initial_moments : Numerics.Clark.moments;
   final_moments : Numerics.Clark.moments;
+  final_run : Ssta.Fullssta.t; (* the run behind [final_moments] *)
   initial_area : float;
   final_area : float;
   iterations : iteration list; (* chronological *)
@@ -342,6 +343,7 @@ let optimize ?(ignore_lint = false) ?(config = default_config) ~lib circuit =
     config;
     initial_moments;
     final_moments = Ssta.Fullssta.output_moments final_full;
+    final_run = final_full;
     initial_area;
     final_area = Netlist.Circuit.total_area circuit;
     iterations = List.rev history;

@@ -76,6 +76,11 @@ type result = {
   config : config;
   initial_moments : Numerics.Clark.moments;
   final_moments : Numerics.Clark.moments;
+  final_run : Ssta.Fullssta.t;
+      (** The FULLSSTA run behind [final_moments]: a fresh run under
+          {!fullssta_config} over the cells the sizer leaves in place. The
+          caller owns it; {!Area_recovery.recover} takes it as [?full] and
+          mutates its electrical state, so read it before handing it on. *)
   initial_area : float;
   final_area : float;
   iterations : iteration list;

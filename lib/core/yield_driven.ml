@@ -30,10 +30,7 @@ type result = {
   steps : step list; (* chronological, last one is the final state *)
 }
 
-let measure config circuit ~period =
-  let full =
-    Ssta.Fullssta.run ~config:(Sizer.fullssta_config config.sizer) circuit
-  in
+let measure full circuit ~period =
   let m = Ssta.Fullssta.output_moments full in
   ( Ssta.Fullssta.yield_at full ~period,
     Numerics.Clark.sigma m,
@@ -42,7 +39,11 @@ let measure config circuit ~period =
 let optimize ?(config = default_config) ~lib circuit ~period ~target =
   if not (target > 0.0 && target < 1.0) then
     invalid_arg "Yield_driven.optimize: target must be in (0, 1)";
-  let yield0, sigma0, area0 = measure config circuit ~period in
+  let yield0, sigma0, area0 =
+    measure
+      (Ssta.Fullssta.run ~config:(Sizer.fullssta_config config.sizer) circuit)
+      circuit ~period
+  in
   let steps = ref [ { alpha = 0.0; yield_ = yield0; sigma = sigma0; area = area0 } ] in
   let rec ladder = function
     | [] -> ()
@@ -51,13 +52,18 @@ let optimize ?(config = default_config) ~lib circuit ~period ~target =
         if current < target then begin
           let objective = Objective.create ~alpha in
           let sizer = { config.sizer with Sizer.objective } in
-          let _ = Sizer.optimize ~config:sizer ~lib circuit in
-          if config.recover_area then
-            ignore
+          let sized = Sizer.optimize ~config:sizer ~lib circuit in
+          (* the step's closing FULLSSTA run (recovery's, else the
+             sizer's) already prices its cells *)
+          let full =
+            if config.recover_area then
               (Area_recovery.recover
                  ~config:(Area_recovery.config_of_sizer sizer)
-                 ~lib circuit);
-          let yield_, sigma, area = measure config circuit ~period in
+                 ~full:sized.Sizer.final_run ~lib circuit)
+                .Area_recovery.final_run
+            else sized.Sizer.final_run
+          in
+          let yield_, sigma, area = measure full circuit ~period in
           steps := { alpha; yield_; sigma; area } :: !steps;
           ladder rest
         end

@@ -61,13 +61,16 @@ let run_alpha ?(ignore_lint = false) ?(recover = true)
   let objective = Core.Objective.create ~alpha in
   let config = { config with Core.Sizer.objective } in
   let res = Core.Sizer.optimize ~ignore_lint ~config ~lib circuit in
-  if recover then
-    ignore
+  (* each stage ends on a fresh FULLSSTA run over the cells it leaves in
+     place, under [Sizer.fullssta_config config]: recovery prices its
+     budget with the sizer's and the result is priced by the last one *)
+  let full =
+    if recover then
       (Core.Area_recovery.recover
          ~config:(Core.Area_recovery.config_of_sizer config)
-         ~lib circuit);
-  let full =
-    Ssta.Fullssta.run ~config:(Core.Sizer.fullssta_config config) circuit
+         ~full:res.Core.Sizer.final_run ~lib circuit)
+        .Core.Area_recovery.final_run
+    else res.Core.Sizer.final_run
   in
   let m = Ssta.Fullssta.output_moments full in
   let area = Netlist.Circuit.total_area circuit in

@@ -50,6 +50,9 @@ val run_alpha :
   alpha:float ->
   stat_run
 (** Copies the baseline circuit, so runs at different α are independent.
-    Sizing, area recovery and the final FULLSSTA run that prices the result
-    all use [config]'s samples, variation model and electrical settings
-    ({!Core.Sizer.fullssta_config}). *)
+    Sizing, area recovery and the FULLSSTA run that prices the result all
+    use [config]'s samples, variation model and electrical settings
+    ({!Core.Sizer.fullssta_config}). No sizing is priced twice: the
+    sizer's final run goes to recovery, which owns it from then on, and
+    the result is priced by recovery's closing run (the sizer's final run
+    when [recover] is false). *)

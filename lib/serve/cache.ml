@@ -39,4 +39,9 @@ let find_or_build t ~content ~build =
               Hashtbl.add t.tbl digest { content; value };
               Miss value))
 
+let find t ~content =
+  match Mutex.protect t.m (fun () -> Hashtbl.find_opt t.tbl (t.hash content)) with
+  | Some e when String.equal e.content content -> Some e.value
+  | Some _ | None -> None
+
 let length t = Mutex.protect t.m (fun () -> Hashtbl.length t.tbl)

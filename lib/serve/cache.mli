@@ -21,4 +21,8 @@ type 'a outcome =
 val find_or_build : 'a t -> content:string -> build:(unit -> 'a) -> 'a outcome
 (** [build] may raise; nothing is cached in that case. *)
 
+val find : 'a t -> content:string -> 'a option
+(** The value cached for [content], without building it; [None] on a
+    collision too. *)
+
 val length : 'a t -> int

@@ -5,11 +5,21 @@ let c_netlist_misses = Obs.Counters.make "serve.cache.netlist.misses"
 let c_library_hits = Obs.Counters.make "serve.cache.library.hits"
 let c_library_misses = Obs.Counters.make "serve.cache.library.misses"
 let c_collisions = Obs.Counters.make "serve.cache.collisions"
+let c_analysis_hits = Obs.Counters.make "serve.cache.analysis.hits"
+let c_analysis_misses = Obs.Counters.make "serve.cache.analysis.misses"
 
-type env = {
-  libs : Cells.Library.t Cache.t;
-  circuits : Netlist.Circuit.t Cache.t;
-}
+(* What [analyze] reports of a netlist, before its per-request cost: the
+   RV_O of a default FULLSSTA run over the initially sized netlist. *)
+type analysis = { moments : Numerics.Clark.moments; sigma_over_mean : float }
+
+(* One netlist cache entry. [pristine] is never mutated: read-only jobs
+   read it directly and mutating jobs size a copy. [analysis] is filled by
+   the first [analyze] that completes; the entry's key names the library,
+   so the analysis is keyed by netlist and library together and leaves
+   the cache with its netlist. *)
+type entry = { pristine : Netlist.Circuit.t; analysis : analysis option Atomic.t }
+
+type env = { libs : Cells.Library.t Cache.t; circuits : entry Cache.t }
 
 let create_env ?hash () =
   { libs = Cache.create ?hash (); circuits = Cache.create ?hash () }
@@ -43,36 +53,44 @@ let resolve_lib env (spec : Protocol.libspec) =
   in
   Ok (lib, key, hit)
 
-(* The cached value is the pristine parsed/generated netlist; every caller
-   gets a private copy. The cache key includes the library key because
-   .bench technology mapping depends on the library's cells. *)
+(* The cache key includes the library key because .bench technology
+   mapping depends on the library's cells. *)
+let circuit_content ~libkey = function
+  | Protocol.Suite name -> "suite\x00" ^ libkey ^ "\x00" ^ name
+  | Protocol.Bench text -> "bench\x00" ^ libkey ^ "\x00" ^ text
+
 let resolve_circuit env ~lib ~libkey source =
-  let content, build =
-    match source with
-    | Protocol.Suite name ->
-        ( "suite\x00" ^ libkey ^ "\x00" ^ name,
-          fun () ->
-            match Benchgen.Iscas_like.find name with
-            | Some entry -> entry.Benchgen.Iscas_like.build ~lib
-            | None ->
-                Fmt.failwith "unknown suite circuit %S (see `statsize list`)"
-                  name )
-    | Protocol.Bench text ->
-        ( "bench\x00" ^ libkey ^ "\x00" ^ text,
-          fun () -> Netlist.Bench_io.of_string ~name:"bench" ~lib text )
+  let build () =
+    let pristine =
+      match source with
+      | Protocol.Suite name -> (
+          match Benchgen.Iscas_like.find name with
+          | Some entry -> entry.Benchgen.Iscas_like.build ~lib
+          | None ->
+              Fmt.failwith "unknown suite circuit %S (see `statsize list`)" name)
+      | Protocol.Bench text -> Netlist.Bench_io.of_string ~name:"bench" ~lib text
+    in
+    { pristine; analysis = Atomic.make None }
   in
   match
     cache_result ~hits:c_netlist_hits ~misses:c_netlist_misses
       ~collision_msg:"netlist cache"
-      (Cache.find_or_build env.circuits ~content ~build)
+      (Cache.find_or_build env.circuits
+         ~content:(circuit_content ~libkey source)
+         ~build)
   with
-  | Ok (pristine, hit) -> Ok (Netlist.Circuit.copy pristine, hit)
-  | Error e -> Error e
+  | resolved -> resolved
   | exception Netlist.Bench_io.Parse_error { line; code; message } ->
       Error
         (Protocol.err Protocol.Unknown_circuit "%s: line %d: %s" code line
            message)
   | exception Failure msg -> Error (Protocol.err Protocol.Unknown_circuit "%s" msg)
+
+let cached_netlist env ~library source =
+  Option.map
+    (fun entry -> entry.pristine)
+    (Cache.find env.circuits
+       ~content:(circuit_content ~libkey:(Protocol.libspec_key library) source))
 
 let num f = Obs.Json.Num f
 let int i = Obs.Json.Num (float_of_int i)
@@ -99,6 +117,29 @@ let moments_fields prefix m =
     (prefix ^ "mean", num m.Numerics.Clark.mean);
     (prefix ^ "sigma", num (Numerics.Clark.sigma m));
   ]
+
+(* The entry's analysis, built on the first request: size a private copy
+   and price it with FULLSSTA. The build is a deterministic function of the
+   entry, so a lane that loses the publishing race answers with the
+   winner's bit-identical value; a build that raises publishes nothing. *)
+let analysis ~lib entry =
+  match Atomic.get entry.analysis with
+  | Some a ->
+      Obs.Counters.bump c_analysis_hits;
+      a
+  | None -> (
+      Obs.Counters.bump c_analysis_misses;
+      let circuit = Netlist.Circuit.copy entry.pristine in
+      ignore (Core.Initial_sizing.apply ~lib circuit);
+      let full = Ssta.Fullssta.run circuit in
+      let a =
+        {
+          moments = Ssta.Fullssta.output_moments full;
+          sigma_over_mean = Ssta.Fullssta.sigma_over_mean full;
+        }
+      in
+      if Atomic.compare_and_set entry.analysis None (Some a) then a
+      else Option.value (Atomic.get entry.analysis) ~default:a)
 
 let sizer_config ~max_iterations =
   let config = Core.Sizer.default_config in
@@ -137,7 +178,8 @@ let run env job =
   | Protocol.Shutdown -> Ok (Obs.Json.Obj [ ("stopping", Obs.Json.Bool true) ])
   | Protocol.Info { source; library } ->
       let* lib, libkey, lib_hit = resolve_lib env library in
-      let* circuit, circuit_hit = resolve_circuit env ~lib ~libkey source in
+      let* entry, circuit_hit = resolve_circuit env ~lib ~libkey source in
+      let circuit = entry.pristine in
       Ok
         (Obs.Json.Obj
            [
@@ -151,16 +193,14 @@ let run env job =
            ])
   | Protocol.Analyze { source; library; alpha } ->
       let* lib, libkey, lib_hit = resolve_lib env library in
-      let* circuit, circuit_hit = resolve_circuit env ~lib ~libkey source in
-      ignore (Core.Initial_sizing.apply ~lib circuit);
-      let full = Ssta.Fullssta.run circuit in
-      let m = Ssta.Fullssta.output_moments full in
+      let* entry, circuit_hit = resolve_circuit env ~lib ~libkey source in
+      let { moments = m; sigma_over_mean } = analysis ~lib entry in
       let objective = Core.Objective.create ~alpha in
       Ok
         (Obs.Json.Obj
            (moments_fields "" m
            @ [
-               ("sigma_over_mean", num (Ssta.Fullssta.sigma_over_mean full));
+               ("sigma_over_mean", num sigma_over_mean);
                ("alpha", num alpha);
                ("cost", num (Core.Objective.cost_of_moments objective m));
                cache_fields ~lib_hit ~circuit_hit;
@@ -168,7 +208,8 @@ let run env job =
   | Protocol.Optimize { source; library; alpha; max_iterations; return_cells }
     ->
       let* lib, libkey, lib_hit = resolve_lib env library in
-      let* circuit, circuit_hit = resolve_circuit env ~lib ~libkey source in
+      let* entry, circuit_hit = resolve_circuit env ~lib ~libkey source in
+      let circuit = Netlist.Circuit.copy entry.pristine in
       let baseline =
         Experiments.Pipeline.prepare ~lib (fun () -> circuit)
       in
@@ -213,14 +254,13 @@ let run env job =
            @ cells))
   | Protocol.Table1 { source; library; alphas; max_iterations } ->
       let* lib, libkey, lib_hit = resolve_lib env library in
-      let* circuit, circuit_hit = resolve_circuit env ~lib ~libkey source in
+      let* entry, circuit_hit = resolve_circuit env ~lib ~libkey source in
+      let circuit = Netlist.Circuit.copy entry.pristine in
       let name = Netlist.Circuit.name circuit in
-      let entry =
-        { Benchgen.Iscas_like.name; build = (fun ~lib:_ -> circuit) }
-      in
       let config = sizer_config ~max_iterations in
       let row =
-        Experiments.Table1.run_circuit ~alphas ~sizer_config:config ~lib entry
+        Experiments.Table1.run_circuit ~alphas ~sizer_config:config ~lib
+          { Benchgen.Iscas_like.name; build = (fun ~lib:_ -> circuit) }
       in
       Ok
         (Obs.Json.Obj

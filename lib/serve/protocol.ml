@@ -81,9 +81,12 @@ let as_float what = function
   | Obs.Json.Num f -> Ok f
   | _ -> Error (err Bad_request "%s must be a number" what)
 
-let as_int what = function
-  | Obs.Json.Num f when Float.is_integer f -> Ok (int_of_float f)
-  | _ -> Error (err Bad_request "%s must be an integer" what)
+(* A count such as [max_iterations]: a double below 2^53 holds every
+   integer exactly, so [int_of_float] neither wraps nor saturates it. *)
+let as_count what = function
+  | Obs.Json.Num f when Float.is_integer f && f >= 0.0 && f < 0x1p53 ->
+      Ok (int_of_float f)
+  | _ -> Error (err Bad_request "%s must be a non-negative integer below 2^53" what)
 
 let as_bool what = function
   | Obs.Json.Bool x -> Ok x
@@ -170,7 +173,7 @@ let rec parse_job json =
       let* source = parse_source json in
       let* library = parse_libspec json in
       let* alpha = field_or "alpha" as_float 3.0 json in
-      let* max_iterations = opt_field "max_iterations" as_int json in
+      let* max_iterations = opt_field "max_iterations" as_count json in
       let* return_cells = field_or "return_cells" as_bool false json in
       Ok
         (`Job
@@ -179,7 +182,7 @@ let rec parse_job json =
       let* source = parse_source json in
       let* library = parse_libspec json in
       let* alphas = parse_alphas json in
-      let* max_iterations = opt_field "max_iterations" as_int json in
+      let* max_iterations = opt_field "max_iterations" as_count json in
       Ok (`Job (Table1 { source; library; alphas; max_iterations }))
   | "batch" -> (
       match Obs.Json.member "jobs" json with

@@ -149,6 +149,63 @@ let library_custom_generate () =
   check_true "inv present" (Cells.Library.mem_fn small Cells.Fn.Inv);
   check_true "nor absent" (not (Cells.Library.mem_fn small (Cells.Fn.Nor 2)))
 
+(* [Fn.index] numbers the valid functions densely, in [all_shapes] order. *)
+let fn_index_dense () =
+  List.iteri
+    (fun i fn -> check_int (Cells.Fn.name fn) i (Cells.Fn.index fn))
+    Cells.Fn.all_shapes;
+  check_int "index_count" (List.length Cells.Fn.all_shapes) Cells.Fn.index_count;
+  List.iter
+    (fun fn -> check_int (Cells.Fn.name fn) (-1) (Cells.Fn.index fn))
+    Cells.Fn.[ Nand 1; Nor 5; And 0; Or 7 ]
+
+(* [sizes_of_fn] indexes the groups by [Fn.index]: for every function, in
+   [functions]' order, it returns the group's own array (the same array on
+   every call, holding the very cells [cells] lists for the function), and
+   a missing function raises the message the list lookup raised. *)
+let library_sizes_of_fn_index () =
+  let check_library what lib =
+    let groups =
+      List.map
+        (fun fn ->
+          let sizes = Cells.Library.sizes_of_fn lib fn in
+          check_true
+            (Printf.sprintf "%s %s: same array" what (Cells.Fn.name fn))
+            (sizes == Cells.Library.sizes_of_fn lib fn);
+          check_true
+            (Printf.sprintf "%s %s: mem_fn" what (Cells.Fn.name fn))
+            (Cells.Library.mem_fn lib fn);
+          Array.to_list sizes)
+        (Cells.Library.functions lib)
+      |> List.concat
+    and cells = Cells.Library.cells lib in
+    check_int (what ^ ": cell count") (List.length cells) (List.length groups);
+    check_true (what ^ ": the same cells, in groups' order")
+      (List.for_all2 ( == ) cells groups)
+  in
+  check_library "default" lib;
+  check_library "liberty" (Cells.Liberty.of_string (Cells.Liberty.to_string lib));
+  let small =
+    Cells.Library.generate ~name:"mini" ~strengths:[| 1.0; 2.0 |]
+      ~shapes:[ Cells.Fn.Mux2; Cells.Fn.Inv ] ()
+  in
+  check_library "mini" small;
+  Alcotest.check_raises "absent function"
+    (Invalid_argument "Library.sizes_of_fn: NOR2 not in library mini")
+    (fun () -> ignore (Cells.Library.sizes_of_fn small (Cells.Fn.Nor 2)));
+  Alcotest.check_raises "invalid arity"
+    (Invalid_argument "Library.sizes_of_fn: NAND7 not in library statsize90")
+    (fun () -> ignore (Cells.Library.sizes_of_fn lib (Cells.Fn.Nand 7)));
+  check_true "invalid arity not a member"
+    (not (Cells.Library.mem_fn lib (Cells.Fn.Nand 7)));
+  let inv = Cells.Library.min_cell lib ~fn:Cells.Fn.Inv in
+  Alcotest.check_raises "of_cells rejects an invalid function"
+    (Invalid_argument "Library.of_cells: cell BAD has invalid function NAND7")
+    (fun () ->
+      ignore
+        (Cells.Library.of_cells ~name:"bad" ~tau:5.0 ~strengths:[| 1.0 |]
+           [ { inv with Cells.Cell.name = "BAD"; fn = Cells.Fn.Nand 7 } ]))
+
 (* ---- Liberty ------------------------------------------------------------ *)
 
 let liberty_roundtrip () =
@@ -233,6 +290,7 @@ let () =
           Alcotest.test_case "bench aliases" `Quick fn_bench_aliases;
           Alcotest.test_case "eval arity mismatch" `Quick fn_arity_eval_mismatch;
           Alcotest.test_case "inverting" `Quick fn_inverting;
+          Alcotest.test_case "dense index" `Quick fn_index_dense;
         ] );
       ( "library",
         [
@@ -248,6 +306,8 @@ let () =
           Alcotest.test_case "next up/down" `Quick library_next_up_down;
           Alcotest.test_case "cell_exn bounds" `Quick library_cell_exn_bounds;
           Alcotest.test_case "custom generate" `Quick library_custom_generate;
+          Alcotest.test_case "sizes_of_fn by function index" `Quick
+            library_sizes_of_fn_index;
         ] );
       ( "liberty",
         [

@@ -117,6 +117,116 @@ let run_alpha_measures_under_its_config () =
   check_true "var bit-equal"
     (Int64.equal (bits m.Numerics.Clark.var) (bits fresh.Numerics.Clark.var))
 
+(* [Pipeline.run_alpha] as it stood when each stage priced its sizing
+   afresh, verbatim up to module paths: recovery ran FULLSSTA again over
+   the cells the sizer had just priced, and a last run priced recovery's
+   cells again. The oracle the run-reusing pipeline must match. *)
+module Parent_pipeline = struct
+  open Experiments.Pipeline
+
+  let run_alpha ?(ignore_lint = false) ?(recover = true)
+      ?(config = Core.Sizer.default_config) ~lib (baseline : baseline) ~alpha =
+    Obs.Span.with_ "pipeline.run_alpha" @@ fun () ->
+    let started = Sys.time () in
+    let circuit = Netlist.Circuit.copy baseline.circuit in
+    let objective = Core.Objective.create ~alpha in
+    let config = { config with Core.Sizer.objective } in
+    let res = Core.Sizer.optimize ~ignore_lint ~config ~lib circuit in
+    if recover then
+      ignore
+        (Core.Area_recovery.recover
+           ~config:(Core.Area_recovery.config_of_sizer config)
+           ~lib circuit);
+    let full =
+      Ssta.Fullssta.run ~config:(Core.Sizer.fullssta_config config) circuit
+    in
+    let m = Ssta.Fullssta.output_moments full in
+    let area = Netlist.Circuit.total_area circuit in
+    let b = baseline.moments in
+    {
+      alpha;
+      circuit;
+      final_moments = m;
+      final_area = area;
+      mean_change_pct =
+        100.0 *. (m.Numerics.Clark.mean -. b.Numerics.Clark.mean)
+        /. b.Numerics.Clark.mean;
+      sigma_change_pct =
+        100.0
+        *. (Numerics.Clark.sigma m -. Numerics.Clark.sigma b)
+        /. Numerics.Clark.sigma b;
+      final_sigma_over_mean = sigma_over_mean m;
+      area_change_pct = 100.0 *. (area -. baseline.area) /. baseline.area;
+      iterations = List.length res.Core.Sizer.iterations;
+      resizes = res.Core.Sizer.total_resizes;
+      runtime_s = Sys.time () -. started;
+    }
+end
+
+(* [run_alpha] hands the sizer's final FULLSSTA run to area recovery and
+   reports recovery's closing run, so one call prices the circuit 3 times
+   with recovery (sizer start and end, recovery's close) and twice without
+   it, where it priced 5 and 3 times. Every reported figure, to the bit,
+   and every cell are the old pipeline's. *)
+let run_alpha_prices_each_sizing_once () =
+  let fullssta_nodes () =
+    Option.value ~default:0
+      (List.assoc_opt "fullssta.run.nodes" (Obs.Counters.dump ()))
+  in
+  let cells (r : Experiments.Pipeline.stat_run) =
+    List.map
+      (fun id ->
+        Cells.Cell.name (Netlist.Circuit.cell_exn r.Experiments.Pipeline.circuit id))
+      (Netlist.Circuit.gates r.Experiments.Pipeline.circuit)
+  in
+  let bits = Int64.bits_of_float in
+  Obs.Sink.reset ();
+  Obs.Sink.enable ();
+  Fun.protect ~finally:Obs.Sink.disable @@ fun () ->
+  List.iter
+    (fun name ->
+      let entry = Option.get (Benchgen.Iscas_like.find name) in
+      let baseline =
+        Experiments.Pipeline.prepare ~lib (fun () ->
+            entry.Benchgen.Iscas_like.build ~lib)
+      in
+      let size = Netlist.Circuit.size baseline.Experiments.Pipeline.circuit in
+      List.iter
+        (fun (alpha, recover) ->
+          let what =
+            Printf.sprintf "%s alpha %g%s: %s" name alpha
+              (if recover then "" else " without recovery")
+          in
+          let nodes0 = fullssta_nodes () in
+          let r = Experiments.Pipeline.run_alpha ~recover ~lib baseline ~alpha in
+          check_int (what "fullssta.run.nodes")
+            ((if recover then 3 else 2) * size)
+            (fullssta_nodes () - nodes0);
+          let p = Parent_pipeline.run_alpha ~recover ~lib baseline ~alpha in
+          List.iter
+            (fun (field, f) ->
+              check_true
+                (what (field ^ " bit-equal"))
+                (Int64.equal (bits (f p)) (bits (f r))))
+            Experiments.Pipeline.
+              [
+                ("mean", fun r -> r.final_moments.Numerics.Clark.mean);
+                ("var", fun r -> r.final_moments.Numerics.Clark.var);
+                ("final_area", fun r -> r.final_area);
+                ("mean_change_pct", fun r -> r.mean_change_pct);
+                ("sigma_change_pct", fun r -> r.sigma_change_pct);
+                ("final_sigma_over_mean", fun r -> r.final_sigma_over_mean);
+                ("area_change_pct", fun r -> r.area_change_pct);
+              ];
+          check_int (what "iterations") p.Experiments.Pipeline.iterations
+            r.Experiments.Pipeline.iterations;
+          check_int (what "resizes") p.Experiments.Pipeline.resizes
+            r.Experiments.Pipeline.resizes;
+          Alcotest.(check (list string)) (what "cells") (cells p) (cells r))
+        [ (3.0, true); (3.0, false); (9.0, true); (9.0, false) ])
+    [ "c432"; "alu2" ];
+  Obs.Sink.reset ()
+
 let table1_row_small () =
   let entry = Option.get (Benchgen.Iscas_like.find "alu2") in
   let row = Experiments.Table1.run_circuit ~alphas:[ 3.0 ] ~lib entry in
@@ -178,6 +288,8 @@ let () =
             prepare_moments_match_a_fresh_run;
           Alcotest.test_case "run_alpha measures under its config" `Quick
             run_alpha_measures_under_its_config;
+          Alcotest.test_case "run_alpha prices each sizing once" `Slow
+            run_alpha_prices_each_sizing_once;
         ] );
       ( "table1",
         [

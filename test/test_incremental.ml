@@ -524,18 +524,18 @@ module Oracle_recovery = struct
       (fun o -> scratch.(o))
       (Netlist.Circuit.outputs circuit)
 
+  let full_run config circuit =
+    Ssta.Fullssta.run
+      ~config:
+        {
+          Ssta.Fullssta.samples = config.samples;
+          model = config.model;
+          electrical = config.electrical;
+        }
+      circuit
+
   let full_cost config circuit =
-    let full =
-      Ssta.Fullssta.run
-        ~config:
-          {
-            Ssta.Fullssta.samples = config.samples;
-            model = config.model;
-            electrical = config.electrical;
-          }
-        circuit
-    in
-    Objective.circuit_cost config.objective full
+    Objective.circuit_cost config.objective (full_run config circuit)
 
   let recover ?(config = default_config) ~lib circuit =
     let area_before = Netlist.Circuit.total_area circuit in
@@ -567,12 +567,14 @@ module Oracle_recovery = struct
         in
         step ())
       by_area_desc;
+    let final_run = full_run config circuit in
     {
       downsized = !downsized;
       area_before;
       area_after = Netlist.Circuit.total_area circuit;
       cost_before;
-      cost_after = full_cost config circuit;
+      cost_after = Objective.circuit_cost config.objective final_run;
+      final_run;
     }
 end
 

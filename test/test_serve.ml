@@ -80,6 +80,42 @@ let test_parse_errors () =
   let id, _ = parse_err {|{"serve":1,"id":42,"op":"frobnicate"}|} in
   check_true "id recovered" (id = Obs.Json.Num 42.0)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+(* A count must be a non-negative integer that a double holds exactly:
+   [int_of_float] turned 1e300 and 1e19 into 0 and kept -5, and each such
+   request answered ok with a sizing that did nothing. *)
+let test_parse_max_iterations () =
+  let line op v =
+    Printf.sprintf
+      {|{"serve":1,"id":1,"op":"%s","circuit":"alu1","max_iterations":%s}|} op
+      v
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun v ->
+          let what = Printf.sprintf "%s max_iterations %s" op v in
+          let _, e = parse_err (line op v) in
+          Alcotest.(check string) what "bad_request" (P.code_string e.P.code);
+          check_true (what ^ ": message names the field")
+            (contains e.P.message "max_iterations"))
+        [ "1e300"; "1e19"; "-5"; "9007199254740992"; "2.5" ])
+    [ "optimize"; "table1" ];
+  (match parse_ok (line "optimize" "2") with
+  | P.Single { job = P.Optimize { max_iterations = Some 2; _ }; _ } -> ()
+  | _ -> Alcotest.fail "optimize max_iterations 2");
+  match parse_ok (line "table1" "9007199254740991") with
+  | P.Single { job = P.Table1 { max_iterations = Some 9007199254740991; _ }; _ }
+    ->
+      ()
+  | _ -> Alcotest.fail "table1 max_iterations 2^53 - 1"
+
 let test_render_response () =
   let ok =
     P.render_response
@@ -249,6 +285,145 @@ let test_job_determinism () =
   let second = optimize_digest env in
   Alcotest.(check string) "repeat run" first second
 
+(* ---- the analysis slot ------------------------------------------------- *)
+
+let analyze ?(library = P.default_libspec) source alpha =
+  P.Analyze { source; library; alpha }
+
+let info ?(library = P.default_libspec) source = P.Info { source; library }
+
+(* A result's bytes without the named fields: the wall-clock field
+   [execute] appends, and where a request's cache state may differ from
+   its oracle's, the cache field. *)
+let render_masked ?(mask = [ "elapsed_s" ]) result =
+  let masked =
+    match result with
+    | Ok (Obs.Json.Obj fields) ->
+        Ok
+          (Obs.Json.Obj (List.filter (fun (k, _) -> not (List.mem k mask)) fields))
+    | other -> other
+  in
+  P.render_response { P.id = Obs.Json.Null; body = masked }
+
+(* Counters count only while the sink is on. *)
+let with_counters f =
+  Obs.Sink.reset ();
+  Obs.Sink.enable ();
+  Fun.protect ~finally:Obs.Sink.disable f
+
+let counter name =
+  Option.value ~default:0 (List.assoc_opt name (Obs.Counters.dump ()))
+
+let bench_payload =
+  lazy (Netlist.Bench_io.to_string (Benchgen.Iscas_like.build_exn ~lib "alu2"))
+
+(* (a) A first analyze (netlist and analysis miss) and its repeats
+   (analysis hits) give the bytes a fresh env gives for the same request:
+   a cold fresh env for the first, and a fresh env whose netlist an [info]
+   already cached for the repeats, so the cache field agrees too. *)
+let test_analysis_repeats_fresh_bytes () =
+  with_counters @@ fun () ->
+  List.iter
+    (fun (label, source) ->
+      let env = Serve.Jobs.create_env () in
+      List.iteri
+        (fun i alpha ->
+          let what = Printf.sprintf "%s request %d (alpha %g)" label i alpha in
+          let got = render_masked (Serve.Jobs.execute env (analyze source alpha)) in
+          let fresh = Serve.Jobs.create_env () in
+          if i > 0 then ignore (Serve.Jobs.run fresh (info source));
+          let want =
+            render_masked (Serve.Jobs.execute fresh (analyze source alpha))
+          in
+          Alcotest.(check string) what want got)
+        [ 3.0; 9.0; 3.0; 9.0 ])
+    [
+      ("alu1", P.Suite "alu1");
+      ("c432", P.Suite "c432");
+      ("c1908", P.Suite "c1908");
+      ("bench alu2", P.Bench (Lazy.force bench_payload));
+    ];
+  (* per source: one miss on the shared env, one per fresh env *)
+  check_int "analysis misses" (4 * 5) (counter "serve.cache.analysis.misses");
+  check_int "analysis hits" (4 * 3) (counter "serve.cache.analysis.hits")
+
+(* (b) Pool lanes racing on one cold circuit: every answer is the same,
+   and every request is a hit or a miss, at least one of them a miss. *)
+let test_analysis_race () =
+  with_counters @@ fun () ->
+  let env = Serve.Jobs.create_env () in
+  let job = analyze (P.Suite "c1908") 3.0 in
+  let render = render_masked ~mask:[ "cache" ] in
+  let answers =
+    Serve.Pool.map ~domains:2
+      (List.init 6 (fun _ () -> render (Serve.Jobs.run env job)))
+  in
+  let hits = counter "serve.cache.analysis.hits"
+  and misses = counter "serve.cache.analysis.misses" in
+  check_int "hits + misses" 6 (hits + misses);
+  check_true "a lane built it" (misses >= 1);
+  let fresh = render (Serve.Jobs.run (Serve.Jobs.create_env ()) job) in
+  List.iteri
+    (fun i a -> Alcotest.(check string) (Printf.sprintf "answer %d" i) fresh a)
+    answers
+
+(* (c) Neither [info] nor [analyze] (miss or hit) changes the cached
+   pristine netlist, and an [optimize] after them sizes what a fresh env
+   sizes. The .bench text names each gate's function, not its drive, so
+   the cells are compared too; initial sizing leaves alu1's cells as
+   built but not c432's. *)
+let test_analysis_leaves_pristine () =
+  let env = Serve.Jobs.create_env () in
+  let pristine source =
+    match Serve.Jobs.cached_netlist env ~library:P.default_libspec source with
+    | Some c -> Netlist.Bench_io.to_string c ^ Serve.Jobs.sizing_digest c
+    | None -> Alcotest.fail "circuit not cached"
+  in
+  List.iter
+    (fun name ->
+      let source = P.Suite name in
+      let info_bytes () = render_masked (Serve.Jobs.run env (info source)) in
+      ignore (info_bytes ());
+      let before = pristine source and info_before = info_bytes () in
+      ignore (Serve.Jobs.run env (analyze source 3.0));
+      ignore (Serve.Jobs.run env (analyze source 9.0));
+      Alcotest.(check string)
+        (name ^ ": info unchanged")
+        info_before (info_bytes ());
+      Alcotest.(check string)
+        (name ^ ": pristine netlist unchanged")
+        before (pristine source))
+    [ "alu1"; "c432" ];
+  let alu1 = pristine (P.Suite "alu1") in
+  Alcotest.(check string) "optimize after analyze"
+    (optimize_digest (Serve.Jobs.create_env ()))
+    (optimize_digest env);
+  Alcotest.(check string) "pristine netlist unchanged by optimize" alu1
+    (pristine (P.Suite "alu1"))
+
+(* (d) The slot lives in the netlist's entry, whose key names the library:
+   the same circuit under another library is analyzed under that library. *)
+let test_analysis_per_library () =
+  with_counters @@ fun () ->
+  let env = Serve.Jobs.create_env () in
+  let source = P.Suite "alu1" in
+  let other = { P.tau = Some 6.0; strengths = None } in
+  let render = render_masked ~mask:[ "cache" ] in
+  let default_answer = render (Serve.Jobs.run env (analyze source 3.0)) in
+  let other_answer =
+    render (Serve.Jobs.run env (analyze ~library:other source 3.0))
+  in
+  check_int "one analysis per library" 2 (counter "serve.cache.analysis.misses");
+  check_true "the libraries' answers differ" (default_answer <> other_answer);
+  Alcotest.(check string) "other library = a fresh env's answer"
+    (render
+       (Serve.Jobs.run (Serve.Jobs.create_env ())
+          (analyze ~library:other source 3.0)))
+    other_answer;
+  Alcotest.(check string) "default library answer kept" default_answer
+    (render (Serve.Jobs.run env (analyze source 3.0)));
+  check_int "then a hit" 1 (counter "serve.cache.analysis.hits")
+
 (* ---- daemon over a real socket ---------------------------------------- *)
 
 let socket_path name =
@@ -256,25 +431,26 @@ let socket_path name =
     (Printf.sprintf "statserve-test-%s-%d.sock" name (Unix.getpid ()))
 
 (* Run a daemon in its own domain with a connection cap so the test always
-   terminates, hand the socket to [f], then join. *)
+   terminates, hand the socket to [f], then join. The socket file appears
+   at bind, before the daemon listens, so a connect in between is refused:
+   one probe connection, counted in the cap, waits until it is accepted. *)
 let with_daemon ?hash ?(connections = 1) name f =
   let socket = socket_path name in
   let config =
     {
       (Serve.Daemon.default_config ~socket) with
-      max_connections = Some connections;
+      max_connections = Some (connections + 1);
       max_batch = 4;
       hash;
     }
   in
   let daemon = Domain.spawn (fun () -> Serve.Daemon.run config) in
   let rec wait tries =
-    if Sys.file_exists socket then ()
-    else if tries = 0 then Alcotest.fail "daemon socket never appeared"
-    else begin
-      Unix.sleepf 0.05;
-      wait (tries - 1)
-    end
+    match Serve.Client.connect ~socket with
+    | c -> Serve.Client.close c
+    | exception Unix.Unix_error ((ENOENT | ECONNREFUSED), _, _) when tries > 0 ->
+        Unix.sleepf 0.05;
+        wait (tries - 1)
   in
   wait 100;
   Fun.protect ~finally:(fun () -> Domain.join daemon) (fun () -> f socket)
@@ -385,6 +561,8 @@ let suite =
         Alcotest.test_case "optimize defaults" `Quick test_parse_optimize_defaults;
         Alcotest.test_case "stale domains ignored" `Quick test_parse_stale_domains;
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
+        Alcotest.test_case "max_iterations range" `Quick
+          test_parse_max_iterations;
         Alcotest.test_case "render response" `Quick test_render_response;
         Alcotest.test_case "non-finite numbers render as null" `Quick
           test_render_non_finite;
@@ -402,6 +580,16 @@ let suite =
         Alcotest.test_case "cache collision" `Quick test_job_cache_collision;
         Alcotest.test_case "byte-identical across runs" `Slow
           test_job_determinism;
+      ] );
+    ( "analysis",
+      [
+        Alcotest.test_case "repeats give a fresh env's bytes" `Quick
+          test_analysis_repeats_fresh_bytes;
+        Alcotest.test_case "lanes race on a cold circuit" `Quick
+          test_analysis_race;
+        Alcotest.test_case "pristine netlist untouched" `Slow
+          test_analysis_leaves_pristine;
+        Alcotest.test_case "keyed by library" `Quick test_analysis_per_library;
       ] );
     ( "daemon",
       [
