@@ -823,13 +823,6 @@ let serve_cmd =
       value & opt int 64
       & info [ "max-batch" ] ~doc:"Cap on an explicit batch op's job count.")
   in
-  let max_connections_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-connections" ]
-          ~doc:"Stop after serving this many connections (testing).")
-  in
   let client_arg =
     Arg.(
       value & flag
@@ -847,8 +840,7 @@ let serve_cmd =
             "Client mode: reproduce Table 1 through a running daemon (one \
              table1 job per suite circuit, pipelined on one connection).")
   in
-  let run verbose socket domains max_batch max_connections client table1 names
-      =
+  let run verbose socket domains max_batch client table1 names =
     setup_logs verbose;
     if table1 then
       match Serve.Table1_client.run ~socket ?names () with
@@ -861,12 +853,7 @@ let serve_cmd =
     end
     else
       Serve.Daemon.run
-        {
-          (Serve.Daemon.default_config ~socket) with
-          domains;
-          max_batch;
-          max_connections;
-        }
+        { (Serve.Daemon.default_config ~socket) with domains; max_batch }
   in
   Cmd.v
     (Cmd.info "serve"
@@ -878,8 +865,8 @@ let serve_cmd =
              "Without $(b,--client)/$(b,--table1), listens on the Unix \
               socket for newline-delimited serve/1 JSON requests: ping, \
               info, analyze, optimize, table1, stats, batch, shutdown. \
-              Parsed netlists and generated libraries are cached by content \
-              hash across jobs; batched requests fan out across \
+              Parsed netlists and generated libraries are cached by \
+              content across jobs; batched requests fan out across \
               $(b,--domains) pool lanes. Sizings are byte-identical for \
               every domain count.";
            `P
@@ -889,7 +876,7 @@ let serve_cmd =
          ])
     Term.(
       const run $ verbose_arg $ socket_arg $ domains_arg $ max_batch_arg
-      $ max_connections_arg $ client_arg $ table1_arg $ names_arg)
+      $ client_arg $ table1_arg $ names_arg)
 
 let main =
   let doc = "statistical gate sizing for process-variation tolerance" in

@@ -30,7 +30,6 @@ type config = {
   z_span : float;
   samples : int;
   model : Variation.Model.t;
-  electrical : Sta.Electrical.config;
 }
 
 let default_config =
@@ -40,7 +39,6 @@ let default_config =
     z_span = 4.0;
     samples = 12;
     model = Variation.Model.default;
-    electrical = Sta.Electrical.default_config;
   }
 
 (* FULLSSTA discretizes arcs over mean ± 4σ (Discrete_pdf.of_normal's
@@ -64,7 +62,7 @@ let lut_eps = 1e-9
 (* ---- arc abstraction ---------------------------------------------------- *)
 
 let arcs_current config circuit =
-  let electrical = Sta.Electrical.compute ~config:config.electrical circuit in
+  let electrical = Sta.Electrical.compute circuit in
   fun id k ->
     let d = (Sta.Electrical.arc_delays electrical id).(k) in
     let strength = Cells.Cell.strength (Netlist.Circuit.cell_exn circuit id) in
@@ -102,7 +100,7 @@ let arcs_all_sizings ~lib config circuit =
       load.(id) <- I.add readers ext);
   (* Slew enclosure: worst-fanin propagation mirrored on intervals, hulled
      over the ladder. *)
-  let slew = Array.make n (I.point config.electrical.Sta.Electrical.input_slew) in
+  let slew = Array.make n (I.point Sta.Electrical.input_slew) in
   let arc = Array.make n [||] in
   List.iter
     (fun id ->
@@ -206,7 +204,7 @@ let run ?(config = default_config) ~lib circuit =
     | All_sizings -> arcs_all_sizings ~lib config circuit
   in
   let n = Netlist.Circuit.size circuit in
-  let input_arrival = config.electrical.Sta.Electrical.input_arrival in
+  let input_arrival = Sta.Electrical.input_arrival in
   let input_state =
     Domain.exact ~support:(I.point input_arrival)
       (Numerics.Clark.moments ~mean:input_arrival ~var:0.0)

@@ -25,12 +25,11 @@ type config = {
       (** FULLSSTA pdf budget the distribution-free mode certifies
           (default 12, matching [Ssta.Fullssta.default_config]) *)
   model : Variation.Model.t;
-  electrical : Sta.Electrical.config;
 }
 
 val default_config : config
 (** Current sizing, Clark-normal semantics, z_span 4, 12 samples, default
-    model and electrical config. *)
+    model. *)
 
 type t
 

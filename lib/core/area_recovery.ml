@@ -9,34 +9,6 @@
    end. The confirming run is the result's [final_run], so a caller that
    reports the recovered circuit's moments need not price it again. *)
 
-type config = {
-  objective : Objective.t;
-  model : Variation.Model.t;
-  tolerance : float; (* allowed relative objective increase, e.g. 0.01 *)
-  samples : int;
-  electrical : Sta.Electrical.config;
-}
-
-let default_config =
-  {
-    objective = Objective.create ~alpha:3.0;
-    model = Variation.Model.default;
-    tolerance = 0.003;
-    samples = 12;
-    electrical = Sta.Electrical.default_config;
-  }
-
-(* Recovery must price its budget in the currency the sizer optimized, so
-   every knob the two share comes from the sizer's config. *)
-let config_of_sizer (sizer : Sizer.config) =
-  {
-    default_config with
-    objective = sizer.Sizer.objective;
-    model = sizer.Sizer.model;
-    samples = sizer.Sizer.samples;
-    electrical = sizer.Sizer.electrical;
-  }
-
 type result = {
   downsized : int;
   area_before : float;
@@ -45,16 +17,6 @@ type result = {
   cost_after : float;
   final_run : Ssta.Fullssta.t; (* the run behind [cost_after] *)
 }
-
-let fullssta config circuit =
-  Ssta.Fullssta.run
-    ~config:
-      {
-        Ssta.Fullssta.samples = config.samples;
-        model = config.model;
-        electrical = config.electrical;
-      }
-    circuit
 
 (* Each trial downsize is judged on a Production Global window over the
    FULLSSTA run that priced [cost_before] ([full] when the caller hands in
@@ -67,18 +29,21 @@ let fullssta config circuit =
    cost of the perturbed cone only. A rejected
    downsize is undone the same way: the old cell goes back and is
    committed, which returns the window to bit-identical state. *)
-let recover ?(config = default_config) ?full ~lib circuit =
+let recover ~objective ?(tolerance = 0.003) ?full ~lib circuit =
   Obs.Span.with_ "area_recovery.recover" @@ fun () ->
   let area_before = Netlist.Circuit.total_area circuit in
-  let full = match full with Some f -> f | None -> fullssta config circuit in
-  let cost_before = Objective.circuit_cost config.objective full in
+  let full =
+    match full with Some f -> f | None -> Ssta.Fullssta.run circuit
+  in
+  let setup = Ssta.Fullssta.config full in
+  let cost_before = Objective.circuit_cost objective full in
   let window =
     Window.create ~mode:Window.Global ~engine:Window.Production ~circuit
-      ~model:config.model ~objective:config.objective ~full ()
+      ~model:setup.Ssta.Fullssta.model ~objective ~full ()
   in
   let budget =
     let c = Window.base_cost window in
-    c +. (config.tolerance *. Float.abs c)
+    c +. (tolerance *. Float.abs c)
   in
   let by_area_desc =
     Netlist.Circuit.gates circuit
@@ -107,13 +72,13 @@ let recover ?(config = default_config) ?full ~lib circuit =
       in
       step ())
     by_area_desc;
-  let final_run = fullssta config circuit in
+  let final_run = Ssta.Fullssta.run ~config:setup circuit in
   {
     downsized = !downsized;
     area_before;
     area_after = Netlist.Circuit.total_area circuit;
     cost_before;
-    cost_after = Objective.circuit_cost config.objective final_run;
+    cost_after = Objective.circuit_cost objective final_run;
     final_run;
   }
 

@@ -1,23 +1,6 @@
 (** Area recovery (constrained mode, paper §2.1): downsize gates greedily
     while the statistical objective stays within a tolerance budget. *)
 
-type config = {
-  objective : Objective.t;
-  model : Variation.Model.t;
-  tolerance : float;
-  samples : int;
-  electrical : Sta.Electrical.config;
-}
-
-val default_config : config
-(** α = 3, 0.3%% objective tolerance. *)
-
-val config_of_sizer : Sizer.config -> config
-(** The recovery config that follows a sizing run: the sizer's objective,
-    variation model, FULLSSTA samples and electrical config, with the
-    default tolerance — so the recovery budget is measured in the currency
-    the sizing gains were bought in. *)
-
 type result = {
   downsized : int;
   area_before : float;
@@ -25,24 +8,28 @@ type result = {
   cost_before : float;
   cost_after : float;
   final_run : Ssta.Fullssta.t;
-      (** The FULLSSTA run behind [cost_after]: a fresh run under [config]'s
-          samples, model and electrical settings over the recovered cells.
-          The caller owns it. *)
+      (** The FULLSSTA run behind [cost_after]: a fresh run over the
+          recovered cells under the settings of the run that priced
+          [cost_before]. The caller owns it. *)
 }
 
 val recover :
-  ?config:config ->
+  objective:Objective.t ->
+  ?tolerance:float ->
   ?full:Ssta.Fullssta.t ->
   lib:Cells.Library.t ->
   Netlist.Circuit.t ->
   result
-(** Mutates the circuit in place. [full], when given, must be a run that
-    prices the circuit's current cells under [config]'s samples, model and
-    electrical settings (such as {!Sizer.result.final_run} after a sizing
-    under the config {!config_of_sizer} derives from); recovery then prices
-    [cost_before] with it instead of running FULLSSTA again. Recovery owns
+(** Mutates the circuit in place, keeping [objective] within [tolerance]
+    (default 0.003, i.e. 0.3%) of its cost before recovery. [full], when
+    given, must be a run over the circuit's current cells (such as
+    {!Sizer.result.final_run}); recovery prices [cost_before] with it and
+    reads its pdf samples and variation model from it
+    ({!Ssta.Fullssta.config}), so its judging window and its closing run
+    price under the same settings as the stage before it. Recovery owns
     [full] from then on: its judging window mutates the run's electrical
     state, so the caller must not read it afterwards. Without [full],
-    recovery makes that run itself. *)
+    recovery makes that run itself, under
+    {!Ssta.Fullssta.default_config}. *)
 
 val pp_result : result Fmt.t

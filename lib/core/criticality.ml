@@ -46,13 +46,12 @@ let tightness_shares = function
       if total <= 0.0 then Array.make n (1.0 /. float_of_int n)
       else Array.map (fun w -> w /. total) raw
 
-let compute ?(model = Variation.Model.default)
-    ?(config = Sta.Electrical.default_config) circuit =
-  let electrical = Sta.Electrical.compute ~config circuit in
+let compute ?(model = Variation.Model.default) circuit =
+  let electrical = Sta.Electrical.compute circuit in
   let n = Netlist.Circuit.size circuit in
   let arrivals =
     Array.make n
-      (Numerics.Clark.moments ~mean:config.Sta.Electrical.input_arrival ~var:0.0)
+      (Numerics.Clark.moments ~mean:Sta.Electrical.input_arrival ~var:0.0)
   in
   (* forward: exact-Clark arrival moments *)
   Ssta.Fassta.propagate_into ~exact:true ~model ~circuit ~electrical arrivals;

@@ -3,11 +3,7 @@
 
 type t
 
-val compute :
-  ?model:Variation.Model.t ->
-  ?config:Sta.Electrical.config ->
-  Netlist.Circuit.t ->
-  t
+val compute : ?model:Variation.Model.t -> Netlist.Circuit.t -> t
 
 val criticality : t -> Netlist.Circuit.id -> float
 

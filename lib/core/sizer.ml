@@ -45,16 +45,12 @@ type path_source = Dominant_path | All_output_paths | Critical_cone
 
 type config = {
   objective : Objective.t;
-  model : Variation.Model.t;
   window_depth : int;
   max_iterations : int;
-  samples : int; (* FULLSSTA pdf points *)
-  patience : int; (* consecutive non-improving iterations tolerated *)
   move_threshold : float; (* minimum window-cost gain (ps) to commit a move *)
   commit_mode : commit_mode;
   path_source : path_source;
   evaluation : Window.mode; (* trial scoring: windowed (paper) or global *)
-  electrical : Sta.Electrical.config;
   engine : Window.engine;
       (* Production (persistent state, dirty-cone updates) or the Reference
          scratch oracle — identical sizings either way *)
@@ -64,16 +60,12 @@ type config = {
 let default_config =
   {
     objective = Objective.create ~alpha:3.0;
-    model = Variation.Model.default;
     window_depth = 2;
     max_iterations = 120;
-    samples = 12;
-    patience = 4;
     move_threshold = 0.02;
     commit_mode = Sequential;
     path_source = Critical_cone;
     evaluation = Window.Global;
-    electrical = Sta.Electrical.default_config;
     engine = Window.Production;
     paranoid = false;
   }
@@ -113,12 +105,8 @@ type result = {
   runtime_s : float;
 }
 
-let fullssta_config config =
-  {
-    Ssta.Fullssta.samples = config.samples;
-    model = config.model;
-    electrical = config.electrical;
-  }
+(* Consecutive non-improving iterations tolerated before the run stops. *)
+let patience = 4
 
 (* One outer iteration: trace the WNSS path, evaluate every gate on it
    through [window] (fresh per iteration on the Reference engine, persistent
@@ -126,16 +114,16 @@ let fullssta_config config =
    the commit mode. Returns the applied resizes (gate, previous, new) for
    potential rollback, plus window counts:
    (schedule, path_length, windows_evaluated). *)
-let run_iteration config ~lib circuit full window stats_acc =
+let run_iteration config ~model ~lib circuit full window stats_acc =
   (* The statistical traces do not depend on α (they rank by variance
      structure); at α = 0 the cone still covers the deterministic critical
      forest plus the near-critical siblings whose pin loads burden critical
      drivers — visiting them lets the mean optimizer downsize them. *)
   let path =
     match config.path_source with
-    | Dominant_path -> Wnss.trace ~model:config.model circuit full
-    | All_output_paths -> Wnss.trace_all_outputs ~model:config.model circuit full
-    | Critical_cone -> Wnss.critical_cone ~model:config.model circuit full
+    | Dominant_path -> Wnss.trace ~model circuit full
+    | All_output_paths -> Wnss.trace_all_outputs ~model circuit full
+    | Critical_cone -> Wnss.critical_cone ~model circuit full
   in
   let visited =
     List.filter (fun id -> not (Netlist.Circuit.is_input circuit id)) path
@@ -195,9 +183,10 @@ let optimize ?(ignore_lint = false) ?(config = default_config) ~lib circuit =
   (* Preflight: refuse garbage inputs before the first FULLSSTA. Errors
      raise Lint.Preflight.Rejected (unless the caller opted out); warnings
      are logged and the run proceeds. *)
-  let findings =
-    Lint.Preflight.gate ~ignore_lint ~model:config.model ~lib circuit
-  in
+  (* every FULLSSTA run below is under the default config: its model
+     drives the traces, the windows and the judge too *)
+  let model = Ssta.Fullssta.default_config.Ssta.Fullssta.model in
+  let findings = Lint.Preflight.gate ~ignore_lint ~model ~lib circuit in
   List.iter
     (fun d ->
       if d.Diag.severity <> Diag.Severity.Error then
@@ -206,9 +195,8 @@ let optimize ?(ignore_lint = false) ?(config = default_config) ~lib circuit =
   Lint.Extrapolation.reset lib;
   (* statflow: safe — feeds runtime_s metadata only, never the sized result *)
   let started = Sys.time () in
-  let full_cfg = fullssta_config config in
   let stats_acc = ref (0, 0) in
-  let full0 = Ssta.Fullssta.run ~config:full_cfg circuit in
+  let full0 = Ssta.Fullssta.run circuit in
   let initial_moments = Ssta.Fullssta.output_moments full0 in
   let initial_area = Netlist.Circuit.total_area circuit in
   let iteration_record index full resizes path_length =
@@ -242,20 +230,19 @@ let optimize ?(ignore_lint = false) ?(config = default_config) ~lib circuit =
      (maintained bit-equal to a scratch pass by the exact-stop resync)
      instead of recomputing it from scratch. *)
   let judge_cost () =
-    let electrical = Sta.Electrical.compute ~config:config.electrical circuit in
+    let electrical = Sta.Electrical.compute circuit in
     let scratch =
       Array.make (Netlist.Circuit.size circuit)
         (Numerics.Clark.moments ~mean:0.0 ~var:0.0)
     in
-    Ssta.Fassta.propagate_into ~exact:true ~model:config.model ~circuit
-      ~electrical scratch;
+    Ssta.Fassta.propagate_into ~exact:true ~model ~circuit ~electrical scratch;
     Objective.cost_of_rv ~exact:true config.objective
       (fun o -> scratch.(o))
       (Netlist.Circuit.outputs circuit)
   in
   let make_window full =
     Window.create ~mode:config.evaluation ~engine:config.engine ~circuit
-      ~model:config.model ~objective:config.objective ~full ()
+      ~model ~objective:config.objective ~full ()
   in
   (* The persistent window (Production): one allocation for the whole run,
      its shared electrical state and cached base arrivals kept in sync by
@@ -286,7 +273,7 @@ let optimize ?(ignore_lint = false) ?(config = default_config) ~lib circuit =
       in
       let schedule, path_length, evaluated =
         Obs.Span.with_ "sizer.iteration" @@ fun () ->
-        run_iteration config ~lib circuit full window stats_acc
+        run_iteration config ~model ~lib circuit full window stats_acc
       in
       Obs.Counters.bump c_iterations;
       Obs.Counters.add c_windows_evaluated evaluated;
@@ -303,7 +290,7 @@ let optimize ?(ignore_lint = false) ?(config = default_config) ~lib circuit =
                    ~refresh_electrical:false full ~resized);
               full
             end
-            else Ssta.Fullssta.run ~config:full_cfg circuit
+            else Ssta.Fullssta.run circuit
           in
           let cost' =
             match persistent with
@@ -323,7 +310,7 @@ let optimize ?(ignore_lint = false) ?(config = default_config) ~lib circuit =
             loop (index + 1) full' 0 (record :: history)
               (resizes + List.length schedule)
           end
-          else if misses + 1 >= config.patience then
+          else if misses + 1 >= patience then
             (Converged, record :: history, resizes + List.length schedule)
           else
             loop (index + 1) full' (misses + 1) (record :: history)
@@ -332,7 +319,7 @@ let optimize ?(ignore_lint = false) ?(config = default_config) ~lib circuit =
   in
   let stop_reason, history, total_resizes = loop 0 full0 0 [] 0 in
   restore !best_cells;
-  let final_full = Ssta.Fullssta.run ~config:full_cfg circuit in
+  let final_full = Ssta.Fullssta.run circuit in
   (* Clamp-and-warn (LIB007): report, once per cell, every table that was
      queried outside its characterized grid during this run. *)
   List.iter

@@ -18,16 +18,12 @@ type path_source =
 
 type config = {
   objective : Objective.t;
-  model : Variation.Model.t;
   window_depth : int;  (** TFI/TFO levels, paper uses 2 *)
   max_iterations : int;
-  samples : int;  (** FULLSSTA pdf points *)
-  patience : int;  (** consecutive non-improving iterations tolerated *)
   move_threshold : float;  (** minimum window-cost gain (ps) per move *)
   commit_mode : commit_mode;
   path_source : path_source;
   evaluation : Window.mode;  (** trial scoring: windowed (paper) or global *)
-  electrical : Sta.Electrical.config;
   engine : Window.engine;
       (** default [Production]: one persistent electrical state, FULLSSTA
           annotation and window per run, kept in sync with dirty-cone
@@ -47,18 +43,14 @@ type config = {
 }
 
 val default_config : config
-(** α = 3, depth-2 windows, 12-point pdfs, 0.02 ps move threshold,
-    sequential commits, the critical-cone path source, Global scoring, 120
-    iterations max, the [Production] engine. *)
+(** α = 3, depth-2 windows, 0.02 ps move threshold, sequential commits, the
+    critical-cone path source, Global scoring, 120 iterations max, the
+    [Production] engine. *)
 
 val mean_delay_config : config
 (** The "Original" baseline: identical machinery at α = 0 (pure mean
     delay) with a 0.5 ps move threshold, so the mean optimizer stops at
     diminishing returns. *)
-
-val fullssta_config : config -> Ssta.Fullssta.config
-(** The FULLSSTA settings a sizing run uses: [config]'s [samples], [model]
-    and [electrical]. Its final moments come from a run under them. *)
 
 type iteration = {
   index : int;
@@ -78,9 +70,10 @@ type result = {
   final_moments : Numerics.Clark.moments;
   final_run : Ssta.Fullssta.t;
       (** The FULLSSTA run behind [final_moments]: a fresh run under
-          {!fullssta_config} over the cells the sizer leaves in place. The
-          caller owns it; {!Area_recovery.recover} takes it as [?full] and
-          mutates its electrical state, so read it before handing it on. *)
+          {!Ssta.Fullssta.default_config} over the cells the sizer leaves
+          in place. The caller owns it; {!Area_recovery.recover} takes it
+          as [?full] and mutates its electrical state, so read it before
+          handing it on. *)
   initial_area : float;
   final_area : float;
   iterations : iteration list;
@@ -98,11 +91,15 @@ val optimize :
   lib:Cells.Library.t ->
   Netlist.Circuit.t ->
   result
-(** Runs a lint preflight first ({!Lint.Preflight.gate} over circuit,
-    library, and variation model): Error-level findings raise
-    {!Lint.Preflight.Rejected} unless [ignore_lint] is set; warnings are
-    logged. After the run, LUT extrapolation observed during sizing is
-    logged once per cell (LIB007). *)
+(** Prices every state under {!Ssta.Fullssta.default_config}: its pdf
+    samples and variation model drive the FULLSSTA runs, the WNSS traces
+    and the window trials alike. The run stops after 4 consecutive
+    iterations without a new best cost. Runs a lint preflight first
+    ({!Lint.Preflight.gate} over circuit, library, and variation model):
+    Error-level findings raise {!Lint.Preflight.Rejected} unless
+    [ignore_lint] is set; warnings are logged. After the run, LUT
+    extrapolation observed during sizing is logged once per cell
+    (LIB007). *)
 
 val mean_change_pct :
   original:Numerics.Clark.moments -> optimized:result -> float

@@ -40,9 +40,7 @@ let optimize ?(config = default_config) ~lib circuit ~period ~target =
   if not (target > 0.0 && target < 1.0) then
     invalid_arg "Yield_driven.optimize: target must be in (0, 1)";
   let yield0, sigma0, area0 =
-    measure
-      (Ssta.Fullssta.run ~config:(Sizer.fullssta_config config.sizer) circuit)
-      circuit ~period
+    measure (Ssta.Fullssta.run circuit) circuit ~period
   in
   let steps = ref [ { alpha = 0.0; yield_ = yield0; sigma = sigma0; area = area0 } ] in
   let rec ladder = function
@@ -57,9 +55,8 @@ let optimize ?(config = default_config) ~lib circuit ~period ~target =
              sizer's) already prices its cells *)
           let full =
             if config.recover_area then
-              (Area_recovery.recover
-                 ~config:(Area_recovery.config_of_sizer sizer)
-                 ~full:sized.Sizer.final_run ~lib circuit)
+              (Area_recovery.recover ~objective ~full:sized.Sizer.final_run
+                 ~lib circuit)
                 .Area_recovery.final_run
             else sized.Sizer.final_run
           in

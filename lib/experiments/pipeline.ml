@@ -62,13 +62,12 @@ let run_alpha ?(ignore_lint = false) ?(recover = true)
   let config = { config with Core.Sizer.objective } in
   let res = Core.Sizer.optimize ~ignore_lint ~config ~lib circuit in
   (* each stage ends on a fresh FULLSSTA run over the cells it leaves in
-     place, under [Sizer.fullssta_config config]: recovery prices its
-     budget with the sizer's and the result is priced by the last one *)
+     place: recovery prices its budget with the sizer's and the result is
+     priced by the last one *)
   let full =
     if recover then
-      (Core.Area_recovery.recover
-         ~config:(Core.Area_recovery.config_of_sizer config)
-         ~full:res.Core.Sizer.final_run ~lib circuit)
+      (Core.Area_recovery.recover ~objective ~full:res.Core.Sizer.final_run
+         ~lib circuit)
         .Core.Area_recovery.final_run
     else res.Core.Sizer.final_run
   in

@@ -21,9 +21,8 @@ val prepare :
 (** Generate, apply the initial sizing, run the mean-delay sizer
     ([mean_config], default {!Core.Sizer.mean_delay_config}). The
     baseline's [moments] are that sizer's [final_moments]: the RV_O of a
-    FULLSSTA run over the cells it leaves in place, with [mean_config]'s
-    samples, variation model and electrical settings (at the default, the
-    same as {!Ssta.Fullssta.default_config}). The sizer's lint preflight
+    FULLSSTA run under {!Ssta.Fullssta.default_config} over the cells it
+    leaves in place. The sizer's lint preflight
     applies: Error-level findings raise {!Lint.Preflight.Rejected} unless
     [ignore_lint] is set. *)
 
@@ -51,8 +50,7 @@ val run_alpha :
   stat_run
 (** Copies the baseline circuit, so runs at different α are independent.
     Sizing, area recovery and the FULLSSTA run that prices the result all
-    use [config]'s samples, variation model and electrical settings
-    ({!Core.Sizer.fullssta_config}). No sizing is priced twice: the
-    sizer's final run goes to recovery, which owns it from then on, and
-    the result is priced by recovery's closing run (the sizer's final run
-    when [recover] is false). *)
+    run under {!Ssta.Fullssta.default_config}. No sizing is priced twice:
+    the sizer's final run goes to recovery, which owns it from then on,
+    and the result is priced by recovery's closing run (the sizer's final
+    run when [recover] is false). *)

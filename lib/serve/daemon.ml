@@ -13,8 +13,6 @@ type config = {
   domains : int;
   max_batch : int;
   max_request_bytes : int;
-  max_connections : int option;
-  hash : (string -> string) option;
 }
 
 let default_config ~socket =
@@ -23,8 +21,6 @@ let default_config ~socket =
     domains = 1;
     max_batch = 64;
     max_request_bytes = 8 * 1024 * 1024;
-    max_connections = None;
-    hash = None;
   }
 
 exception Disconnected
@@ -205,37 +201,32 @@ let serve_connection config env fd =
 let run config =
   if Sys.os_type = "Unix" then
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let env = Jobs.create_env ?hash:config.hash () in
+  let env = Jobs.create_env () in
   (* warm the default library before any worker domain can race the lazy *)
   ignore (Lazy.force Cells.Library.default);
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.unlink config.socket with Unix.Unix_error _ -> ());
+  let tmp = config.socket ^ ".tmp" in
+  let unlink path = try Unix.unlink path with Unix.Unix_error _ -> () in
+  unlink tmp;
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close sock with Unix.Unix_error _ -> ());
-      try Unix.unlink config.socket with Unix.Unix_error _ -> ())
+      unlink tmp;
+      unlink config.socket)
     (fun () ->
-      Unix.bind sock (Unix.ADDR_UNIX config.socket);
+      Unix.bind sock (Unix.ADDR_UNIX tmp);
       Unix.listen sock 16;
+      Unix.rename tmp config.socket;
       Log.info (fun m ->
           m "listening on %s (%d pool domains)" config.socket config.domains);
-      let served = ref 0 in
       let rec accept_loop () =
-        let capped =
-          match config.max_connections with
-          | Some cap -> !served >= cap
-          | None -> false
+        let client, _ = Unix.accept sock in
+        let stop =
+          Fun.protect
+            ~finally:(fun () ->
+              try Unix.close client with Unix.Unix_error _ -> ())
+            (fun () -> serve_connection config env client)
         in
-        if not capped then begin
-          let client, _ = Unix.accept sock in
-          incr served;
-          let stop =
-            Fun.protect
-              ~finally:(fun () ->
-                try Unix.close client with Unix.Unix_error _ -> ())
-              (fun () -> serve_connection config env client)
-          in
-          if not stop then accept_loop ()
-        end
+        if not stop then accept_loop ()
       in
       accept_loop ())

@@ -5,27 +5,24 @@
     writes one response line per request.
 
     Robustness contract (test/test_serve.ml): a malformed line, an
-    oversized request or batch, a cache-hash collision, or a job exception
-    each produce a typed [serve/1] error response; a client that
-    disconnects mid-job (SIGPIPE is ignored, [EPIPE] handled) only ends
-    that connection. Only the [shutdown] op — or [max_connections], a test
-    hook — stops the daemon. *)
+    oversized request or batch, or a job exception each produce a typed
+    [serve/1] error response; a client that disconnects mid-job (SIGPIPE
+    is ignored, [EPIPE] handled) only ends that connection. Only the
+    [shutdown] op stops the daemon. *)
 
 type config = {
   socket : string;  (** Unix socket path; any stale file is replaced *)
   domains : int;  (** pool lanes for batch execution (1 = inline) *)
   max_batch : int;  (** cap on an explicit ["batch"] op's job count *)
   max_request_bytes : int;  (** per-line byte cap *)
-  max_connections : int option;
-      (** stop after serving this many connections (test hook) *)
-  hash : (string -> string) option;
-      (** cache-hash override (test hook for the collision path) *)
 }
 
 val default_config : socket:string -> config
-(** domains 1, max_batch 64, max_request_bytes 8 MiB, no connection cap,
-    stock MD5 content hash. *)
+(** domains 1, max_batch 64, max_request_bytes 8 MiB. *)
 
 val run : config -> unit
-(** Blocks until a [shutdown] op (or the connection cap) is reached. The
-    socket file is removed on the way out. *)
+(** Blocks until a [shutdown] op. The socket file appears at
+    [config.socket] only once the daemon listens: it binds
+    [config.socket ^ ".tmp"], listens, then renames that into place, so a
+    client may connect as soon as the file exists. Both names are removed
+    on the way out. *)

@@ -4,7 +4,6 @@ let c_netlist_hits = Obs.Counters.make "serve.cache.netlist.hits"
 let c_netlist_misses = Obs.Counters.make "serve.cache.netlist.misses"
 let c_library_hits = Obs.Counters.make "serve.cache.library.hits"
 let c_library_misses = Obs.Counters.make "serve.cache.library.misses"
-let c_collisions = Obs.Counters.make "serve.cache.collisions"
 let c_analysis_hits = Obs.Counters.make "serve.cache.analysis.hits"
 let c_analysis_misses = Obs.Counters.make "serve.cache.analysis.misses"
 
@@ -21,22 +20,17 @@ type entry = { pristine : Netlist.Circuit.t; analysis : analysis option Atomic.t
 
 type env = { libs : Cells.Library.t Cache.t; circuits : entry Cache.t }
 
-let create_env ?hash () =
-  { libs = Cache.create ?hash (); circuits = Cache.create ?hash () }
+let create_env () = { libs = Cache.create (); circuits = Cache.create () }
 
 let ( let* ) = Result.bind
 
-let cache_result ~hits ~misses ~collision_msg outcome =
-  match outcome with
+let cache_result ~hits ~misses = function
   | Cache.Hit v ->
       Obs.Counters.bump hits;
-      Ok (v, true)
+      (v, true)
   | Cache.Miss v ->
       Obs.Counters.bump misses;
-      Ok (v, false)
-  | Cache.Collision msg ->
-      Obs.Counters.bump c_collisions;
-      Error (Protocol.err Protocol.Cache_collision "%s: %s" collision_msg msg)
+      (v, false)
 
 let resolve_lib env (spec : Protocol.libspec) =
   let key = Protocol.libspec_key spec in
@@ -46,12 +40,11 @@ let resolve_lib env (spec : Protocol.libspec) =
     | { tau; strengths } ->
         Cells.Library.generate ?tau ?strengths ~name:("serve:" ^ key) ()
   in
-  let* lib, hit =
+  let lib, hit =
     cache_result ~hits:c_library_hits ~misses:c_library_misses
-      ~collision_msg:"library cache"
       (Cache.find_or_build env.libs ~content:("library\x00" ^ key) ~build)
   in
-  Ok (lib, key, hit)
+  (lib, key, hit)
 
 (* The cache key includes the library key because .bench technology
    mapping depends on the library's cells. *)
@@ -74,12 +67,11 @@ let resolve_circuit env ~lib ~libkey source =
   in
   match
     cache_result ~hits:c_netlist_hits ~misses:c_netlist_misses
-      ~collision_msg:"netlist cache"
       (Cache.find_or_build env.circuits
          ~content:(circuit_content ~libkey source)
          ~build)
   with
-  | resolved -> resolved
+  | resolved -> Ok resolved
   | exception Netlist.Bench_io.Parse_error { line; code; message } ->
       Error
         (Protocol.err Protocol.Unknown_circuit "%s: line %d: %s" code line
@@ -165,19 +157,26 @@ let run env job =
   match job with
   | Protocol.Ping -> Ok (Obs.Json.Obj [ ("pong", Obs.Json.Bool true) ])
   | Protocol.Stats ->
+      (* counters count only while the observability gate is on: off, they
+         would read as an idle daemon whatever it did *)
+      let counting = Obs.Sink.enabled () in
       let counters =
-        List.map (fun (n, v) -> (n, int v)) (Obs.Counters.dump ())
+        if counting then
+          Obs.Json.Obj
+            (List.map (fun (n, v) -> (n, int v)) (Obs.Counters.dump ()))
+        else Obs.Json.Null
       in
       Ok
         (Obs.Json.Obj
            [
-             ("counters", Obs.Json.Obj counters);
+             ("counting", Obs.Json.Bool counting);
+             ("counters", counters);
              ("cached_netlists", int (Cache.length env.circuits));
              ("cached_libraries", int (Cache.length env.libs));
            ])
   | Protocol.Shutdown -> Ok (Obs.Json.Obj [ ("stopping", Obs.Json.Bool true) ])
   | Protocol.Info { source; library } ->
-      let* lib, libkey, lib_hit = resolve_lib env library in
+      let lib, libkey, lib_hit = resolve_lib env library in
       let* entry, circuit_hit = resolve_circuit env ~lib ~libkey source in
       let circuit = entry.pristine in
       Ok
@@ -192,7 +191,7 @@ let run env job =
              cache_fields ~lib_hit ~circuit_hit;
            ])
   | Protocol.Analyze { source; library; alpha } ->
-      let* lib, libkey, lib_hit = resolve_lib env library in
+      let lib, libkey, lib_hit = resolve_lib env library in
       let* entry, circuit_hit = resolve_circuit env ~lib ~libkey source in
       let { moments = m; sigma_over_mean } = analysis ~lib entry in
       let objective = Core.Objective.create ~alpha in
@@ -207,7 +206,7 @@ let run env job =
              ]))
   | Protocol.Optimize { source; library; alpha; max_iterations; return_cells }
     ->
-      let* lib, libkey, lib_hit = resolve_lib env library in
+      let lib, libkey, lib_hit = resolve_lib env library in
       let* entry, circuit_hit = resolve_circuit env ~lib ~libkey source in
       let circuit = Netlist.Circuit.copy entry.pristine in
       let baseline =
@@ -253,7 +252,7 @@ let run env job =
              ]
            @ cells))
   | Protocol.Table1 { source; library; alphas; max_iterations } ->
-      let* lib, libkey, lib_hit = resolve_lib env library in
+      let lib, libkey, lib_hit = resolve_lib env library in
       let* entry, circuit_hit = resolve_circuit env ~lib ~libkey source in
       let circuit = Netlist.Circuit.copy entry.pristine in
       let name = Netlist.Circuit.name circuit in

@@ -1,5 +1,5 @@
 (** Serve job execution: resolve the library and circuit through the
-    content-hashed caches, run the requested analysis/optimization, and
+    content-keyed caches, run the requested analysis/optimization, and
     marshal the result to [serve/1] JSON.
 
     One netlist cache entry holds the pristine netlist and its analysis
@@ -14,8 +14,7 @@
 
 type env
 
-val create_env : ?hash:(string -> string) -> unit -> env
-(** [hash] is forwarded to both caches (test hook for the collision path). *)
+val create_env : unit -> env
 
 val run : env -> Protocol.job -> (Obs.Json.t, Protocol.error) result
 (** Execute one job (pure result: no timing metadata). [Shutdown] only

@@ -7,7 +7,6 @@ type error_code =
   | Unknown_circuit
   | Oversized_batch
   | Oversized_request
-  | Cache_collision
   | Job_failed
 
 type error = { code : error_code; message : string }
@@ -21,7 +20,6 @@ let code_string = function
   | Unknown_circuit -> "unknown_circuit"
   | Oversized_batch -> "oversized_batch"
   | Oversized_request -> "oversized_request"
-  | Cache_collision -> "cache_collision"
   | Job_failed -> "job_failed"
 
 type source = Suite of string | Bench of string

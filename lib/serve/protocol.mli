@@ -21,9 +21,6 @@ type error_code =
   | Unknown_circuit  (** suite name not found, or .bench text rejected *)
   | Oversized_batch  (** explicit batch larger than the daemon's max *)
   | Oversized_request  (** request line longer than the daemon's byte cap *)
-  | Cache_collision
-      (** two different contents hashed to the same cache digest — the
-          cache refuses to serve either rather than return wrong state *)
   | Job_failed  (** job raised; the daemon survives and reports *)
 
 type error = { code : error_code; message : string }
@@ -59,6 +56,8 @@ type job =
       max_iterations : int option;
     }
   | Stats
+      (** ["counting"] (whether the observability gate is on), the
+          ["counters"] block ([null] while it is off) and the cache sizes *)
   | Shutdown
 
 type request = { id : Obs.Json.t; job : job }

@@ -80,14 +80,13 @@ let propagate ?stats ~model ~circuit ~electrical ~boundary nodes =
   out
 
 (* Whole-circuit fast pass into a caller-owned array (no allocation beyond
-   the moments themselves) — the sizing inner loop calls this thousands of
-   times per iteration. *)
+   the moments themselves): [run], window creation and refreshes, the
+   Reference engine's commits and judge, and criticality. *)
 let propagate_into ?stats ?(exact = false) ~model ~circuit ~electrical out =
   Obs.Counters.add c_propagate_nodes (Netlist.Circuit.size circuit);
-  let input_arrival =
-    electrical.Sta.Electrical.config.Sta.Electrical.input_arrival
+  let input_moments =
+    Numerics.Clark.moments ~mean:Sta.Electrical.input_arrival ~var:0.0
   in
-  let input_moments = Numerics.Clark.moments ~mean:input_arrival ~var:0.0 in
   List.iter
     (fun id ->
       let fanins = Netlist.Circuit.fanins circuit id in
@@ -122,17 +121,14 @@ let propagate_into ?stats ?(exact = false) ~model ~circuit ~electrical out =
 
 (* Whole-circuit fast pass: useful standalone and for engine-accuracy
    studies against FULLSSTA / Monte Carlo. *)
-let run ?stats ?(model = Variation.Model.default) ?config circuit =
-  let electrical = Sta.Electrical.compute ?config circuit in
-  let input_arrival = electrical.Sta.Electrical.config.input_arrival in
-  let boundary _ = Numerics.Clark.moments ~mean:input_arrival ~var:0.0 in
-  let nodes = Array.of_list (Netlist.Circuit.topological circuit) in
-  let table = propagate ?stats ~model ~circuit ~electrical ~boundary nodes in
-  let n = Netlist.Circuit.size circuit in
-  Array.init n (fun id ->
-      match Hashtbl.find_opt table id with
-      | Some m -> m
-      | None -> boundary id)
+let run ?stats ?(model = Variation.Model.default) circuit =
+  let electrical = Sta.Electrical.compute circuit in
+  let out =
+    Array.make (Netlist.Circuit.size circuit)
+      (Numerics.Clark.moments ~mean:Sta.Electrical.input_arrival ~var:0.0)
+  in
+  propagate_into ?stats ~model ~circuit ~electrical out;
+  out
 
 let output_moments circuit moments =
   match Netlist.Circuit.outputs circuit with

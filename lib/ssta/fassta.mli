@@ -53,10 +53,9 @@ val propagate_into :
 val run :
   ?stats:stats ->
   ?model:Variation.Model.t ->
-  ?config:Sta.Electrical.config ->
   Netlist.Circuit.t ->
   Numerics.Clark.moments array
-(** Whole-circuit fast pass. *)
+(** Whole-circuit fast pass: a fresh array filled by {!propagate_into}. *)
 
 val output_moments :
   Netlist.Circuit.t -> Numerics.Clark.moments array -> Numerics.Clark.moments

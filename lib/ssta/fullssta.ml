@@ -4,18 +4,9 @@
    and MAX operate on the discretized pdfs, and the mean/variance at every
    node is stored for the fast inner engine (FASSTA) to consume. *)
 
-type config = {
-  samples : int;
-  model : Variation.Model.t;
-  electrical : Sta.Electrical.config;
-}
+type config = { samples : int; model : Variation.Model.t }
 
-let default_config =
-  {
-    samples = 12;
-    model = Variation.Model.default;
-    electrical = Sta.Electrical.default_config;
-  }
+let default_config = { samples = 12; model = Variation.Model.default }
 
 (* statobs: scratch propagation node count vs dirty-cone wavefront pops —
    the FULLSSTA analogue of the electrical engine's visit counters. *)
@@ -64,12 +55,11 @@ let node_strength circuit id =
 let run ?(config = default_config) circuit =
   if config.samples < 2 then invalid_arg "Fullssta.run: samples < 2";
   Obs.Span.with_ "fullssta.run" @@ fun () ->
-  let electrical = Sta.Electrical.compute ~config:config.electrical circuit in
+  let electrical = Sta.Electrical.compute circuit in
   let n = Netlist.Circuit.size circuit in
   Obs.Counters.add c_run_nodes n;
   let pdfs =
-    Array.make n
-      (Numerics.Discrete_pdf.constant config.electrical.Sta.Electrical.input_arrival)
+    Array.make n (Numerics.Discrete_pdf.constant Sta.Electrical.input_arrival)
   in
   let arc_arrivals = Array.make n [||] in
   List.iter
@@ -105,6 +95,7 @@ let run ?(config = default_config) circuit =
 
 let pdf t id = t.pdfs.(id)
 let moments t id = t.moments.(id)
+let config t = t.config
 let electrical t = t.electrical
 
 (* The circuit-level random variable RV_O of §2.1: the statistical max over

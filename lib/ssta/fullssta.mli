@@ -4,7 +4,6 @@
 type config = {
   samples : int;  (** pdf points, paper uses 10–15 (default 12) *)
   model : Variation.Model.t;
-  electrical : Sta.Electrical.config;
 }
 
 val default_config : config
@@ -40,6 +39,9 @@ val pdf : t -> Netlist.Circuit.id -> Numerics.Discrete_pdf.t
 
 val moments : t -> Netlist.Circuit.id -> Numerics.Clark.moments
 (** Stored (mean, variance) of the node's arrival — FASSTA's boundary data. *)
+
+val config : t -> config
+(** The settings the run was made under; {!update} keeps them. *)
 
 val electrical : t -> Sta.Electrical.t
 

@@ -34,7 +34,6 @@ type config = {
   model : Variation.Model.t;
   structure : Variation.Correlated.t;
   sharing : sharing;
-  electrical : Sta.Electrical.config;
 }
 
 let default_config =
@@ -44,7 +43,6 @@ let default_config =
     model = Variation.Model.default;
     structure = Variation.Correlated.independent;
     sharing = Per_arc;
-    electrical = Sta.Electrical.default_config;
   }
 
 type result = {
@@ -60,7 +58,7 @@ let arc_sigmas model cell arcs =
 
 let run ?(config = default_config) circuit =
   if config.trials < 1 then invalid_arg "Monte_carlo.run: trials < 1";
-  let electrical = Sta.Electrical.compute ~config:config.electrical circuit in
+  let electrical = Sta.Electrical.compute circuit in
   let fanins id = Netlist.Circuit.fanins circuit id in
   let order = Netlist.Circuit.topological circuit in
   let structure = config.structure in
@@ -73,7 +71,7 @@ let run ?(config = default_config) circuit =
   List.iter
     (fun id ->
       if Array.length (fanins id) = 0 then
-        arrival.(id) <- config.electrical.Sta.Electrical.input_arrival)
+        arrival.(id) <- Sta.Electrical.input_arrival)
     order;
   (* Gate [j], the [j]-th node with fanins in topological order, owns arcs
      [first.(j)] .. [first.(j + 1) - 1]: their source node, nominal delay

@@ -27,7 +27,6 @@ type config = {
   model : Variation.Model.t;
   structure : Variation.Correlated.t;
   sharing : sharing;
-  electrical : Sta.Electrical.config;
 }
 
 val default_config : config

@@ -92,9 +92,8 @@ let max_arrival a b =
   }
 
 let run ?(model = Variation.Model.default)
-    ?(structure = Variation.Correlated.create ~global_share:0.5 ())
-    ?(config = Sta.Electrical.default_config) circuit =
-  let electrical = Sta.Electrical.compute ~config circuit in
+    ?(structure = Variation.Correlated.create ~global_share:0.5 ()) circuit =
+  let electrical = Sta.Electrical.compute circuit in
   let region_loadings = loadings_of_structure structure in
   let k = Array.length region_loadings in
   let residual_share = Variation.Correlated.residual_share structure in
@@ -102,7 +101,7 @@ let run ?(model = Variation.Model.default)
   let n = Netlist.Circuit.size circuit in
   let arrivals =
     Array.make n
-      { mean = config.Sta.Electrical.input_arrival; loadings = zeros k;
+      { mean = Sta.Electrical.input_arrival; loadings = zeros k;
         indep_var = 0.0 }
   in
   List.iter

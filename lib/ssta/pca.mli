@@ -22,7 +22,6 @@ val loadings_of_structure : Variation.Correlated.t -> float array array
 val run :
   ?model:Variation.Model.t ->
   ?structure:Variation.Correlated.t ->
-  ?config:Sta.Electrical.config ->
   Netlist.Circuit.t ->
   t
 (** Propagate correlated arrivals; gates are striped across the structure's

@@ -12,7 +12,7 @@ type t = {
 
 let arrivals circuit (electrical : Electrical.t) =
   let n = Netlist.Circuit.size circuit in
-  let arrival = Array.make n electrical.Electrical.config.input_arrival in
+  let arrival = Array.make n Electrical.input_arrival in
   List.iter
     (fun id ->
       let fanins = Netlist.Circuit.fanins circuit id in
@@ -68,8 +68,8 @@ let downstream_delays circuit (electrical : Electrical.t) =
     (List.rev (Netlist.Circuit.topological circuit));
   downstream
 
-let analyze ?config ?period circuit =
-  let electrical = Electrical.compute ?config circuit in
+let analyze ?period circuit =
+  let electrical = Electrical.compute circuit in
   let arrival = arrivals circuit electrical in
   let period =
     match period with Some p -> p | None -> max_output_arrival circuit arrival

@@ -2,8 +2,7 @@
 
 type t
 
-val analyze :
-  ?config:Electrical.config -> ?period:float -> Netlist.Circuit.t -> t
+val analyze : ?period:float -> Netlist.Circuit.t -> t
 (** Full pass. Without [period], required times are anchored at the worst
     output arrival (so the critical path has zero slack). *)
 

@@ -8,9 +8,9 @@
    the Monte-Carlo sampler consume these arc delays, so they always agree
    on the nominal electrical picture. *)
 
-type config = { input_slew : float; input_arrival : float }
-
-let default_config = { input_slew = 10.0; input_arrival = 0.0 }
+(* The circuit boundary every engine times against. *)
+let input_slew = 10.0
+let input_arrival = 0.0
 
 (* statobs: full-sweep node visits vs dirty-cone wavefront pops. Their
    ratio is the incremental engine's savings, reproducible run-to-run. *)
@@ -42,7 +42,6 @@ type work = {
 }
 
 type t = {
-  config : config;
   load : float array;
   slew : float array;
   arc_delay : float array array; (* arc_delay.(gate).(k) for fanin k *)
@@ -87,13 +86,12 @@ let recompute_all t circuit =
 
 (* A fresh state is the full refresh of an empty one: primary inputs keep
    the boundary slew, every gate is derived in topological order. *)
-let compute ?(config = default_config) circuit =
+let compute circuit =
   let n = Netlist.Circuit.size circuit in
   let t =
     {
-      config;
       load = Array.make n 0.0;
-      slew = Array.make n config.input_slew;
+      slew = Array.make n input_slew;
       arc_delay = Array.make n [||];
       work = None;
     }

@@ -2,24 +2,24 @@
     propagation) and nominal per-arc delays from the library LUTs. Shared by
     the deterministic, statistical, and Monte-Carlo engines. *)
 
-type config = { input_slew : float; input_arrival : float }
+val input_slew : float
+(** The slew every primary input drives: 10 ps. *)
 
-val default_config : config
-(** 10 ps boundary slew, time-0 input arrivals. *)
+val input_arrival : float
+(** The arrival time of every primary input: 0. *)
 
 type work
 (** Preallocated scratch for {!update} and trials: the wavefront, the dirty
     buffer, the trial log and the per-node trial rows. *)
 
 type t = {
-  config : config;
   load : float array;
   slew : float array;
   arc_delay : float array array;
   mutable work : work option;  (** created on first update; managed internally *)
 }
 
-val compute : ?config:config -> Netlist.Circuit.t -> t
+val compute : Netlist.Circuit.t -> t
 
 val load : t -> Netlist.Circuit.id -> float
 val slew : t -> Netlist.Circuit.id -> float

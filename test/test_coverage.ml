@@ -207,8 +207,10 @@ let area_recovery_tolerance_respected () =
       Netlist.Circuit.set_cell c id
         (Cells.Library.max_cell lib ~fn:(Cells.Cell.fn cell)))
     (Netlist.Circuit.gates c);
-  let config = { Core.Area_recovery.default_config with tolerance = 0.05 } in
-  let r = Core.Area_recovery.recover ~config ~lib c in
+  let r =
+    Core.Area_recovery.recover ~objective:(Core.Objective.create ~alpha:3.0)
+      ~tolerance:0.05 ~lib c
+  in
   check_true "cost within 6% of pre-recovery"
     (r.Core.Area_recovery.cost_after
     <= 1.06 *. Float.abs r.Core.Area_recovery.cost_before);

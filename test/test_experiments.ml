@@ -87,29 +87,20 @@ let prepare_moments_match_a_fresh_run () =
     [ "alu1"; "alu2"; "alu3"; "c432"; "c499"; "c880" ]
 
 (* [run_alpha] prices its result under the FULLSSTA settings its sizer and
-   area recovery ran with, not under [Fullssta.default_config]: with a
-   non-default variation model its final moments are a fresh run's under
-   [Sizer.fullssta_config config], to the bit. *)
+   area recovery ran with: its final moments are a fresh default run's
+   over the cells it leaves, to the bit. *)
 let run_alpha_measures_under_its_config () =
   let entry = Option.get (Benchgen.Iscas_like.find "alu1") in
   let baseline =
     Experiments.Pipeline.prepare ~lib (fun () ->
         entry.Benchgen.Iscas_like.build ~lib)
   in
-  let config =
-    {
-      Core.Sizer.default_config with
-      model = Variation.Model.create ~systematic:0.3 ~random_floor:0.6 ();
-      max_iterations = 2;
-    }
-  in
+  let config = { Core.Sizer.default_config with max_iterations = 2 } in
   let r = Experiments.Pipeline.run_alpha ~config ~lib baseline ~alpha:3.0 in
   let m = r.Experiments.Pipeline.final_moments
   and fresh =
     Ssta.Fullssta.output_moments
-      (Ssta.Fullssta.run
-         ~config:(Core.Sizer.fullssta_config config)
-         r.Experiments.Pipeline.circuit)
+      (Ssta.Fullssta.run r.Experiments.Pipeline.circuit)
   in
   let bits = Int64.bits_of_float in
   check_true "mean bit-equal"
@@ -118,9 +109,10 @@ let run_alpha_measures_under_its_config () =
     (Int64.equal (bits m.Numerics.Clark.var) (bits fresh.Numerics.Clark.var))
 
 (* [Pipeline.run_alpha] as it stood when each stage priced its sizing
-   afresh, verbatim up to module paths: recovery ran FULLSSTA again over
-   the cells the sizer had just priced, and a last run priced recovery's
-   cells again. The oracle the run-reusing pipeline must match. *)
+   afresh, verbatim up to module paths and the recovery and FULLSSTA
+   settings, now defaults: recovery ran FULLSSTA again over the cells the
+   sizer had just priced, and a last run priced recovery's cells again.
+   The oracle the run-reusing pipeline must match. *)
 module Parent_pipeline = struct
   open Experiments.Pipeline
 
@@ -133,13 +125,8 @@ module Parent_pipeline = struct
     let config = { config with Core.Sizer.objective } in
     let res = Core.Sizer.optimize ~ignore_lint ~config ~lib circuit in
     if recover then
-      ignore
-        (Core.Area_recovery.recover
-           ~config:(Core.Area_recovery.config_of_sizer config)
-           ~lib circuit);
-    let full =
-      Ssta.Fullssta.run ~config:(Core.Sizer.fullssta_config config) circuit
-    in
+      ignore (Core.Area_recovery.recover ~objective ~lib circuit);
+    let full = Ssta.Fullssta.run circuit in
     let m = Ssta.Fullssta.output_moments full in
     let area = Netlist.Circuit.total_area circuit in
     let b = baseline.moments in

@@ -375,11 +375,12 @@ let test_trial_update_matches_oracle () =
         and slew0 = Array.copy e.Sta.Electrical.slew
         and rows0 = Array.copy e.Sta.Electrical.arc_delay in
         let oracle =
-          { e with
+          {
             Sta.Electrical.load = Array.copy load0;
             slew = Array.copy slew0;
             arc_delay = Array.copy rows0;
-            work = None }
+            work = None;
+          }
         in
         let cells0 = List.map (fun g -> (g, Netlist.Circuit.cell_exn c g)) resized in
         List.iter
@@ -505,44 +506,36 @@ let test_raising_trial_restores () =
     gates
 
 (* Area recovery as it stood before it judged on the Production window,
-   verbatim up to module paths: every trial downsize priced from scratch by
-   a full electrical pass plus an exact FASSTA pass. The oracle the
-   incremental judge must match decision for decision. *)
+   verbatim up to module paths and its config record, whose fields are now
+   the objective and tolerance arguments and FULLSSTA's default settings:
+   every trial downsize priced from scratch by a full electrical pass plus
+   an exact FASSTA pass. The oracle the incremental judge must match
+   decision for decision. *)
 module Oracle_recovery = struct
   open Core
   open Core.Area_recovery
 
-  let fast_cost config circuit =
-    let electrical = Sta.Electrical.compute ~config:config.electrical circuit in
+  let fast_cost objective circuit =
+    let electrical = Sta.Electrical.compute circuit in
     let scratch =
       Array.make (Netlist.Circuit.size circuit)
         (Numerics.Clark.moments ~mean:0.0 ~var:0.0)
     in
-    Ssta.Fassta.propagate_into ~exact:true ~model:config.model ~circuit ~electrical
-      scratch;
-    Objective.cost_of_rv ~exact:true config.objective
+    Ssta.Fassta.propagate_into ~exact:true ~model:Variation.Model.default
+      ~circuit ~electrical scratch;
+    Objective.cost_of_rv ~exact:true objective
       (fun o -> scratch.(o))
       (Netlist.Circuit.outputs circuit)
 
-  let full_run config circuit =
-    Ssta.Fullssta.run
-      ~config:
-        {
-          Ssta.Fullssta.samples = config.samples;
-          model = config.model;
-          electrical = config.electrical;
-        }
-      circuit
+  let full_cost objective circuit =
+    Objective.circuit_cost objective (Ssta.Fullssta.run circuit)
 
-  let full_cost config circuit =
-    Objective.circuit_cost config.objective (full_run config circuit)
-
-  let recover ?(config = default_config) ~lib circuit =
+  let recover ~objective ~tolerance ~lib circuit =
     let area_before = Netlist.Circuit.total_area circuit in
-    let cost_before = full_cost config circuit in
+    let cost_before = full_cost objective circuit in
     let fast_budget =
-      let c = fast_cost config circuit in
-      c +. (config.tolerance *. Float.abs c)
+      let c = fast_cost objective circuit in
+      c +. (tolerance *. Float.abs c)
     in
     let by_area_desc =
       Netlist.Circuit.gates circuit
@@ -559,7 +552,7 @@ module Oracle_recovery = struct
           | None -> ()
           | Some smaller ->
               Netlist.Circuit.set_cell circuit gate smaller;
-              if fast_cost config circuit <= fast_budget then begin
+              if fast_cost objective circuit <= fast_budget then begin
                 incr downsized;
                 step ()
               end
@@ -567,13 +560,13 @@ module Oracle_recovery = struct
         in
         step ())
       by_area_desc;
-    let final_run = full_run config circuit in
+    let final_run = Ssta.Fullssta.run circuit in
     {
       downsized = !downsized;
       area_before;
       area_after = Netlist.Circuit.total_area circuit;
       cost_before;
-      cost_after = Objective.circuit_cost config.objective final_run;
+      cost_after = Objective.circuit_cost objective final_run;
       final_run;
     }
 end
@@ -605,27 +598,25 @@ let test_recovery_matches_oracle () =
       (Netlist.Circuit.gates c);
     c
   in
-  let config ?(tolerance = Core.Area_recovery.default_config.tolerance) alpha =
-    { Core.Area_recovery.default_config with
-      objective = Core.Objective.create ~alpha; tolerance }
-  in
+  (* the default tolerance, 0.3% *)
+  let setup ?(tolerance = 0.003) alpha = (Core.Objective.create ~alpha, tolerance) in
   let c432_a3 = after_sizer "c432" 3.0 in
   let cases =
     [
-      ("c432 alpha 3", c432_a3, config 3.0);
-      ("c432 alpha 9", after_sizer "c432" 9.0, config 9.0);
-      ("c880 alpha 3", after_sizer "c880" 3.0, config 3.0);
-      ("c880 alpha 9", after_sizer "c880" 9.0, config 9.0);
-      ("alu2 oversized, tolerance 0.05", oversized "alu2", config ~tolerance:0.05 3.0);
-      ("c432 alpha 3, tolerance 0", c432_a3, config ~tolerance:0.0 3.0);
+      ("c432 alpha 3", c432_a3, setup 3.0);
+      ("c432 alpha 9", after_sizer "c432" 9.0, setup 9.0);
+      ("c880 alpha 3", after_sizer "c880" 3.0, setup 3.0);
+      ("c880 alpha 9", after_sizer "c880" 9.0, setup 9.0);
+      ("alu2 oversized, tolerance 0.05", oversized "alu2", setup ~tolerance:0.05 3.0);
+      ("c432 alpha 3, tolerance 0", c432_a3, setup ~tolerance:0.0 3.0);
     ]
   in
   List.iter
-    (fun (label, c, config) ->
+    (fun (label, c, (objective, tolerance)) ->
       let what = Printf.sprintf "%s: %s" label in
       let cn = Netlist.Circuit.copy c and co = Netlist.Circuit.copy c in
-      let rn = Core.Area_recovery.recover ~config ~lib cn in
-      let ro = Oracle_recovery.recover ~config ~lib co in
+      let rn = Core.Area_recovery.recover ~objective ~tolerance ~lib cn in
+      let ro = Oracle_recovery.recover ~objective ~tolerance ~lib co in
       check_int (what "downsized") ro.Core.Area_recovery.downsized
         rn.Core.Area_recovery.downsized;
       List.iter

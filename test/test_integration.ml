@@ -21,7 +21,10 @@ let sizing_preserves_function () =
       objective = Core.Objective.create ~alpha:9.0; max_iterations = 20 }
   in
   let _ = Core.Sizer.optimize ~config ~lib c in
-  let _ = Core.Area_recovery.recover ~lib c in
+  let _ =
+    Core.Area_recovery.recover ~objective:(Core.Objective.create ~alpha:3.0)
+      ~lib c
+  in
   let after = List.map (fun ins -> Netlist.Simulate.run c ~inputs:ins) vectors in
   List.iter2
     (fun b a -> Alcotest.(check (list (pair string bool))) "same function" b a)

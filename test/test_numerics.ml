@@ -835,8 +835,7 @@ let fullssta_matches_oracle_pass () =
       let electrical = Ssta.Fullssta.electrical full in
       let pdfs =
         Array.make (Netlist.Circuit.size c)
-          (Oracle_pdf.constant
-             config.Ssta.Fullssta.electrical.Sta.Electrical.input_arrival)
+          (Oracle_pdf.constant Sta.Electrical.input_arrival)
       in
       List.iter
         (fun id ->

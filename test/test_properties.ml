@@ -177,9 +177,7 @@ let prop_envelope_contains_truncated_samples =
       let sc = Absint.Statcheck.run ~lib c in
       let cfg = Absint.Statcheck.config sc in
       let z_span = cfg.Absint.Statcheck.z_span in
-      let input_arrival =
-        cfg.Absint.Statcheck.electrical.Sta.Electrical.input_arrival
-      in
+      let input_arrival = Sta.Electrical.input_arrival in
       let e = Sta.Electrical.compute c in
       let model = Variation.Model.default in
       let rng = Numerics.Rng.create ~seed:7 in

@@ -1,7 +1,8 @@
 (* statserve: protocol units, cache/pool behavior, job determinism, and the
-   daemon robustness contract (malformed lines, oversized batches, mid-job
-   disconnects, cache-hash collisions all come back as typed serve/1 errors
-   instead of killing the daemon). *)
+   daemon robustness contract (malformed lines, oversized batches and
+   mid-job disconnects all come back as typed serve/1 errors or end one
+   connection instead of killing the daemon; the socket is connectable as
+   soon as its file exists). *)
 
 open Test_util
 
@@ -192,16 +193,6 @@ let test_cache_hit_miss () =
   check_int "built once" 1 !builds;
   check_int "one entry" 1 (Serve.Cache.length cache)
 
-let test_cache_collision () =
-  (* a constant hash makes every distinct content collide *)
-  let cache = Serve.Cache.create ~hash:(fun _ -> "same") () in
-  (match Serve.Cache.find_or_build cache ~content:"a" ~build:(fun () -> 1) with
-  | Serve.Cache.Miss 1 -> ()
-  | _ -> Alcotest.fail "expected Miss 1");
-  match Serve.Cache.find_or_build cache ~content:"b" ~build:(fun () -> 2) with
-  | Serve.Cache.Collision _ -> ()
-  | _ -> Alcotest.fail "expected Collision"
-
 let test_cache_build_raises () =
   let cache = Serve.Cache.create () in
   (try
@@ -227,9 +218,7 @@ let test_pool_order () =
 
 (* ---- jobs -------------------------------------------------------------- *)
 
-let run_job ?hash job =
-  let env = Serve.Jobs.create_env ?hash () in
-  Serve.Jobs.run env job
+let run_job job = Serve.Jobs.run (Serve.Jobs.create_env ()) job
 
 let job_err what expected result =
   match result with
@@ -244,19 +233,6 @@ let test_job_unknown_circuit () =
   job_err "bad bench text" "unknown_circuit"
     (run_job
        (P.Info { source = P.Bench "not a bench file"; library = P.default_libspec }))
-
-let test_job_cache_collision () =
-  (* constant hash: the second distinct circuit collides in the netlist
-     cache and must surface as a typed error, not a wrong answer *)
-  let env = Serve.Jobs.create_env ~hash:(fun _ -> "same") () in
-  let info name =
-    Serve.Jobs.run env
-      (P.Info { source = P.Suite name; library = P.default_libspec })
-  in
-  (match info "alu1" with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "first job failed: %s" e.P.message);
-  job_err "collision" "cache_collision" (info "alu2")
 
 let optimize_digest env =
   match
@@ -313,6 +289,27 @@ let with_counters f =
 
 let counter name =
   Option.value ~default:0 (List.assoc_opt name (Obs.Counters.dump ()))
+
+(* [stats] says whether its counters count: [null] while the observability
+   gate is off, the counter block (this job included) while it is on. *)
+let test_job_stats_counting () =
+  let stats () =
+    match run_job P.Stats with
+    | Ok json -> json
+    | Error e -> Alcotest.failf "stats: %s" e.P.message
+  in
+  let off = stats () in
+  check_true "off: not counting"
+    (Obs.Json.member "counting" off = Some (Obs.Json.Bool false));
+  check_true "off: counters null"
+    (Obs.Json.member "counters" off = Some Obs.Json.Null);
+  with_counters @@ fun () ->
+  let on = stats () in
+  check_true "on: counting"
+    (Obs.Json.member "counting" on = Some (Obs.Json.Bool true));
+  check_true "on: this job counted"
+    (Option.bind (Obs.Json.member "counters" on) (Obs.Json.member "serve.jobs")
+    = Some (Obs.Json.Num 1.0))
 
 let bench_payload =
   lazy (Netlist.Bench_io.to_string (Benchgen.Iscas_like.build_exn ~lib "alu2"))
@@ -430,30 +427,35 @@ let socket_path name =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "statserve-test-%s-%d.sock" name (Unix.getpid ()))
 
-(* Run a daemon in its own domain with a connection cap so the test always
-   terminates, hand the socket to [f], then join. The socket file appears
-   at bind, before the daemon listens, so a connect in between is refused:
-   one probe connection, counted in the cap, waits until it is accepted. *)
-let with_daemon ?hash ?(connections = 1) name f =
+(* Run a daemon in its own domain and hand its socket to [f] as soon as
+   the file exists: the daemon renames the socket into place only once it
+   listens, so the first connect must succeed. Afterwards, send [shutdown]
+   on a fresh connection and join, so a raising [f] fails the test instead
+   of joining a daemon that never stops. A daemon that is already gone or
+   going ([f] shut it down) refuses, resets or closes that connection. *)
+let with_daemon name f =
   let socket = socket_path name in
-  let config =
-    {
-      (Serve.Daemon.default_config ~socket) with
-      max_connections = Some (connections + 1);
-      max_batch = 4;
-      hash;
-    }
-  in
+  (try Sys.remove socket with Sys_error _ -> ());
+  let config = { (Serve.Daemon.default_config ~socket) with max_batch = 4 } in
   let daemon = Domain.spawn (fun () -> Serve.Daemon.run config) in
-  let rec wait tries =
-    match Serve.Client.connect ~socket with
-    | c -> Serve.Client.close c
-    | exception Unix.Unix_error ((ENOENT | ECONNREFUSED), _, _) when tries > 0 ->
-        Unix.sleepf 0.05;
-        wait (tries - 1)
+  let stop () =
+    (try
+       ignore
+         (Serve.Client.session ~socket [ {|{"serve":1,"id":0,"op":"shutdown"}|} ])
+     with Unix.Unix_error _ | Sys_error _ | Failure _ -> ());
+    Domain.join daemon
   in
-  wait 100;
-  Fun.protect ~finally:(fun () -> Domain.join daemon) (fun () -> f socket)
+  let rec wait tries =
+    if not (Sys.file_exists socket) then
+      if tries = 0 then Alcotest.failf "%s never appeared" socket
+      else begin
+        Unix.sleepf 0.001;
+        wait (tries - 1)
+      end
+  in
+  Fun.protect ~finally:stop (fun () ->
+      wait 10_000;
+      f socket)
 
 let response_code line =
   let json = Obs.Json.parse_exn line in
@@ -502,7 +504,7 @@ let test_daemon_oversized_batch () =
       | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs))
 
 let test_daemon_disconnect_mid_job () =
-  with_daemon "disconnect" ~connections:2 (fun socket ->
+  with_daemon "disconnect" (fun socket ->
       (* first connection: fire a real job and hang up without reading *)
       let c = Serve.Client.connect ~socket in
       Serve.Client.send_line c
@@ -513,25 +515,8 @@ let test_daemon_disconnect_mid_job () =
       | [ r ] -> Alcotest.(check string) "daemon survived" "ok" (response_code r)
       | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs))
 
-let test_daemon_cache_collision () =
-  with_daemon "collision" ~hash:(fun _ -> "same") (fun socket ->
-      match
-        Serve.Client.session ~socket
-          [
-            {|{"serve":1,"id":1,"op":"info","circuit":"alu1"}|};
-            {|{"serve":1,"id":2,"op":"info","circuit":"alu2"}|};
-            {|{"serve":1,"id":3,"op":"ping"}|};
-          ]
-      with
-      | [ a; b; c ] ->
-          Alcotest.(check string) "first fills the cache" "ok" (response_code a);
-          Alcotest.(check string) "second collides" "cache_collision"
-            (response_code b);
-          Alcotest.(check string) "daemon alive" "ok" (response_code c)
-      | rs -> Alcotest.failf "expected 3 responses, got %d" (List.length rs))
-
 let test_daemon_batch_and_shutdown () =
-  with_daemon "batch" ~connections:99 (fun socket ->
+  with_daemon "batch" (fun socket ->
       (match
          Serve.Client.session ~socket
            [
@@ -546,12 +531,26 @@ let test_daemon_batch_and_shutdown () =
           | Some (Obs.Json.Arr [ _; _ ]) -> ()
           | _ -> Alcotest.fail "expected 2 batch results")
       | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
-      (* shutdown must stop the daemon well before the connection cap *)
       match
         Serve.Client.session ~socket [ {|{"serve":1,"id":0,"op":"shutdown"}|} ]
       with
       | [ r ] -> Alcotest.(check string) "shutdown acked" "ok" (response_code r)
       | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs))
+
+(* Twenty daemon starts, each connected to once, without a retry, as soon
+   as its socket file exists; each leaves neither the socket nor its
+   temporary name behind. *)
+let test_daemon_socket_ready () =
+  for i = 1 to 20 do
+    with_daemon "ready" (fun socket ->
+        match Serve.Client.session ~socket [ {|{"serve":1,"id":1,"op":"ping"}|} ] with
+        | [ r ] ->
+            Alcotest.(check string) (Printf.sprintf "start %d" i) "ok" (response_code r)
+        | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs))
+  done;
+  let socket = socket_path "ready" in
+  check_true "socket removed" (not (Sys.file_exists socket));
+  check_true "temporary name removed" (not (Sys.file_exists (socket ^ ".tmp")))
 
 let suite =
   [
@@ -570,14 +569,14 @@ let suite =
     ( "cache",
       [
         Alcotest.test_case "hit/miss" `Quick test_cache_hit_miss;
-        Alcotest.test_case "collision" `Quick test_cache_collision;
         Alcotest.test_case "failed build" `Quick test_cache_build_raises;
       ] );
     ("pool", [ Alcotest.test_case "order" `Quick test_pool_order ]);
     ( "jobs",
       [
         Alcotest.test_case "unknown circuit" `Quick test_job_unknown_circuit;
-        Alcotest.test_case "cache collision" `Quick test_job_cache_collision;
+        Alcotest.test_case "stats says whether it counts" `Quick
+          test_job_stats_counting;
         Alcotest.test_case "byte-identical across runs" `Slow
           test_job_determinism;
       ] );
@@ -597,9 +596,10 @@ let suite =
         Alcotest.test_case "oversized batch" `Quick test_daemon_oversized_batch;
         Alcotest.test_case "mid-job disconnect" `Quick
           test_daemon_disconnect_mid_job;
-        Alcotest.test_case "cache collision" `Quick test_daemon_cache_collision;
         Alcotest.test_case "batch + shutdown" `Quick
           test_daemon_batch_and_shutdown;
+        Alcotest.test_case "socket ready once visible" `Quick
+          test_daemon_socket_ready;
       ] );
   ]
 

@@ -175,6 +175,53 @@ let fassta_propagate_into_matches_run () =
       close ~tol:1e-9 "same var" fast.(o).Numerics.Clark.var out.(o).Numerics.Clark.var)
     (Netlist.Circuit.outputs c)
 
+(* [run] fills one array through [propagate_into]; [propagate], over every
+   node with the input arrival as its boundary, folds the same
+   [max_fast_resolved] calls in the same order through a Hashtbl. Every
+   node's moments, the cutoff stats and the node counter must agree. *)
+let fassta_run_matches_propagate () =
+  let dag =
+    Benchgen.Random_dag.generate ~lib
+      { Benchgen.Random_dag.profile_name = "rd"; inputs = 16; outputs = 6;
+        gates = 150; depth = 10; seed = 3 }
+  in
+  let bits = Int64.bits_of_float in
+  let nodes () =
+    Option.value ~default:0
+      (List.assoc_opt "fassta.propagate.nodes" (Obs.Counters.dump ()))
+  in
+  Obs.Sink.reset ();
+  Obs.Sink.enable ();
+  Fun.protect ~finally:Obs.Sink.disable @@ fun () ->
+  List.iter
+    (fun (name, c) ->
+      let run_stats = Ssta.Fassta.make_stats ()
+      and prop_stats = Ssta.Fassta.make_stats () in
+      let n0 = nodes () in
+      let fast = Ssta.Fassta.run ~stats:run_stats c in
+      let n1 = nodes () in
+      let table =
+        Ssta.Fassta.propagate ~stats:prop_stats ~model:Variation.Model.default
+          ~circuit:c ~electrical:(Sta.Electrical.compute c)
+          ~boundary:(fun _ ->
+            Numerics.Clark.moments ~mean:Sta.Electrical.input_arrival ~var:0.0)
+          (Array.of_list (Netlist.Circuit.topological c))
+      in
+      check_int (name ^ ": nodes counted") (n1 - n0) (nodes () - n1);
+      Array.iteri
+        (fun id (m : Numerics.Clark.moments) ->
+          let p = Hashtbl.find table id in
+          check_true
+            (Printf.sprintf "%s node %d bit-equal" name id)
+            (Int64.equal (bits m.mean) (bits p.Numerics.Clark.mean)
+            && Int64.equal (bits m.var) (bits p.Numerics.Clark.var)))
+        fast;
+      check_int (name ^ ": cutoff hits") prop_stats.Ssta.Fassta.cutoff_hits
+        run_stats.Ssta.Fassta.cutoff_hits;
+      check_int (name ^ ": blended") prop_stats.Ssta.Fassta.blended
+        run_stats.Ssta.Fassta.blended)
+    [ ("c432", Benchgen.Iscas_like.build_exn ~lib "c432"); ("random DAG", dag) ]
+
 let fassta_exact_tracks_quadratic () =
   let c = Benchgen.Alu.generate ~lib ~bits:6 () in
   let e = Sta.Electrical.compute c in
@@ -264,7 +311,7 @@ module Oracle_mc = struct
 
   let run ?(config = default_config) circuit =
     if config.trials < 1 then invalid_arg "Monte_carlo.run: trials < 1";
-    let electrical = Sta.Electrical.compute ~config:config.electrical circuit in
+    let electrical = Sta.Electrical.compute circuit in
     let n = Netlist.Circuit.size circuit in
     let order = Netlist.Circuit.topological circuit in
     let outputs = Netlist.Circuit.outputs circuit in
@@ -296,7 +343,7 @@ module Oracle_mc = struct
         (fun id ->
           let fanins = Netlist.Circuit.fanins circuit id in
           if Array.length fanins = 0 then
-            arrival.(id) <- config.electrical.Sta.Electrical.input_arrival
+            arrival.(id) <- Sta.Electrical.input_arrival
           else begin
             let arcs = Sta.Electrical.arc_delays electrical id in
             let sigmas = arc_sigma.(id) in
@@ -469,6 +516,8 @@ let () =
           Alcotest.test_case "boundary propagation" `Quick fassta_propagate_boundary;
           Alcotest.test_case "propagate_into matches run" `Quick
             fassta_propagate_into_matches_run;
+          Alcotest.test_case "run = propagate, bit for bit" `Quick
+            fassta_run_matches_propagate;
           Alcotest.test_case "exact tracks quadratic" `Quick
             fassta_exact_tracks_quadratic;
         ] );

@@ -24,14 +24,6 @@ let electrical_chain_arrivals () =
   close ~tol:1e-9 "x2 arrival" (d x1 +. d x2) arrival.(x2);
   close ~tol:1e-9 "x3 arrival" (d x1 +. d x2 +. d x3) arrival.(x3)
 
-let electrical_input_slew_config () =
-  let c = chain_circuit () in
-  let e1 = Sta.Electrical.compute ~config:{ input_slew = 5.0; input_arrival = 0.0 } c in
-  let e2 = Sta.Electrical.compute ~config:{ input_slew = 80.0; input_arrival = 0.0 } c in
-  let x1 = Netlist.Circuit.find_exn c ~name:"x1" in
-  check_true "slower input slew, slower first arc"
-    ((Sta.Electrical.arc_delays e2 x1).(0) > (Sta.Electrical.arc_delays e1 x1).(0))
-
 let analysis_max_at_converge () =
   let c = tiny_circuit () in
   let t = Sta.Analysis.analyze c in
@@ -138,7 +130,6 @@ let () =
       ( "electrical",
         [
           Alcotest.test_case "chain arrivals" `Quick electrical_chain_arrivals;
-          Alcotest.test_case "input slew config" `Quick electrical_input_slew_config;
           Alcotest.test_case "snapshot/restore" `Quick electrical_snapshot_restore;
           Alcotest.test_case "recompute_all consistent" `Quick
             electrical_recompute_all_matches_fresh;
