@@ -4,10 +4,10 @@
      dune exec bench/main.exe               -- full reproduction (Table 1 over
                                                the whole suite; takes minutes)
      dune exec bench/main.exe -- --quick    -- small-circuit subset
-     dune exec bench/main.exe -- table1|fig1|fig3|fig4|approx|ablation|micro|incremental|serve|counters|statrace|statflow
+     dune exec bench/main.exe -- table1|fig1|fig3|fig4|approx|ablation|micro|serve|counters|statrace|statflow
 
-   --json additionally emits machine-readable BENCH_micro.json /
-   BENCH_incremental.json (written through Obs.Json);
+   --json additionally emits machine-readable BENCH_micro.json and the
+   other sections' BENCH_*.json files (written through Obs.Json);
    --smoke is the tiny-quota --quick variant behind the @bench-smoke alias.
 
    Absolute numbers are not expected to match the paper (our substrate is a
@@ -157,11 +157,11 @@ let micro_tests () =
   let draws = Array.make 1000 0.0 in
   let cell = List.hd (Cells.Library.cells lib) in
   (* one candidate of the sizer's inner loop: a mid-circuit c432 gate's
-     depth-2 window and its strongest size, on the Production window the
-     sizer runs (over a copy, so the other c432 tests keep their cells) *)
+     depth-2 window and its strongest size, on the window the sizer runs
+     (over a copy, so the other c432 tests keep their cells) *)
   let c432w = Netlist.Circuit.copy c432 in
   let window =
-    Core.Window.create ~engine:Core.Window.Production ~circuit:c432w
+    Core.Window.create ~circuit:c432w
       ~model:Variation.Model.default
       ~objective:(Core.Objective.create ~alpha:3.0)
       ~full:(Ssta.Fullssta.run c432w) ()
@@ -304,111 +304,6 @@ let run_micro () =
                    J.Bool
                      (match max2_ratio with Some r -> r < 8.0 | None -> false) );
                ] );
-         ])
-
-(* ---- incremental engines: scratch vs dirty-cone sizer ---------------------- *)
-
-(* Same circuit, same config except [engine]; the Reference and Production
-   runs must agree bit-for-bit on the final sizing (the incremental stops
-   are exact), so the wall-clock gap is pure engine overhead. *)
-let run_incremental () =
-  heading "incremental — scratch vs dirty-cone sizer wall-clock";
-  let cases =
-    if smoke then [ ("alu2", `Iscas "alu2") ]
-    else
-      List.map (fun n -> (n, `Iscas n)) quick_names @ [ ("alu8", `Alu 8) ]
-  in
-  let build = function
-    | `Iscas name -> Benchgen.Iscas_like.build_exn ~lib name
-    | `Alu bits -> Benchgen.Alu.generate ~lib ~bits ()
-  in
-  let max_iterations =
-    if smoke then 2 else Core.Sizer.default_config.Core.Sizer.max_iterations
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let rows =
-    List.map
-      (fun (name, spec) ->
-        let run engine =
-          let c = build spec in
-          let _ = Core.Initial_sizing.apply ~lib c in
-          let config =
-            { Core.Sizer.default_config with engine; max_iterations }
-          in
-          let r, t = time (fun () -> Core.Sizer.optimize ~config ~lib c) in
-          let cells =
-            List.map
-              (fun g -> Cells.Cell.name (Netlist.Circuit.cell_exn c g))
-              (Netlist.Circuit.gates c)
-          in
-          (r, t, cells)
-        in
-        let _, t_scratch, cells_scratch = run Core.Window.Reference in
-        let r_incr, t_incr, cells_incr = run Core.Window.Production in
-        let identical = cells_scratch = cells_incr in
-        let speedup = if t_incr > 0.0 then t_scratch /. t_incr else Float.nan in
-        Fmt.pr
-          "  %-6s scratch %7.2fs  incremental %7.2fs  speedup %5.2fx  \
-           final sizing identical=%b (%d resizes, %d iterations)@."
-          name t_scratch t_incr speedup identical
-          r_incr.Core.Sizer.total_resizes
-          (List.length r_incr.Core.Sizer.iterations);
-        (name, t_scratch, t_incr, speedup, identical, r_incr))
-      cases
-  in
-  (* the headline: one aggregate over the quick Table 1 subset (alu8 rides
-     along for the satellite's ALU datapoint but is not a Table 1 circuit) *)
-  let in_quick (name, _, _, _, _, _) = List.mem name quick_names in
-  let total_s =
-    List.fold_left (fun a (_, t, _, _, _, _) -> a +. t) 0.0
-      (List.filter in_quick rows)
-  and total_i =
-    List.fold_left (fun a (_, _, t, _, _, _) -> a +. t) 0.0
-      (List.filter in_quick rows)
-  in
-  let aggregate = if total_i > 0.0 then total_s /. total_i else Float.nan in
-  if not smoke then
-    Fmt.pr "  quick-subset aggregate: scratch %.2fs incremental %.2fs speedup \
-            %.2fx@."
-      total_s total_i aggregate;
-  if json then
-    write_json "BENCH_incremental.json"
-      (J.Obj
-         [
-           ("section", J.Str "incremental");
-           ("smoke", J.Bool smoke);
-           ("max_iterations", jint max_iterations);
-           ( "quick_subset_aggregate",
-             J.Obj
-               [
-                 ("scratch_s", J.Num total_s);
-                 ("incremental_s", J.Num total_i);
-                 ("speedup", J.Num aggregate);
-               ] );
-           ( "circuits",
-             J.Arr
-               (List.map
-                  (fun (name, t_s, t_i, speedup, identical, r) ->
-                    J.Obj
-                      [
-                        ("name", J.Str name);
-                        ("scratch_s", J.Num t_s);
-                        ("incremental_s", J.Num t_i);
-                        ("speedup", J.Num speedup);
-                        ("final_sizing_identical", J.Bool identical);
-                        ("total_resizes", jint r.Core.Sizer.total_resizes);
-                        ( "iterations",
-                          jint (List.length r.Core.Sizer.iterations) );
-                        ( "final_sigma_over_mean",
-                          J.Num
-                            (Core.Sizer.sigma_over_mean
-                               r.Core.Sizer.final_moments) );
-                      ])
-                  rows) );
          ])
 
 (* ---- statserve: daemon caches, pool throughput ---------------------------- *)
@@ -646,11 +541,12 @@ let run_statrace () =
    shipped tree modulo Info-level notes) and the per-entry allocation
    summaries are the static complement of the Gc.minor_words budget tests. *)
 let run_statflow () =
-  heading "statflow — allocation/exception/determinism analysis (lib/ + bin/)";
+  heading "statflow — allocation/exception/determinism/export analysis";
+  let shipped = [ "lib"; "bin"; "bench"; "statbench"; "examples" ] in
   let roots =
     List.find_opt
       (List.for_all Sys.file_exists)
-      [ [ "lib"; "bin" ]; [ "../lib"; "../bin" ] ]
+      [ shipped; List.map (Filename.concat "..") shipped ]
     |> Option.value ~default:[]
   in
   if roots = [] then Fmt.pr "  sources not found; skipping@."
@@ -751,7 +647,6 @@ let () =
   if wants "approx" then run_approx ();
   if wants "ablation" then run_ablation ();
   if wants "micro" then run_micro ();
-  if wants "incremental" then run_incremental ();
   if wants "serve" then run_serve ();
   if wants "counters" then run_counters ();
   if wants "statrace" then run_statrace ();

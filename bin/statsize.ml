@@ -852,8 +852,12 @@ let serve_cmd =
       List.iter print_endline (Serve.Client.session ~socket lines)
     end
     else
-      Serve.Daemon.run
-        { (Serve.Daemon.default_config ~socket) with domains; max_batch }
+      try
+        Serve.Daemon.run
+          { (Serve.Daemon.default_config ~socket) with domains; max_batch }
+      with Serve.Daemon.Socket_in_use path ->
+        Fmt.epr "statsize serve: a daemon is already listening on %s@." path;
+        exit 4
   in
   Cmd.v
     (Cmd.info "serve"
@@ -868,7 +872,8 @@ let serve_cmd =
               Parsed netlists and generated libraries are cached by \
               content across jobs; batched requests fan out across \
               $(b,--domains) pool lanes. Sizings are byte-identical for \
-              every domain count.";
+              every domain count. Exits 4, without touching the \
+              socket, when a daemon already answers at $(b,--socket).";
            `P
              "Example session: echo \
               '{\"serve\":1,\"id\":1,\"op\":\"ping\"}' | statsize serve \

@@ -250,12 +250,10 @@ let run ?(config = default_config) ~lib circuit =
 let config t = t.config
 let circuit t = t.circuit
 let state t id = t.states.(id)
-let mean_interval t id = t.states.(id).Domain.mean
 let var_hi t id = I.hi t.states.(id).Domain.var
 let err_mean t id = t.states.(id).Domain.err_mean
 let envelope t id = t.env.(id)
 let rv_state t = t.rv
-let rv_envelope t = t.rv_env
 
 let output_budget t =
   List.fold_left

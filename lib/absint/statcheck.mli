@@ -41,18 +41,16 @@ val config : t -> config
 val circuit : t -> Netlist.Circuit.t
 
 val state : t -> Netlist.Circuit.id -> Domain.v
-val mean_interval : t -> Netlist.Circuit.id -> Numerics.Interval.t
 val var_hi : t -> Netlist.Circuit.id -> float
 val err_mean : t -> Netlist.Circuit.id -> float
 
+(* statflow: safe — bounds test_properties holds Monte Carlo draws to *)
 val envelope : t -> Netlist.Circuit.id -> Numerics.Interval.t
 (** Hard realization bounds at a node for truncated draws |z| ≤ z_span. *)
 
 val rv_state : t -> Domain.v
 (** Abstract state of RV_O (the statistical max over primary outputs),
     obtained by folding the same max transfer over the output states. *)
-
-val rv_envelope : t -> Numerics.Interval.t
 
 val output_budget : t -> float
 (** Certified circuit-wide FASSTA mean-error budget: the worst accumulated

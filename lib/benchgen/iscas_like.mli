@@ -4,9 +4,6 @@
 
 type entry = { name : string; build : lib:Cells.Library.t -> Netlist.Circuit.t }
 
-val suite : entry list
-(** In Table 1's row order. *)
-
 val names : string list
 val find : string -> entry option
 val build_exn : lib:Cells.Library.t -> string -> Netlist.Circuit.t

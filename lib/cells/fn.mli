@@ -35,6 +35,7 @@ val of_name : string -> t option
 val eval : t -> bool array -> bool
 (** Boolean evaluation; raises [Invalid_argument] on arity mismatch. *)
 
+(* statflow: safe — a cell-function property the cell tests pin *)
 val inverting : t -> bool
 
 val effort : t -> float

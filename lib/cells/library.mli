@@ -27,8 +27,10 @@ val sizes_of_fn : t -> Fn.t -> Cell.t array
 val mem_fn : t -> Fn.t -> bool
 val find : t -> name:string -> Cell.t option
 val cell_exn : t -> fn:Fn.t -> drive_index:int -> Cell.t
+(* statflow: safe — twin of max_cell; tests build fixtures from it *)
 val min_cell : t -> fn:Fn.t -> Cell.t
 val max_cell : t -> fn:Fn.t -> Cell.t
+(* statflow: safe — twin of next_down; tests walk the ladder up *)
 val next_up : t -> Cell.t -> Cell.t option
 val next_down : t -> Cell.t -> Cell.t option
 
@@ -51,8 +53,7 @@ val generate :
 val default : t lazy_t
 (** The library every experiment uses unless told otherwise. *)
 
+(* statflow: safe — the drive ladder test_regressions pins the library to *)
 val default_strengths : float array
-val default_slew_axis : float array
-val default_load_axis : float array
 
 val pp : t Fmt.t

@@ -38,8 +38,3 @@ let dynamic_energy_fj ?(params = default_params) cell =
 let leakage_nw ?(params = default_params) cell =
   params.leakage_per_strength_nw *. Cell.strength cell
   *. (0.6 +. (0.4 *. Fn.base_area (Cell.fn cell)))
-
-(* Leakage at a process corner: z is the standardized process deviation of
-   this die/gate (positive z = slow = less leaky). *)
-let leakage_at_corner_nw ?(params = default_params) cell ~z =
-  leakage_nw ~params cell *. Float.exp (-.params.leakage_process_lambda *. z)

@@ -10,15 +10,8 @@ type params = {
 
 val default_params : params
 
-val switched_cap : Cell.t -> float
-(** Switched capacitance per output transition (fF). *)
-
 val dynamic_energy_fj : ?params:params -> Cell.t -> float
 (** ½·C·V² per toggle (fJ). *)
 
 val leakage_nw : ?params:params -> Cell.t -> float
 (** Nominal leakage (nW). *)
-
-val leakage_at_corner_nw : ?params:params -> Cell.t -> z:float -> float
-(** Leakage at standardized process deviation [z] (positive = slow die =
-    less leaky): nominal · exp(−λ·z). *)

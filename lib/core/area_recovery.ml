@@ -18,7 +18,7 @@ type result = {
   final_run : Ssta.Fullssta.t; (* the run behind [cost_after] *)
 }
 
-(* Each trial downsize is judged on a Production Global window over the
+(* Each trial downsize is judged on a Global window over the
    FULLSSTA run that priced [cost_before] ([full] when the caller hands in
    the run it already made over these cells, such as the sizer's final
    one): the window's committed cost is the exact-Clark RV_O cost the
@@ -38,7 +38,7 @@ let recover ~objective ?(tolerance = 0.003) ?full ~lib circuit =
   let setup = Ssta.Fullssta.config full in
   let cost_before = Objective.circuit_cost objective full in
   let window =
-    Window.create ~mode:Window.Global ~engine:Window.Production ~circuit
+    Window.create ~mode:Window.Global ~circuit
       ~model:setup.Ssta.Fullssta.model ~objective ~full ()
   in
   let budget =

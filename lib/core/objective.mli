@@ -17,6 +17,7 @@ val alpha : t -> float
 
 val cost_of_moments : t -> Numerics.Clark.moments -> float
 
+(* statflow: safe — the per-output cost form test_core pins *)
 val cost_of_outputs :
   t -> (Netlist.Circuit.id -> Numerics.Clark.moments) -> Netlist.Circuit.id list ->
   float

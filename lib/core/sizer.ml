@@ -51,9 +51,6 @@ type config = {
   commit_mode : commit_mode;
   path_source : path_source;
   evaluation : Window.mode; (* trial scoring: windowed (paper) or global *)
-  engine : Window.engine;
-      (* Production (persistent state, dirty-cone updates) or the Reference
-         scratch oracle — identical sizings either way *)
   paranoid : bool; (* cross-check every FULLSSTA update against scratch *)
 }
 
@@ -66,7 +63,6 @@ let default_config =
     commit_mode = Sequential;
     path_source = Critical_cone;
     evaluation = Window.Global;
-    engine = Window.Production;
     paranoid = false;
   }
 
@@ -109,8 +105,7 @@ type result = {
 let patience = 4
 
 (* One outer iteration: trace the WNSS path, evaluate every gate on it
-   through [window] (fresh per iteration on the Reference engine, persistent
-   and refreshed by the caller on Production), apply resizes per
+   through the run's window (refreshed by the caller), apply resizes per
    the commit mode. Returns the applied resizes (gate, previous, new) for
    potential rollback, plus window counts:
    (schedule, path_length, windows_evaluated). *)
@@ -158,10 +153,8 @@ let run_iteration config ~model ~lib circuit full window stats_acc =
               List.iter
                 (fun (g, _, cell) -> Netlist.Circuit.set_cell circuit g cell)
                 moves;
-              if config.engine = Window.Production then
-                Window.commit_incremental window
-                  ~resized:(List.map (fun (g, _, _) -> g) moves)
-              else Window.commit window sub;
+              Window.commit_incremental window
+                ~resized:(List.map (fun (g, _, _) -> g) moves);
               applied := List.rev_append moves !applied
           | Batch -> pending := List.rev_append moves !pending
         end
@@ -170,7 +163,7 @@ let run_iteration config ~model ~lib circuit full window stats_acc =
   List.iter
     (fun (gate, _, best) -> Netlist.Circuit.set_cell circuit gate best)
     !pending;
-  if config.engine = Window.Production && !pending <> [] then
+  if !pending <> [] then
     Window.commit_incremental window
       ~resized:(List.map (fun (g, _, _) -> g) !pending);
   stats_acc :=
@@ -184,7 +177,7 @@ let optimize ?(ignore_lint = false) ?(config = default_config) ~lib circuit =
      raise Lint.Preflight.Rejected (unless the caller opted out); warnings
      are logged and the run proceeds. *)
   (* every FULLSSTA run below is under the default config: its model
-     drives the traces, the windows and the judge too *)
+     drives the traces and the window too *)
   let model = Ssta.Fullssta.default_config.Ssta.Fullssta.model in
   let findings = Lint.Preflight.gate ~ignore_lint ~model ~lib circuit in
   List.iter
@@ -196,10 +189,10 @@ let optimize ?(ignore_lint = false) ?(config = default_config) ~lib circuit =
   (* statflow: safe — feeds runtime_s metadata only, never the sized result *)
   let started = Sys.time () in
   let stats_acc = ref (0, 0) in
-  let full0 = Ssta.Fullssta.run circuit in
-  let initial_moments = Ssta.Fullssta.output_moments full0 in
+  let full = Ssta.Fullssta.run circuit in
+  let initial_moments = Ssta.Fullssta.output_moments full in
   let initial_area = Netlist.Circuit.total_area circuit in
-  let iteration_record index full resizes path_length =
+  let iteration_record index resizes path_length =
     let m = Ssta.Fullssta.output_moments full in
     {
       index;
@@ -224,53 +217,22 @@ let optimize ?(ignore_lint = false) ?(config = default_config) ~lib circuit =
   let restore cells =
     List.iter (fun (id, cell) -> Netlist.Circuit.set_cell circuit id cell) cells
   in
-  (* The acceptance metric: exact-Clark moments on fresh electrical state —
-     identical in kind to Window.Global's trial scoring. The Production
-     engine reads the same value off the persistent window's committed base
-     (maintained bit-equal to a scratch pass by the exact-stop resync)
-     instead of recomputing it from scratch. *)
-  let judge_cost () =
-    let electrical = Sta.Electrical.compute circuit in
-    let scratch =
-      Array.make (Netlist.Circuit.size circuit)
-        (Numerics.Clark.moments ~mean:0.0 ~var:0.0)
-    in
-    Ssta.Fassta.propagate_into ~exact:true ~model ~circuit ~electrical scratch;
-    Objective.cost_of_rv ~exact:true config.objective
-      (fun o -> scratch.(o))
-      (Netlist.Circuit.outputs circuit)
+  (* One window for the whole run: its electrical state (shared with
+     [full]) and cached base arrivals are kept in sync by the incremental
+     commits and refreshed at each iteration start. Its committed base cost
+     is the acceptance metric: exact-Clark moments, identical in kind to
+     Window.Global's trial scoring and bit-equal to a scratch pass. *)
+  let window =
+    Window.create ~mode:config.evaluation ~circuit ~model
+      ~objective:config.objective ~full ()
   in
-  let make_window full =
-    Window.create ~mode:config.evaluation ~engine:config.engine ~circuit
-      ~model ~objective:config.objective ~full ()
-  in
-  (* The persistent window (Production): one allocation for the whole run,
-     its shared electrical state and cached base arrivals kept in sync by
-     the incremental commits; refreshed at each iteration start. The
-     Reference engine allocates a fresh window per iteration instead. *)
-  let persistent =
-    match config.engine with
-    | Window.Production -> Some (make_window full0)
-    | Window.Reference -> None
-  in
-  let best_cost =
-    ref
-      (match persistent with
-      | Some w -> Window.base_cost w
-      | None -> judge_cost ())
-  in
+  let best_cost = ref (Window.base_cost window) in
   let best_cells = ref (snapshot ()) in
   let windows = ref 0 in
-  let rec loop index full misses history resizes =
+  let rec loop index misses history resizes =
     if index >= config.max_iterations then (Iteration_limit, history, resizes)
     else begin
-      let window =
-        match persistent with
-        | Some w ->
-            if index > 0 then Window.refresh w;
-            w
-        | None -> make_window full
-      in
+      if index > 0 then Window.refresh window;
       let schedule, path_length, evaluated =
         Obs.Span.with_ "sizer.iteration" @@ fun () ->
         run_iteration config ~model ~lib circuit full window stats_acc
@@ -282,42 +244,31 @@ let optimize ?(ignore_lint = false) ?(config = default_config) ~lib circuit =
       match schedule with
       | [] -> (No_candidate, history, resizes)
       | _ ->
-          let full' =
-            if config.engine = Window.Production then begin
-              let resized = List.map (fun (g, _, _) -> g) schedule in
-              ignore
-                (Ssta.Fullssta.update ~paranoid:config.paranoid
-                   ~refresh_electrical:false full ~resized);
-              full
-            end
-            else Ssta.Fullssta.run circuit
-          in
-          let cost' =
-            match persistent with
-            | Some w -> Window.base_cost w
-            | None -> judge_cost ()
-          in
+          (* the window's commits already refreshed the shared electrical
+             state; this resyncs the FULLSSTA annotation over it *)
+          ignore (Ssta.Fullssta.update ~paranoid:config.paranoid full);
+          let cost' = Window.base_cost window in
           let improved = cost' < !best_cost in
           Log.debug (fun m ->
               m "iter %d: cost %.3f (best %.3f, %d resizes)" index cost'
                 !best_cost (List.length schedule));
           let record =
-            iteration_record index full' (List.length schedule) path_length
+            iteration_record index (List.length schedule) path_length
           in
           if improved then begin
             best_cost := cost';
             best_cells := snapshot ();
-            loop (index + 1) full' 0 (record :: history)
+            loop (index + 1) 0 (record :: history)
               (resizes + List.length schedule)
           end
           else if misses + 1 >= patience then
             (Converged, record :: history, resizes + List.length schedule)
           else
-            loop (index + 1) full' (misses + 1) (record :: history)
+            loop (index + 1) (misses + 1) (record :: history)
               (resizes + List.length schedule)
     end
   in
-  let stop_reason, history, total_resizes = loop 0 full0 0 [] 0 in
+  let stop_reason, history, total_resizes = loop 0 0 [] 0 in
   restore !best_cells;
   let final_full = Ssta.Fullssta.run circuit in
   (* Clamp-and-warn (LIB007): report, once per cell, every table that was

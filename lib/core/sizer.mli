@@ -24,28 +24,16 @@ type config = {
   commit_mode : commit_mode;
   path_source : path_source;
   evaluation : Window.mode;  (** trial scoring: windowed (paper) or global *)
-  engine : Window.engine;
-      (** default [Production]: one persistent electrical state, FULLSSTA
-          annotation and window per run, kept in sync with dirty-cone
-          updates ({!Sta.Electrical.update}, {!Ssta.Fullssta.update},
-          {!Window.commit_incremental}); window trials score every
-          candidate size in one shared wavefront drain. [Reference] is the
-          from-scratch oracle: a fresh FULLSSTA run and window every
-          iteration, each trial recomputing its whole window. Every
-          incremental stop is exact (bit-equal values), so the sizing
-          trajectory and final cells are identical on both engines —
-          Production is only faster. *)
   paranoid : bool;
       (** default false: cross-check every incremental FULLSSTA update
           against a from-scratch run, raising {!Ssta.Fullssta.Divergence}
-          (STAT005) on any mismatch. Costs more than the Reference engine;
+          (STAT005) on any mismatch. Costs a FULLSSTA run per iteration;
           meant for debugging and CI property runs. *)
 }
 
 val default_config : config
 (** α = 3, depth-2 windows, 0.02 ps move threshold, sequential commits, the
-    critical-cone path source, Global scoring, 120 iterations max, the
-    [Production] engine. *)
+    critical-cone path source, Global scoring, 120 iterations max. *)
 
 val mean_delay_config : config
 (** The "Original" baseline: identical machinery at α = 0 (pure mean
@@ -93,7 +81,10 @@ val optimize :
   result
 (** Prices every state under {!Ssta.Fullssta.default_config}: its pdf
     samples and variation model drive the FULLSSTA runs, the WNSS traces
-    and the window trials alike. The run stops after 4 consecutive
+    and the window trials alike. One electrical state, FULLSSTA annotation
+    and window serve the whole run, kept in sync by exact-stop dirty-cone
+    updates ({!Window.commit_incremental}, {!Ssta.Fullssta.update}). The
+    run stops after 4 consecutive
     iterations without a new best cost. Runs a lint preflight first
     ({!Lint.Preflight.gate} over circuit, library, and variation model):
     Error-level findings raise {!Lint.Preflight.Rejected} unless
@@ -111,5 +102,4 @@ val area_change_pct : original_area:float -> optimized:result -> float
 
 val sigma_over_mean : Numerics.Clark.moments -> float
 
-val pp_stop_reason : stop_reason Fmt.t
 val pp_result : result Fmt.t

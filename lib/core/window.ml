@@ -20,22 +20,6 @@
    O(affected region) per trial. *)
 type mode = Windowed | Global
 
-(* Which engine computes a trial's score. Both yield bit-identical costs,
-   hence identical verdicts and sizings; they differ only in how much they
-   recompute.
-   [Production] — one persistent window per sizing run (and one per area
-   recovery pass, which judges each downsize by its commit). Trials re-derive
-   electrical state with a dirty-cone update clipped to the window; Global
-   scoring drains every candidate cell of a window through one shared
-   wavefront over cached arc moments ([vec_costs]); commits resync the
-   cached arrivals incrementally ([commit_incremental]).
-   [Reference] — the from-scratch oracle. Each trial snapshots and
-   recomputes every window member and re-propagates through a Hashtbl of
-   overrides with [Clark.max_exact]; commits re-derive everything
-   ([commit]). Kept for the tests and [paranoid] runs that hold
-   [Production] to it. *)
-type engine = Production | Reference
-
 (* statobs: trial-drain wavefront pops, per-(candidate, node) recomputes in
    the vectorized drain, and commit-resync pops. Counts are accumulated in
    local ints during each drain and flushed once, so the pops themselves
@@ -49,26 +33,23 @@ type t = {
   model : Variation.Model.t;
   objective : Objective.t;
   mode : mode;
-  engine : engine;
   electrical : Sta.Electrical.t; (* shared, mutated and restored per trial *)
-  full : Ssta.Fullssta.t; (* the annotation the window was built over *)
   boundary : Netlist.Circuit.id -> Numerics.Clark.moments;
   down_mean : float array; (* remaining mean delay to any primary output *)
   down_var : float array; (* delay variance along that downstream path *)
   base_mean : float array; (* arrivals for the committed sizes: means *)
   base_var : float array; (* ... and variances *)
   mutable base_cost : float; (* RV_O cost of the base arrivals *)
-  override : (int, Numerics.Clark.moments) Hashtbl.t; (* Reference trial deltas *)
   wavefront : Netlist.Wavefront.t; (* scratch queue for incremental trials *)
   in_window : bool array; (* scratch membership bitmap for clipped trials *)
   seeds : int array; (* a trial's resized ids: pivot, then co-sized fanins *)
   mutable saved : Cells.Cell.t array; (* co-sized fanins' cells before a trial *)
   mutable trial_live : bool; (* a [with_trial] is running; trials do not nest *)
   stats : Ssta.Fassta.stats;
-  (* Production caches (empty on the Reference engine). All of it is pure
-     caching: every value read out of these structures is bit-identical to
-     what the Reference path recomputes, so trial costs and hence sizing
-     decisions are unchanged.
+  (* Caches. All of it is pure caching: every value read out of these
+     structures is bit-identical to what a from-scratch recompute of the
+     window yields (test_incremental holds the window to such an oracle),
+     so trial costs and hence sizing decisions are unchanged.
      Every moment lives in two flat float arrays, means and variances, so
      storing one allocates nothing. Per-arc arrays are indexed in CSR
      order: node [id]'s fanin [k] sits at [arc_off.(id) + k].
@@ -139,8 +120,8 @@ type acc2 = { mutable am : float; mutable av : float }
    every module with [-opaque]: no call across a module boundary is ever
    inlined, [[@inline]] or not, so each float crossing one is boxed.
    Inlined in this module, the exact Clark max below allocates nothing. The
-   originals stay the definition: the Reference engine and
-   [Clark.max_exact] use them, and the engine oracle tests hold the two
+   originals stay the definition: [Clark.max_exact] uses them, and so does
+   the from-scratch window oracle in test_incremental, which holds the two
    paths bit-equal. Do not simplify the arithmetic (say, multiply by a
    precomputed [1 /. sqrt_two_pi], or share the two [exp] calls): every
    sizing digest depends on these exact operations. *)
@@ -171,8 +152,9 @@ let[@inline] normal_cdf x = 0.5 *. (1.0 +. erf_exact (x /. sqrt_two))
    [{ mean = delay; var = s *. s }] with [s = sigma], so the arc caches
    store [delay] and [s *. s] from these copies. The same rule holds: do
    not simplify (say, fold [random_sigma] into a constant or drop the
-   [size_exponent = 1.0] branch); the Reference engine and FASSTA price
-   arcs with the original, and the engine oracle tests hold them equal. *)
+   [size_exponent = 1.0] branch); FASSTA and the window oracle in
+   test_incremental price arcs with the original, and the oracle tests hold
+   them equal. *)
 let[@inline] model_systematic_sigma (m : Variation.Model.t) ~delay ~strength =
   let base = Float.max strength 1e-9 in
   let denom =
@@ -296,10 +278,9 @@ let rebuild_out_prefix ?(from = 0) t =
   end
 
 (* Re-derive one node's cached arc delay moments from its current
-   electrical row — the values of the [Variation.Model.delay_moments] call
-   the Reference recompute makes inline, so a cached read is bit-equal to
-   an inline recompute for as long as the row survives. A no-op while the
-   row is the one the line was derived from. *)
+   electrical row — the values [Variation.Model.delay_moments] returns, so
+   a cached read is bit-equal to an inline recompute for as long as the row
+   survives. A no-op while the row is the one the line was derived from. *)
 let refresh_arc_cache t id =
   let row = Sta.Electrical.arc_delays t.electrical id in
   if row != t.f_row.(id) then begin
@@ -319,15 +300,13 @@ let refresh_arc_cache t id =
     t.f_row.(id) <- row
   end
 
-(* Re-derive the committed-state arrival moments and their RV_O cost (and,
-   on Production, revalidate the arc cache and the prefix folds). *)
+(* Re-derive the committed-state arrival moments and their RV_O cost, and
+   revalidate the arc cache and the prefix folds. *)
 let refresh_base t =
-  let production = t.engine = Production in
   let n = Array.length t.base_mean in
-  if production then
-    for id = 0 to n - 1 do
-      refresh_arc_cache t id
-    done;
+  for id = 0 to n - 1 do
+    refresh_arc_cache t id
+  done;
   let arrivals = Array.make n { Numerics.Clark.mean = 0.0; var = 0.0 } in
   Ssta.Fassta.propagate_into ~exact:true ~model:t.model ~circuit:t.circuit
     ~electrical:t.electrical arrivals;
@@ -337,34 +316,25 @@ let refresh_base t =
       t.base_var.(id) <- m.var)
     arrivals;
   t.base_cost <- rv_cost t (fun o -> arrivals.(o));
-  if production then begin
-    rebuild_out_prefix t;
-    for id = 0 to n - 1 do
-      t.base_sigma.(id) <- Float.sqrt t.base_var.(id)
-    done
-  end
+  rebuild_out_prefix t;
+  for id = 0 to n - 1 do
+    t.base_sigma.(id) <- Float.sqrt t.base_var.(id)
+  done
 
-let create ?(mode = Global) ?(engine = Reference) ~circuit ~model ~objective
-    ~full () =
+let create ?(mode = Global) ~circuit ~model ~objective ~full () =
   let electrical = Ssta.Fullssta.electrical full in
   let n = Netlist.Circuit.size circuit in
   let down_mean = Array.make n 0.0 and down_var = Array.make n 0.0 in
   downstream_stats_into ~model circuit electrical down_mean down_var;
-  let production = engine = Production in
-  (* Production-only arrays are sized [np]; empty on Reference *)
-  let np = if production then n else 0 in
-  let outputs_arr =
-    if production then Array.of_list (Netlist.Circuit.outputs circuit)
-    else [||]
-  in
-  let out_idx = Array.make np (-1) in
+  let outputs_arr = Array.of_list (Netlist.Circuit.outputs circuit) in
+  let out_idx = Array.make n (-1) in
   Array.iteri (fun i o -> out_idx.(o) <- i) outputs_arr;
   let nfanins id = Array.length (Netlist.Circuit.fanins circuit id) in
-  let arc_off = Array.make (np + 1) 0 in
-  for id = 0 to np - 1 do
+  let arc_off = Array.make (n + 1) 0 in
+  for id = 0 to n - 1 do
     arc_off.(id + 1) <- arc_off.(id) + nfanins id
   done;
-  let narcs = arc_off.(np) in
+  let narcs = arc_off.(n) in
   let max_fanins = ref 0 in
   for id = 0 to n - 1 do
     max_fanins := Int.max !max_fanins (nfanins id)
@@ -379,16 +349,13 @@ let create ?(mode = Global) ?(engine = Reference) ~circuit ~model ~objective
       model;
       objective;
       mode;
-      engine;
       electrical;
-      full;
       boundary = Ssta.Fullssta.moments full;
       down_mean;
       down_var;
       base_mean = Array.make n 0.0;
       base_var = Array.make n 0.0;
       base_cost = 0.0;
-      override = Hashtbl.create 997;
       wavefront = Netlist.Wavefront.create n;
       in_window = Array.make n false;
       seeds = Array.make (1 + !max_fanins) 0;
@@ -398,15 +365,15 @@ let create ?(mode = Global) ?(engine = Reference) ~circuit ~model ~objective
       arc_off;
       f_arc_mean = Array.make narcs 0.0;
       f_arc_var = Array.make narcs 0.0;
-      f_row = Array.make np stale_row;
+      f_row = Array.make n stale_row;
       gen = 0;
       outputs_arr;
       out_idx;
       pre_mean = Array.make m 0.0;
       pre_var = Array.make m 0.0;
-      base_sigma = Array.make np 0.0;
-      pend = Array.make np 0;
-      pend_gen = Array.make np 0;
+      base_sigma = Array.make n 0.0;
+      pend = Array.make n 0;
+      pend_gen = Array.make n 0;
       vc_ov_mean = [||];
       vc_ov_var = [||];
       vc_ov_gen = [||];
@@ -449,73 +416,7 @@ let windowed_cost t (sub : Netlist.Cone.subcircuit) =
 (* Global scoring uses exact-erf Clark moments: the paper's quadratic erf is
    a 2-level-window device whose near-tie slope error compounds over whole
    circuits (it overstated RV_O's sigma 2.4x on the c499-class parity
-   trees).
-
-   Reference trial propagation: recompute the window members from the
-   cached base arrivals, then let the change wavefront run downstream,
-   stopping wherever the recomputed moments move by less than
-   [epsilon_wave]. Touched values live in [override]; the base arrivals are
-   never mutated by a trial. *)
-let moments_at t id =
-  match Hashtbl.find_opt t.override id with
-  | Some m -> m
-  | None -> base_moments t id
-
-(* One exact-Clark node recomputation; the per-arc operations and fold
-   order mirror [Fassta.propagate_into ~exact:true] bit for bit. *)
-let recompute_node t id =
-  let fanins = Netlist.Circuit.fanins t.circuit id in
-  if Array.length fanins = 0 then base_moments t id
-  else begin
-    let arcs = Sta.Electrical.arc_delays t.electrical id in
-    let strength = Cells.Cell.strength (Netlist.Circuit.cell_exn t.circuit id) in
-    let acc = ref None in
-    Array.iteri
-      (fun k fi ->
-        let arc =
-          Variation.Model.delay_moments t.model ~delay:arcs.(k) ~strength
-        in
-        let arrival = Numerics.Clark.sum (moments_at t fi) arc in
-        acc :=
-          Some
-            (match !acc with
-            | None -> arrival
-            | Some best -> Numerics.Clark.max_exact best arrival))
-      fanins;
-    match !acc with Some m -> m | None -> assert false
-  end
-
-(* [seed] enqueues the trial's change seeds (every window member). Nodes
-   whose recomputed moments do not move simply drop out of the drain. *)
-let trial_cost t ~seed =
-  Hashtbl.reset t.override;
-  let w = t.wavefront in
-  Netlist.Wavefront.clear w;
-  seed (fun id -> Netlist.Wavefront.push w id);
-  let visits = ref 0 in
-  let rec drain () =
-    let id = Netlist.Wavefront.pop w in
-    if id >= 0 then begin
-      incr visits;
-      let fresh = recompute_node t id in
-      let old = base_moments t id in
-      let moved =
-        Float.abs (fresh.Numerics.Clark.mean -. old.Numerics.Clark.mean)
-        +. Float.abs (Numerics.Clark.sigma fresh -. Numerics.Clark.sigma old)
-        > epsilon_wave
-      in
-      if moved then begin
-        Hashtbl.replace t.override id fresh;
-        Netlist.Circuit.iter_fanouts t.circuit id ~f:(fun fo ->
-            Netlist.Wavefront.push w fo)
-      end
-      else Hashtbl.remove t.override id;
-      drain ()
-    end
-  in
-  drain ();
-  Obs.Counters.add c_trial_visits !visits;
-  rv_cost t (moments_at t)
+   trees). *)
 
 (* Cost of the window as currently sized (no trial cell). *)
 let cost t (sub : Netlist.Cone.subcircuit) =
@@ -567,14 +468,14 @@ let rec fill_seeds t i = function
       t.seeds.(i) <- fi;
       fill_seeds t (i + 1) rest
 
-(* Install [trial] on the pivot plus (with [co_size]) its fanin co-sizing,
+(* Install [trial] on the pivot plus its fanin co-sizing,
    run [f adjustments], and restore every cell, also when [f] raises.
    Returns [f]'s result and the adjustments the trial would commit. Trials
    do not nest: [saved], [in_window] and the electrical trial log each hold
    one trial, so a trial started from inside [f] is refused before it
    touches any of them, and the exception unwinds the live trial through
    its handlers. *)
-let with_trial t ~lib ~co_size pivot trial f =
+let with_trial t ~lib pivot trial f =
   if t.trial_live then invalid_arg "Window: a trial is already live";
   t.trial_live <- true;
   let circuit = t.circuit in
@@ -582,7 +483,7 @@ let with_trial t ~lib ~co_size pivot trial f =
   let adjustments = ref [] in
   match
     Netlist.Circuit.set_cell circuit pivot trial;
-    let adj = if co_size then fanin_adjustments t ~lib pivot else [] in
+    let adj = fanin_adjustments t ~lib pivot in
     let k = List.length adj in
     if Array.length t.saved < k then t.saved <- Array.make k trial;
     save_cells t 0 adj;
@@ -608,10 +509,10 @@ let set_members t members v =
     t.in_window.(members.(i)) <- v
   done
 
-(* Production trial electrical update: [Electrical.update_trial], the
-   exact-stop update seeded from the resized gates and clipped to the
-   window, which writes the same values the Reference full sweep of the
-   window would while touching only the true perturbation cone; its log
+(* Trial electrical update: [Electrical.update_trial], the exact-stop
+   update seeded from the resized gates and clipped to the window, which
+   writes the same values a full recompute of the window's members would
+   while touching only the true perturbation cone; its log
    rewinds exactly what was touched, also when [f] raises. [f] runs while
    the trial is live and reads the electrically-dirty ids from
    [Electrical.dirty]. *)
@@ -679,9 +580,8 @@ let capture t c gen id =
 (* Phase 1 of [vec_costs] for candidate [c]: install [trial], run the
    clipped electrical trial, capture every dirty node, run [k] while the
    trial is live, and restore. *)
-let capture_candidate t ~lib ~co_size (sub : Netlist.Cone.subcircuit) ~gen c
-    trial k =
-  with_trial t ~lib ~co_size sub.Netlist.Cone.pivot trial (fun adjustments ->
+let capture_candidate t ~lib (sub : Netlist.Cone.subcircuit) ~gen c trial k =
+  with_trial t ~lib sub.Netlist.Cone.pivot trial (fun adjustments ->
       with_clipped_update t sub adjustments (fun () ->
           let e = t.electrical in
           for i = Sta.Electrical.dirty_count e - 1 downto 0 do
@@ -689,7 +589,7 @@ let capture_candidate t ~lib ~co_size (sub : Netlist.Cone.subcircuit) ~gen c
           done;
           k ()))
 
-(* Production Global scoring: every candidate cell of the window in ONE
+(* Global scoring: every candidate cell of the window in ONE
    shared wavefront drain, returning (cost, co-sizing) per candidate.
 
    Phase 1 (capture) runs each candidate's clipped electrical trial —
@@ -704,7 +604,7 @@ let capture_candidate t ~lib ~co_size (sub : Netlist.Cone.subcircuit) ~gen c
    overrides, same arc moments, same [epsilon_wave] decision — so every
    per-candidate cost is bit-identical while the heap pops and fanout walks
    are amortized across the whole candidate set. *)
-let vec_costs t ~lib ~co_size (sub : Netlist.Cone.subcircuit) trials =
+let vec_costs t ~lib (sub : Netlist.Cone.subcircuit) trials =
   let nc = Array.length trials in
   ensure_vc t nc;
   t.gen <- t.gen + 1;
@@ -715,7 +615,7 @@ let vec_costs t ~lib ~co_size (sub : Netlist.Cone.subcircuit) trials =
   let priced =
     Array.mapi
       (fun c trial ->
-        snd (capture_candidate t ~lib ~co_size sub ~gen c trial ignore))
+        snd (capture_candidate t ~lib sub ~gen c trial ignore))
       trials
   in
   let acc = { am = 0.0; av = 0.0 } in
@@ -841,49 +741,26 @@ let vec_costs t ~lib ~co_size (sub : Netlist.Cone.subcircuit) trials =
     priced
 
 let capture_trial t ~lib (sub : Netlist.Cone.subcircuit) trial k =
-  if t.engine <> Production then
-    invalid_arg "Window.capture_trial: Reference window";
   ensure_vc t 1;
   t.gen <- t.gen + 1;
   Netlist.Wavefront.clear t.wavefront;
-  let r, _ =
-    capture_candidate t ~lib ~co_size:true sub ~gen:t.gen 0 trial k
-  in
+  let r, _ = capture_candidate t ~lib sub ~gen:t.gen 0 trial k in
   Netlist.Wavefront.clear t.wavefront;
   r
 
 (* Evaluate one trial cell for the window's pivot (plus its induced fanin
    co-sizing): install, recompute the window electrically, score, restore.
    Returns the cost and the fanin adjustments the trial would commit.
-
-   Production Global scoring is [vec_costs] on a one-candidate batch.
-   Otherwise the engines differ only in the electrical trial: Production
-   runs the clipped dirty-cone update, Reference snapshots and recomputes
-   every window member (and, under Global scoring, seeds the arrival drain
-   with all of them). Both stay clipped to the window (slew perturbations
-   are assumed to die out within its two levels), so they score every
-   trial identically. *)
-let cost_with_cell ?(co_size = true) ~lib t (sub : Netlist.Cone.subcircuit) trial
-    =
-  match (t.engine, t.mode) with
-  | Production, Global -> (vec_costs t ~lib ~co_size sub [| trial |]).(0)
-  | Production, Windowed | Reference, _ ->
-      let pivot = sub.Netlist.Cone.pivot in
-      let members = sub.Netlist.Cone.members in
-      with_trial t ~lib ~co_size pivot trial (fun adjustments ->
-          match t.engine with
-          | Production ->
-              with_clipped_update t sub adjustments (fun () ->
-                  windowed_cost t sub)
-          | Reference -> (
-              let snap = Sta.Electrical.snapshot t.electrical members in
-              Fun.protect
-                ~finally:(fun () -> Sta.Electrical.restore t.electrical snap)
-              @@ fun () ->
-              Sta.Electrical.recompute_nodes t.electrical t.circuit members;
-              match t.mode with
-              | Windowed -> windowed_cost t sub
-              | Global -> trial_cost t ~seed:(fun push -> Array.iter push members)))
+   Global scoring is [vec_costs] on a one-candidate batch; Windowed scoring
+   runs the clipped dirty-cone update and a FASSTA pass over the window.
+   Either way the electrical trial stays clipped to the window (slew
+   perturbations are assumed to die out within its two levels). *)
+let cost_with_cell ~lib t (sub : Netlist.Cone.subcircuit) trial =
+  match t.mode with
+  | Global -> (vec_costs t ~lib sub [| trial |]).(0)
+  | Windowed ->
+      with_trial t ~lib sub.Netlist.Cone.pivot trial (fun adjustments ->
+          with_clipped_update t sub adjustments (fun () -> windowed_cost t sub))
 
 type verdict = {
   best : Cells.Cell.t;
@@ -894,10 +771,9 @@ type verdict = {
 
 (* The inner loop of Fig. 2: try every available size for the pivot, return
    the best cell, its induced fanin co-sizing, and its cost (ties keep the
-   incumbent). Production Global scoring prices the whole candidate set in
-   one [vec_costs] drain; everything else evaluates one trial at a time.
-   Both produce bit-identical verdicts. *)
-let best_size ?(co_size = true) t ~lib (sub : Netlist.Cone.subcircuit) =
+   incumbent). Global scoring prices the whole candidate set in one
+   [vec_costs] drain; Windowed scoring evaluates one trial at a time. *)
+let best_size t ~lib (sub : Netlist.Cone.subcircuit) =
   let current = Netlist.Circuit.cell_exn t.circuit sub.Netlist.Cone.pivot in
   let current_cost = cost t sub in
   let trials =
@@ -907,11 +783,9 @@ let best_size ?(co_size = true) t ~lib (sub : Netlist.Cone.subcircuit) =
          (Array.to_list (Cells.Library.sizes_of_fn lib (Cells.Cell.fn current))))
   in
   let priced =
-    if
-      t.engine = Production && t.mode = Global
-      && Array.length trials <= max_vec_cells
-    then vec_costs t ~lib ~co_size sub trials
-    else Array.map (cost_with_cell ~co_size ~lib t sub) trials
+    if t.mode = Global && Array.length trials <= max_vec_cells then
+      vec_costs t ~lib sub trials
+    else Array.map (cost_with_cell ~lib t sub) trials
   in
   let best =
     ref { best = current; co_resizes = []; best_cost = current_cost; current_cost }
@@ -924,28 +798,19 @@ let best_size ?(co_size = true) t ~lib (sub : Netlist.Cone.subcircuit) =
     priced;
   !best
 
-(* Make a committed resize visible to subsequent window evaluations. A full
-   electrical refresh is one cheap LUT sweep and guarantees later trials in
-   the same sweep never score against stale loads or slews; the cached base
-   arrivals are re-derived with it. *)
-let commit t (_sub : Netlist.Cone.subcircuit) =
-  Sta.Electrical.recompute_all t.electrical t.circuit;
-  refresh_base t
-
-(* Production commit: an unclipped exact-stop [Electrical.update] from the
-   resized gates, then the cached base arrivals are resynced by draining
-   the change wavefront with a bit-equal stop. Each popped node is
-   recomputed with the same operations in the same order as the full
-   [propagate_into ~exact:true] pass, so a node whose fanin arrivals and
-   arc delays are unchanged recomputes to bit-identical moments and the
-   sweep halts there, leaving [base] bit-equal to a full refresh. The
+(* Make a committed resize visible to subsequent window evaluations: an
+   unclipped exact-stop [Electrical.update] from the resized gates, then
+   the cached base arrivals are resynced by draining the change wavefront
+   with a bit-equal stop. Each popped node is recomputed with the same
+   operations in the same order as the full [propagate_into ~exact:true]
+   pass, so a node whose fanin arrivals and arc delays are unchanged
+   recomputes to bit-identical moments and the sweep halts there, leaving
+   [base] bit-equal to a full refresh. The
    FULLSSTA annotation is deliberately NOT touched here: mid-sweep trials
    read it only as the frozen boundary (Windowed mode) or not at all
    (Global mode reads [base]), and the caller re-syncs it once per outer
    iteration with [Fullssta.update]. *)
 let commit_incremental t ~resized =
-  if t.engine <> Production then
-    invalid_arg "Window.commit_incremental: Reference window";
   let dirty = Sta.Electrical.update t.electrical t.circuit ~resized in
   let w = t.wavefront in
   Netlist.Wavefront.clear w;

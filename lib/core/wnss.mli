@@ -8,8 +8,7 @@ val config : ?h_fraction:float -> coupling:float -> unit -> config
 (** [h_fraction] defaults to 0.01 (the paper's "h of the order of 1%% of the
     mean"); [coupling] is the paper's c in Δσ = c·Δμ. *)
 
-val of_model : Variation.Model.t -> config
-
+(* statflow: safe — the dominance rule's sensitivity; test_core pins it *)
 val variance_sensitivity :
   config -> target:Numerics.Clark.moments -> other:Numerics.Clark.moments -> float
 (** ∂Var(max(target, other))/∂μ_target by forward finite difference with the
@@ -17,6 +16,7 @@ val variance_sensitivity :
 
 type choice = First | Second
 
+(* statflow: safe — the WNSS dominance rule (paper Eq. 7); test_core pins it *)
 val dominant : config -> Numerics.Clark.moments -> Numerics.Clark.moments -> choice
 (** Pairwise ranking: cutoff (5)/(6) picks the higher mean; otherwise the
     larger variance sensitivity wins. *)
@@ -42,6 +42,7 @@ val trace :
 (** WNSS path of an annotated circuit, dominant primary output first,
     ending at a primary input. *)
 
+(* statflow: safe — the single-output WNSS trace test_core checks *)
 val trace_from_output :
   ?config:config ->
   model:Variation.Model.t ->

@@ -7,18 +7,9 @@
    yield is monotone in α in practice, so the ladder stops at the first α
    that meets the target (or reports the best it could do). *)
 
-type config = {
-  sizer : Sizer.config; (* objective is overridden per ladder step *)
-  alphas : float list; (* escalation ladder, ascending *)
-  recover_area : bool;
-}
-
-let default_config =
-  {
-    sizer = Sizer.default_config;
-    alphas = [ 1.0; 3.0; 6.0; 9.0; 15.0 ];
-    recover_area = true;
-  }
+(* The escalation ladder, ascending. Each step sizes under the default
+   sizer at that α, then recovers area. *)
+let alphas = [ 1.0; 3.0; 6.0; 9.0; 15.0 ]
 
 type step = { alpha : float; yield_ : float; sigma : float; area : float }
 
@@ -36,7 +27,7 @@ let measure full circuit ~period =
     Numerics.Clark.sigma m,
     Netlist.Circuit.total_area circuit )
 
-let optimize ?(config = default_config) ~lib circuit ~period ~target =
+let optimize ~lib circuit ~period ~target =
   if not (target > 0.0 && target < 1.0) then
     invalid_arg "Yield_driven.optimize: target must be in (0, 1)";
   let yield0, sigma0, area0 =
@@ -49,23 +40,21 @@ let optimize ?(config = default_config) ~lib circuit ~period ~target =
         let current = (List.hd !steps).yield_ in
         if current < target then begin
           let objective = Objective.create ~alpha in
-          let sizer = { config.sizer with Sizer.objective } in
-          let sized = Sizer.optimize ~config:sizer ~lib circuit in
-          (* the step's closing FULLSSTA run (recovery's, else the
-             sizer's) already prices its cells *)
+          let config = { Sizer.default_config with Sizer.objective } in
+          let sized = Sizer.optimize ~config ~lib circuit in
+          (* recovery's closing FULLSSTA run already prices the step's
+             cells *)
           let full =
-            if config.recover_area then
-              (Area_recovery.recover ~objective ~full:sized.Sizer.final_run
-                 ~lib circuit)
-                .Area_recovery.final_run
-            else sized.Sizer.final_run
+            (Area_recovery.recover ~objective ~full:sized.Sizer.final_run
+               ~lib circuit)
+              .Area_recovery.final_run
           in
           let yield_, sigma, area = measure full circuit ~period in
           steps := { alpha; yield_; sigma; area } :: !steps;
           ladder rest
         end
   in
-  ladder config.alphas;
+  ladder alphas;
   let final = List.hd !steps in
   {
     target;

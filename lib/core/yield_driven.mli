@@ -1,15 +1,6 @@
 (** Yield-driven sizing: escalate α until the circuit meets a period with
     the requested parametric yield (the paper's §2.2 yield application). *)
 
-type config = {
-  sizer : Sizer.config;
-  alphas : float list;
-  recover_area : bool;
-}
-
-val default_config : config
-(** Ladder α ∈ {1, 3, 6, 9, 15}, area recovery on. *)
-
 type step = { alpha : float; yield_ : float; sigma : float; area : float }
 
 type result = {
@@ -21,13 +12,14 @@ type result = {
 }
 
 val optimize :
-  ?config:config ->
   lib:Cells.Library.t ->
   Netlist.Circuit.t ->
   period:float ->
   target:float ->
   result
-(** Mutates the circuit in place; stops at the first ladder step meeting
-    [target]. Raises unless 0 < target < 1. *)
+(** Mutates the circuit in place. Climbs the ladder α ∈ {1, 3, 6, 9, 15},
+    each step the default sizer at that α followed by area recovery, and
+    stops at the first step meeting [target]. Raises unless
+    0 < target < 1. *)
 
 val pp : result Fmt.t

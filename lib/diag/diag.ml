@@ -51,9 +51,6 @@ let warningf ~code ~loc ?hint fmt =
     (fun message -> make ~code ~severity:Severity.Warning ~loc ?hint message)
     fmt
 
-let infof ~code ~loc ?hint fmt =
-  Fmt.kstr (fun message -> make ~code ~severity:Severity.Info ~loc ?hint message) fmt
-
 let with_severity severity t = { t with severity }
 
 let pp_location ppf = function
@@ -80,15 +77,6 @@ let compare a b =
       if c <> 0 then c else String.compare a.message b.message
 
 let sort ds = List.sort compare ds
-
-let max_severity = function
-  | [] -> None
-  | d :: rest ->
-      Some
-        (List.fold_left
-           (fun acc d ->
-             if Severity.compare d.severity acc < 0 then d.severity else acc)
-           d.severity rest)
 
 let has_errors ds = List.exists (fun d -> d.severity = Severity.Error) ds
 let count sev ds = List.length (List.filter (fun d -> d.severity = sev) ds)

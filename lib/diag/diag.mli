@@ -49,10 +49,6 @@ val warningf :
   code:string -> loc:location -> ?hint:string ->
   ('a, Format.formatter, unit, t) format4 -> 'a
 
-val infof :
-  code:string -> loc:location -> ?hint:string ->
-  ('a, Format.formatter, unit, t) format4 -> 'a
-
 val with_severity : Severity.t -> t -> t
 
 val compare : t -> t -> int
@@ -60,13 +56,9 @@ val compare : t -> t -> int
 
 val sort : t list -> t list
 
-val max_severity : t list -> Severity.t option
-(** [None] on the empty list. *)
-
 val has_errors : t list -> bool
 val count : Severity.t -> t list -> int
 
-val pp_location : location Fmt.t
 val pp : t Fmt.t
 (** e.g. [error[CIRC004] gate "g7": dangling gate (hint: mark it as an
     output or remove it)]. *)

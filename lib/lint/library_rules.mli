@@ -6,5 +6,6 @@
 val check : Cells.Library.t -> Diag.t list
 (** Unsorted, at catalogue default severities. *)
 
+(* statflow: safe — the per-cell rules the lint triggers fire one at a time *)
 val check_cell : Cells.Cell.t -> Diag.t list
 (** The per-cell subset (LIB001–LIB004) for a single cell. *)

@@ -10,6 +10,7 @@ val default : t
 val disable : t -> string -> t
 (** Disable a rule code. Unknown codes raise [Invalid_argument]. *)
 
+(* statflow: safe — severity override; the registry tests exercise it *)
 val override : t -> code:string -> severity:Diag.Severity.t -> t
 (** Force a rule's severity. Unknown codes raise [Invalid_argument]. *)
 

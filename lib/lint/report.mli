@@ -18,6 +18,7 @@ val to_json : (string * Diag.t list) list -> string
     diagnostics. A [Pdf_point] value that is NaN or infinite is written as
     [null], since JSON has no such numbers. *)
 
+(* statflow: safe — the reader the lint JSON round-trip tests use *)
 val of_json : string -> ((string * Diag.t list) list, string) result
 (** Parse {!to_json} output back — the round-trip contract, with one
     exception: a [null] numeric value reads back as NaN, so an infinite

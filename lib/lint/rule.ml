@@ -174,6 +174,11 @@ let all =
       "the global Random state is shared, unseeded, and (since 5.0) \
        per-domain; results must draw from an explicit seeded generator \
        (Random.State or Numerics.Rng)";
+    mk "EXP001" Flow_pack w "exported value no other file names"
+      "a val that nothing outside its own module names is dead weight in \
+       the interface: code kept only for a test or for later, which every \
+       reader and every refactor still pays for; delete it, unexport it, \
+       or give the reason it stays";
     mk "FLOW007" Flow_pack w "stale statflow suppression"
       "a pragma or allow-file entry that suppresses nothing hides future \
        regressions at that site; the allowlist must stay verified";
@@ -181,16 +186,3 @@ let all =
 
 let find code = List.find_opt (fun m -> m.code = code) all
 let mem code = Option.is_some (find code)
-
-let pack_name = function
-  | Circuit_pack -> "circuit"
-  | Library_pack -> "library"
-  | Stat_pack -> "statistical"
-  | Bench_pack -> "bench"
-  | Abs_pack -> "abstract"
-  | Par_pack -> "parallel"
-  | Flow_pack -> "flow"
-
-let pp_meta ppf m =
-  Fmt.pf ppf "%s [%s, default %a] %s — %s" m.code (pack_name m.pack)
-    Diag.Severity.pp m.severity m.title m.protects

@@ -27,6 +27,3 @@ val all : meta list
 
 val find : string -> meta option
 val mem : string -> bool
-
-val pack_name : pack -> string
-val pp_meta : meta Fmt.t

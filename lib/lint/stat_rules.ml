@@ -83,13 +83,3 @@ let check_points ?(tol = 1e-6) points =
     else []
   in
   negative @ mass
-
-let check_pdf ?tol pdf = check_points ?tol (Numerics.Discrete_pdf.points pdf)
-
-let check_moments ~loc (m : Numerics.Clark.moments) =
-  if m.Numerics.Clark.var < 0.0 then
-    [
-      Diag.errorf ~code:"STAT002" ~loc "negative variance %.3g"
-        m.Numerics.Clark.var;
-    ]
-  else []

@@ -7,14 +7,8 @@ val check_model : Variation.Model.t -> Diag.t list
     (sigma/mu outside (0, 0.5] at minimum size), STAT004 (all-zero sigma
     degenerates Clark's a-term). *)
 
+(* statflow: safe — the pdf point checks the lint triggers fire directly *)
 val check_points : ?tol:float -> (float * float) list -> Diag.t list
 (** Raw (value, mass) pdf points: STAT002 for negative masses (located at
     the offending point), STAT001 when total mass deviates from 1 beyond
     [tol] (default 1e-6). *)
-
-val check_pdf : ?tol:float -> Numerics.Discrete_pdf.t -> Diag.t list
-(** {!check_points} over a constructed pdf's support — paranoia check, the
-    constructor normalizes. *)
-
-val check_moments : loc:Diag.location -> Numerics.Clark.moments -> Diag.t list
-(** STAT002 when the variance is negative. *)

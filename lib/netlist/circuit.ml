@@ -47,17 +47,10 @@ let create ?(output_load = 4.0) ~name () =
 let name t = t.circuit_name
 let size t = Vec.length t.nodes
 let output_load t = t.output_load
-let set_output_load t load = t.output_load <- load
-
 let node t id = Vec.get t.nodes id
 let node_name t id = (node t id).name
 let mem_name t name = Hashtbl.mem t.by_name name
 let find t ~name = Hashtbl.find_opt t.by_name name
-
-let find_exn t ~name =
-  match find t ~name with
-  | Some id -> id
-  | None -> invalid_arg (Printf.sprintf "Circuit.find_exn: no node %S" name)
 
 let register t name =
   if Hashtbl.mem t.by_name name then

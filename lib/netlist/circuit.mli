@@ -18,7 +18,6 @@ val size : t -> int
 (** Total node count (inputs + gates). *)
 
 val output_load : t -> float
-val set_output_load : t -> float -> unit
 
 val add_input : t -> name:string -> id
 val add_gate : t -> name:string -> cell:Cells.Cell.t -> fanins:id array -> id
@@ -36,7 +35,6 @@ val is_output : t -> id -> bool
 val node_name : t -> id -> string
 val mem_name : t -> string -> bool
 val find : t -> name:string -> id option
-val find_exn : t -> name:string -> id
 
 val fanins : t -> id -> id array
 (** Empty for primary inputs. Do not mutate. *)

@@ -58,8 +58,6 @@ type subcircuit = {
   window_outputs : Circuit.id list; (* members observed outside the window *)
 }
 
-let member_set sub = Id_set.of_list (Array.to_list sub.members)
-
 let extract t ~pivot ~depth =
   if Circuit.is_input t pivot then
     invalid_arg "Cone.extract: pivot is a primary input";
@@ -95,10 +93,3 @@ let extract t ~pivot ~depth =
     | os -> os
   in
   { pivot; members; boundary_inputs = Id_set.elements boundary; window_outputs }
-
-let pp_subcircuit t ppf sub =
-  Fmt.pf ppf "@[window(%s): %d gates, %d boundary ins, %d outs@]"
-    (Circuit.node_name t sub.pivot)
-    (Array.length sub.members)
-    (List.length sub.boundary_inputs)
-    (List.length sub.window_outputs)

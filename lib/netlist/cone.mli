@@ -1,11 +1,14 @@
 (** Transitive fanin/fanout cones and the bounded subcircuit window the
     sizing inner loop evaluates (paper §4.5). *)
 
+(* statflow: safe — cone primitive the netlist tests pin *)
 val transitive_fanin : Circuit.t -> Circuit.id -> depth:int -> Circuit.id list
 (** Gates (primary inputs excluded) within [depth] fanin levels, ascending. *)
 
+(* statflow: safe — cone primitive the netlist tests pin *)
 val transitive_fanout : Circuit.t -> Circuit.id -> depth:int -> Circuit.id list
 
+(* statflow: safe — cone primitive the netlist tests pin *)
 val input_cone : Circuit.t -> Circuit.id -> Circuit.id list
 (** Full-depth input cone including primary inputs, ascending ids. *)
 
@@ -21,7 +24,3 @@ type subcircuit = {
 val extract : Circuit.t -> pivot:Circuit.id -> depth:int -> subcircuit
 (** Window of [depth] TFI and TFO levels around a gate. Raises if the pivot
     is a primary input. *)
-
-val member_set : subcircuit -> Set.Make(Int).t
-
-val pp_subcircuit : Circuit.t -> subcircuit Fmt.t

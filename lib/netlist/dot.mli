@@ -3,8 +3,7 @@
 
 type style = { label : string option; highlight : bool }
 
-val default_style : style
-
+(* statflow: safe — the text save writes; the DOT test parses it *)
 val to_dot :
   ?graph_name:string -> ?style:(Circuit.id -> style) -> Circuit.t -> string
 

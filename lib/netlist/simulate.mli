@@ -11,6 +11,7 @@ val run : Circuit.t -> inputs:assignment -> (string * bool) list
 val run_vector : Circuit.t -> bits:bool array -> bool array
 (** Positional form: bits follow the order of [Circuit.inputs]/[outputs]. *)
 
+(* statflow: safe — decodes output buses in the generator tests *)
 val read_unsigned : (string * bool) list -> prefix:string -> int
 (** Decode outputs named [prefix0], [prefix1], … as a little-endian unsigned
     integer. *)

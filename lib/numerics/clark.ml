@@ -20,8 +20,6 @@ let moments ~mean ~var =
 
 let sigma m = Float.sqrt m.var
 
-let pp_moments ppf m = Fmt.pf ppf "N(%g, %g²)" m.mean (sigma m)
-
 let sum a b = { mean = a.mean +. b.mean; var = a.var +. b.var }
 
 let shift a d = { a with mean = a.mean +. d }

@@ -10,11 +10,10 @@ val moments : mean:float -> var:float -> moments
 val sigma : moments -> float
 (** Standard deviation. *)
 
-val pp_moments : moments Fmt.t
-
 val sum : moments -> moments -> moments
 (** Moments of A + B assuming independence. *)
 
+(* statflow: safe — moment algebra the numerics tests pin *)
 val shift : moments -> float -> moments
 (** Add a deterministic offset to the mean. *)
 

@@ -240,9 +240,6 @@ let equal a b =
      && Array.for_all2 Float.equal a.ps b.ps)
 
 let support_size t = Array.length t.xs
-let min_value t = t.xs.(0)
-let max_value t = t.xs.(Array.length t.xs - 1)
-
 let points t = Array.to_list (Array.map2 (fun x p -> (x, p)) t.xs t.ps)
 
 let mean t =

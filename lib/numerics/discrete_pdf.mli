@@ -5,6 +5,7 @@
 
 type t
 
+(* statflow: safe — pdf constructor the oracle tests hold bit for bit *)
 val of_points : (float * float) list -> t
 (** Build from (value, mass) pairs; sorts, merges duplicates, renormalizes.
     Raises [Invalid_argument] when total mass is zero. *)
@@ -17,6 +18,7 @@ val of_normal :
 (** Discretize a normal over mean ± span·sigma (default span 4.0) into
     [samples] equal-width bins with CDF-difference masses. *)
 
+(* statflow: safe — pdf constructor the numerics tests pin *)
 val of_samples : samples:int -> float list -> t
 (** Empirical distribution of raw draws, re-binned to [samples] points. *)
 
@@ -25,9 +27,8 @@ val equal : t -> t -> bool
     "nothing changed" test used by incremental propagation. *)
 
 val points : t -> (float * float) list
+(* statflow: safe — pdf size the numerics and regression tests bound *)
 val support_size : t -> int
-val min_value : t -> float
-val max_value : t -> float
 
 val mean : t -> float
 val variance : t -> float
@@ -40,6 +41,7 @@ val cdf : t -> float -> float
 val quantile : t -> float -> float
 (** Smallest support point whose cumulative mass reaches the argument. *)
 
+(* statflow: safe — pdf algebra the numerics tests pin *)
 val shift : t -> float -> t
 val scale : t -> float -> t
 
@@ -65,6 +67,7 @@ val resample : t -> samples:int -> t
     to rounding. A pdf of at most 2·samples points is returned unchanged.
     Raises [Invalid_argument] when [samples < 1]. *)
 
+(* statflow: safe — the pdf invariant check the numerics tests assert *)
 val check_invariants : t -> bool
 (** Structural invariants (sorted support, masses ≥ 0 summing to 1). *)
 

@@ -6,6 +6,7 @@ type t = {
   vectors : float array array;  (** vectors.(k) = unit eigenvector k *)
 }
 
+(* statflow: safe — the eigensolver behind PCA; eigen tests call it *)
 val decompose : ?max_sweeps:int -> ?tolerance:float -> float array array -> t
 (** Raises [Invalid_argument] on non-square or non-symmetric input. *)
 

@@ -29,8 +29,6 @@ let sqrt_two = Float.sqrt 2.0
 
 let quadratic x = (2.0 *. phi_quadratic (x *. sqrt_two)) -. 1.0
 
-let quadratic_saturation_point = phi_saturation_point /. sqrt_two
-
 (* Abramowitz & Stegun 7.1.26, |error| <= 1.5e-7: the "exact" reference used
    everywhere outside the FASSTA hot path. *)
 let exact x =

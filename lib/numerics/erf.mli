@@ -4,9 +4,11 @@
 val exact : float -> float
 (** [exact x] is erf(x) via Abramowitz & Stegun 7.1.26 (|error| ≤ 1.5e-7). *)
 
+(* statflow: safe — complement of the exact erf; the numerics tests pin it *)
 val erfc : float -> float
 (** [erfc x = 1 - exact x]. *)
 
+(* statflow: safe — the paper's quadratic erf; tests pin its shape *)
 val quadratic : float -> float
 (** The CRC quadratic erf approximation (accurate to two decimal places),
     derived from {!phi_quadratic} via erf(x) = 2Φ(x√2) − 1. *)
@@ -19,9 +21,6 @@ val phi_quadratic : float -> float
 val phi_saturation_point : float
 (** 2.6 — the sigma-units argument beyond which {!phi_quadratic} is exactly
     0 or 1; the paper's cutoff in conditions (5)/(6). *)
-
-val quadratic_saturation_point : float
-(** The same saturation expressed in erf's argument: 2.6/√2. *)
 
 val max_quadratic_error : ?bound:float -> ?samples:int -> unit -> float
 (** Largest |quadratic x − exact x| over a uniform grid on [-bound, bound].

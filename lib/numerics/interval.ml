@@ -21,7 +21,6 @@ let lo t = t.lo
 let hi t = t.hi
 let width t = t.hi -. t.lo
 let mid t = 0.5 *. (t.lo +. t.hi)
-let is_point t = t.lo = t.hi
 
 let contains ?(tol = 0.0) t x = x >= t.lo -. tol && x <= t.hi +. tol
 
@@ -39,19 +38,8 @@ let scale k a =
   if k >= 0.0 then { lo = down (k *. a.lo); hi = up (k *. a.hi) }
   else { lo = down (k *. a.hi); hi = up (k *. a.lo) }
 
-let sq a =
-  let l2 = a.lo *. a.lo and h2 = a.hi *. a.hi in
-  if a.lo >= 0.0 then { lo = down l2; hi = up h2 }
-  else if a.hi <= 0.0 then { lo = down h2; hi = up l2 }
-  else { lo = 0.0; hi = up (Float.max l2 h2) }
-
-let sqrt_ a =
-  let l = Float.max a.lo 0.0 and h = Float.max a.hi 0.0 in
-  { lo = Float.max 0.0 (down (Float.sqrt l)); hi = up (Float.sqrt h) }
-
 (* max/min of two floats is exact — no rounding step, no nudge. *)
 let max2 a b = { lo = Float.max a.lo b.lo; hi = Float.max a.hi b.hi }
-let min2 a b = { lo = Float.min a.lo b.lo; hi = Float.min a.hi b.hi }
 let join a b = { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
 
 let meet a b =

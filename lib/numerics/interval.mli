@@ -20,8 +20,6 @@ val mid : t -> float
 val contains : ?tol:float -> t -> float -> bool
 (** Membership with an absolute slack [tol] (default 0) on both sides. *)
 
-val is_point : t -> bool
-
 val add : t -> t -> t
 (** Outward-rounded [a + b]. *)
 
@@ -31,19 +29,9 @@ val sub : t -> t -> t
 val scale : float -> t -> t
 (** Outward-rounded multiplication by a scalar (any sign). *)
 
-val sq : t -> t
-(** Outward-rounded x² hull (handles sign-crossing intervals; lower bound 0
-    when the interval straddles 0). *)
-
-val sqrt_ : t -> t
-(** Outward-rounded sqrt of the non-negative part (the lower endpoint is
-    clamped at 0 first — callers use this on variance intervals whose lower
-    bound may round slightly negative). *)
-
 val max2 : t -> t -> t
 (** Interval of max(x, y): [max lo, max hi] — exact (max never rounds). *)
 
-val min2 : t -> t -> t
 val join : t -> t -> t
 (** Convex hull of the union. *)
 

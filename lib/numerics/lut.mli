@@ -22,10 +22,6 @@ val range : t -> row:float * float -> col:float * float -> float * float
     this is the certification entry point for sweeping hypothetical
     operating boxes. Raises [Invalid_argument] on an empty box. *)
 
-val in_range : t -> row:float -> col:float -> bool
-(** Whether a query point lies inside the table (no clamping needed). Does
-    not touch the out-of-bounds counter. *)
-
 val oob_count : t -> int
 (** How many {!query} calls since creation (or {!reset_oob}) were clamped —
     the raw signal behind the lint pack's extrapolation warning. The

@@ -15,6 +15,7 @@ val quantile : float -> float
 val cdf_at : mean:float -> sigma:float -> float -> float
 (** CDF of N(mean, sigma²) at a point; a step function when [sigma <= 0]. *)
 
+(* statflow: safe — a scaled normal quantile the numerics tests pin *)
 val quantile_at : mean:float -> sigma:float -> float -> float
 (** Quantile of N(mean, sigma²). *)
 

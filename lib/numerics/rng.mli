@@ -5,6 +5,7 @@ type t
 
 val create : seed:int -> t
 
+(* statflow: safe — the Rng oracle tests hold it bit for bit *)
 val split : t -> t
 (** Derive an independent child stream (advances the parent once). *)
 
@@ -32,4 +33,5 @@ val fill_gaussian : t -> float array -> pos:int -> len:int -> unit
 
 val gaussian_scaled : t -> mean:float -> sigma:float -> float
 
+(* statflow: safe — the Rng oracle tests hold it bit for bit *)
 val shuffle_in_place : t -> 'a array -> unit

@@ -5,20 +5,15 @@ type t = {
   mutable count : int;
   mutable mean : float;
   mutable m2 : float;
-  mutable min : float;
-  mutable max : float;
 }
 
-let create () =
-  { count = 0; mean = 0.0; m2 = 0.0; min = Float.infinity; max = Float.neg_infinity }
+let create () = { count = 0; mean = 0.0; m2 = 0.0 }
 
 let add t x =
   t.count <- t.count + 1;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.count);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.min then t.min <- x;
-  if x > t.max then t.max <- x
+  t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
 let of_list xs =
   let t = create () in
@@ -31,12 +26,7 @@ let mean t = if t.count = 0 then Float.nan else t.mean
 let variance t =
   if t.count < 2 then 0.0 else Float.max (t.m2 /. float_of_int (t.count - 1)) 0.0
 
-let population_variance t =
-  if t.count = 0 then 0.0 else Float.max (t.m2 /. float_of_int t.count) 0.0
-
 let std t = Float.sqrt (variance t)
-let min_value t = t.min
-let max_value t = t.max
 
 (* Coefficient of variation σ/μ: the paper's Table-1 headline metric. *)
 let sigma_over_mean t =
@@ -57,7 +47,3 @@ let percentile values p =
   let sorted = Array.of_list values in
   Array.sort Float.compare sorted;
   percentile_of_sorted sorted p
-
-let pp ppf t =
-  Fmt.pf ppf "@[n=%d μ=%.4g σ=%.4g min=%.4g max=%.4g@]" t.count (mean t) (std t)
-    t.min t.max

@@ -11,17 +11,10 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased (n−1) sample variance; 0 with fewer than two samples. *)
 
-val population_variance : t -> float
 val std : t -> float
-val min_value : t -> float
-val max_value : t -> float
 
 val sigma_over_mean : t -> float
 (** Coefficient of variation σ/μ — Table 1's headline metric. *)
 
 val percentile : float list -> float -> float
 (** Linear-interpolated percentile, p in [0, 1]. *)
-
-val percentile_of_sorted : float array -> float -> float
-
-val pp : t Fmt.t

@@ -14,6 +14,7 @@ type t =
 exception Bad of string * int
 (** [Bad (message, byte_offset)]. *)
 
+(* statflow: safe — the raising parser; test_obs reads exports with it *)
 val parse_exn : string -> t
 (** Parse a complete JSON document; raises {!Bad} on malformed input or
     trailing garbage. *)

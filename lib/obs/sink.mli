@@ -14,11 +14,13 @@ val reset : unit -> unit
 (** Zero all counters and clear the span trace; call before a measured
     workload so exports describe exactly that workload. *)
 
+(* statflow: safe — the metrics export as text; test_obs parses it *)
 val metrics_json : unit -> string
 (** [{"schema":"statobs/1","counters":{...},"spans":[...],
     "dropped_events":n}] — counters sorted by name, exactly reproducible
     run-to-run; span timings advisory. *)
 
+(* statflow: safe — the trace export as text; test_obs parses it *)
 val trace_json : unit -> string
 (** Chrome [trace_event] JSON: [{"displayTimeUnit":"ms","traceEvents":
     [{name,cat,ph,pid,tid,ts}]}] with [ph] of ["B"]/["E"] and [ts] in

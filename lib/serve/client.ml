@@ -24,9 +24,6 @@ let request t line =
   | Some response -> response
   | None -> failwith "serve client: daemon closed the connection"
 
-let request_json t json =
-  Obs.Json.parse_exn (request t (Obs.Json.to_string json))
-
 let close t =
   (* closing the channel closes the underlying fd *)
   try In_channel.close t.ic with Sys_error _ -> ()

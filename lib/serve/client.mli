@@ -6,19 +6,14 @@ type t
 val connect : socket:string -> t
 (** Raises [Unix.Unix_error] if nothing listens on [socket]. *)
 
+(* statflow: safe — test_serve sends malformed lines with it *)
 val send_line : t -> string -> unit
 (** Ship one request line (newline appended). Does not wait for the
     response — pipelining consecutive sends is how clients exercise the
     daemon's batching window. *)
 
-val recv_line : t -> string option
-(** Next response line; [None] once the daemon closes the connection. *)
-
 val request : t -> string -> string
 (** [send_line] + [recv_line], raising [Failure] on EOF. *)
-
-val request_json : t -> Obs.Json.t -> Obs.Json.t
-(** [request] with encoding/decoding at both ends. *)
 
 val close : t -> unit
 

@@ -198,7 +198,24 @@ let serve_connection config env fd =
        with Disconnected -> ());
       false
 
+exception Socket_in_use of string
+
+(* Whether a daemon answers at [path]. ENOENT (no file) and ECONNREFUSED
+   (a file nobody listens on, such as one a killed daemon left behind)
+   both mean no daemon does. The probe connection closes at once, which a
+   live daemon reads as an ordinary client that sent nothing. *)
+let answers path =
+  let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close probe with Unix.Unix_error _ -> ())
+    (fun () ->
+      match Unix.connect probe (Unix.ADDR_UNIX path) with
+      | () -> true
+      | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) ->
+          false)
+
 let run config =
+  if answers config.socket then raise (Socket_in_use config.socket);
   if Sys.os_type = "Unix" then
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let env = Jobs.create_env () in
@@ -208,15 +225,19 @@ let run config =
   let tmp = config.socket ^ ".tmp" in
   let unlink path = try Unix.unlink path with Unix.Unix_error _ -> () in
   unlink tmp;
+  (* the socket file is this daemon's to remove only once its own rename
+     put it there: a start that fails earlier leaves the path alone *)
+  let owns_socket = ref false in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close sock with Unix.Unix_error _ -> ());
       unlink tmp;
-      unlink config.socket)
+      if !owns_socket then unlink config.socket)
     (fun () ->
       Unix.bind sock (Unix.ADDR_UNIX tmp);
       Unix.listen sock 16;
       Unix.rename tmp config.socket;
+      owns_socket := true;
       Log.info (fun m ->
           m "listening on %s (%d pool domains)" config.socket config.domains);
       let rec accept_loop () =

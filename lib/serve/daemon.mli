@@ -11,7 +11,8 @@
     [shutdown] op stops the daemon. *)
 
 type config = {
-  socket : string;  (** Unix socket path; any stale file is replaced *)
+  socket : string;
+      (** Unix socket path; a stale file nobody listens on is replaced *)
   domains : int;  (** pool lanes for batch execution (1 = inline) *)
   max_batch : int;  (** cap on an explicit ["batch"] op's job count *)
   max_request_bytes : int;  (** per-line byte cap *)
@@ -20,9 +21,19 @@ type config = {
 val default_config : socket:string -> config
 (** domains 1, max_batch 64, max_request_bytes 8 MiB. *)
 
+exception Socket_in_use of string
+(** Raised by {!run} when a daemon already answers at the socket path. *)
+
 val run : config -> unit
-(** Blocks until a [shutdown] op. The socket file appears at
-    [config.socket] only once the daemon listens: it binds
-    [config.socket ^ ".tmp"], listens, then renames that into place, so a
-    client may connect as soon as the file exists. Both names are removed
-    on the way out. *)
+(** Blocks until a [shutdown] op. It first connects to [config.socket]: if
+    a daemon answers there, it raises {!Socket_in_use} and creates and
+    removes nothing. A missing path, or a stale file nobody listens on, lets
+    the start proceed. The socket file appears at [config.socket] only once
+    the daemon listens: it binds [config.socket ^ ".tmp"], listens, then
+    renames that into place, so a client may connect as soon as the file
+    exists. On the way out it removes the [.tmp] name, and [config.socket]
+    only if its own rename put the file there.
+
+    The check and the rename are not atomic: two daemons started on one
+    path at the same instant can both find it free, and the later rename
+    wins the path. *)

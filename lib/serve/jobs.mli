@@ -25,6 +25,7 @@ val execute : env -> Protocol.job -> (Obs.Json.t, Protocol.error) result
 (** {!run} plus an ["elapsed_s"] wall-clock field on success (service
     metadata, deliberately outside the deterministic result payload). *)
 
+(* statflow: safe — lets test_serve check no job changes a cached netlist *)
 val cached_netlist :
   env -> library:Protocol.libspec -> Protocol.source -> Netlist.Circuit.t option
 (** The pristine netlist the cache holds for [source] under [library], if

@@ -26,6 +26,7 @@ type error_code =
 type error = { code : error_code; message : string }
 
 val err : error_code -> ('a, unit, string, error) format4 -> 'a
+(* statflow: safe — the wire name of an error code; test_serve checks it *)
 val code_string : error_code -> string
 
 type source = Suite of string | Bench of string
@@ -33,6 +34,7 @@ type source = Suite of string | Bench of string
 type libspec = { tau : float option; strengths : float array option }
 (** [{ tau = None; strengths = None }] selects the default library. *)
 
+(* statflow: safe — a request's default library; test_serve checks it *)
 val default_libspec : libspec
 
 val libspec_key : libspec -> string

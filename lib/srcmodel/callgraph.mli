@@ -51,6 +51,7 @@ val compute :
 val status : t -> module_:string -> value:string -> status option
 (** [None] = not reachable from any entry. *)
 
+(* statflow: safe — test_srcmodel compares it to a reference model *)
 val statuses : t -> ((string * string) * status) list
 (** All reached [(module, binding)] nodes with their statuses, sorted — for
     alloc-summary reporting and tests. *)

@@ -145,6 +145,3 @@ type binding = {
 type file_facts = { source : Source.t; bindings : binding list }
 
 val file : Source.t -> file_facts
-
-val last2 : string list -> (string * string) option
-(** Last two components of a path, for suffix dispatch. *)

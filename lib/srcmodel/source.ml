@@ -10,8 +10,12 @@ type t = {
   path : string;
   module_name : string;
   structure : Parsetree.structure;
+  signature : Parsetree.signature;
   pragmas : (string * int * string) list;
 }
+
+let is_interface path = Filename.check_suffix path ".mli"
+
 
 let module_name_of_path path =
   Filename.basename path |> Filename.remove_extension |> String.capitalize_ascii
@@ -92,13 +96,17 @@ let of_string ~tool ?(tools = []) ~path text =
   let tools = if tools = [] then [ tool ] else tools in
   let lexbuf = Lexing.from_string text in
   Lexing.set_filename lexbuf path;
-  match Parse.implementation lexbuf with
-  | structure ->
+  match
+    if is_interface path then ([], Parse.interface lexbuf)
+    else (Parse.implementation lexbuf, [])
+  with
+  | structure, signature ->
       Ok
         {
           path;
           module_name = module_name_of_path path;
           structure;
+          signature;
           pragmas = scan_pragmas ~tools text;
         }
   | exception exn ->
@@ -121,7 +129,7 @@ let load ~tool ?tools path =
   | text -> of_string ~tool ?tools ~path text
   | exception Sys_error msg -> Error (parse_error ~tool ~path ~line:0 msg)
 
-let rec ml_files_under dir =
+let rec files_under ~wanted dir =
   match Sys.readdir dir with
   | entries ->
       Array.to_list entries
@@ -130,19 +138,22 @@ let rec ml_files_under dir =
              let path = Filename.concat dir entry in
              if String.length entry > 0 && entry.[0] = '.' then []
              else if entry = "_build" then []
-             else if Sys.is_directory path then ml_files_under path
-             else if Filename.check_suffix entry ".ml" then [ path ]
+             else if Sys.is_directory path then files_under ~wanted path
+             else if wanted entry then [ path ]
              else [])
   | exception Sys_error _ -> []
 
-let load_dirs ~tool ?tools roots =
+let load_dirs ~tool ?tools ?(interfaces = false) roots =
+  let wanted file =
+    Filename.check_suffix file ".ml"
+    || (interfaces && Filename.check_suffix file ".mli")
+  in
   let files =
     List.concat_map
       (fun root ->
         if Sys.file_exists root && Sys.is_directory root then
-          ml_files_under root
-        else if Sys.file_exists root && Filename.check_suffix root ".ml" then
-          [ root ]
+          files_under ~wanted root
+        else if Sys.file_exists root && wanted root then [ root ]
         else [])
       roots
     |> List.sort_uniq String.compare

@@ -19,10 +19,6 @@ val apply :
     suppresses a finding on its own line or the line below; an allow entry
     matches by code, path suffix, and line (0 = whole file). *)
 
-val severity_of : string -> Diag.Severity.t
-(** Catalogue severity for a code ([Warning] if unregistered) — shared so
-    analyzer findings carry exactly what [statsize lint] would assign. *)
-
 val finding :
   code:string ->
   file:string ->

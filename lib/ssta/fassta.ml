@@ -80,8 +80,8 @@ let propagate ?stats ~model ~circuit ~electrical ~boundary nodes =
   out
 
 (* Whole-circuit fast pass into a caller-owned array (no allocation beyond
-   the moments themselves): [run], window creation and refreshes, the
-   Reference engine's commits and judge, and criticality. *)
+   the moments themselves): [run], window creation and refreshes, and
+   criticality. *)
 let propagate_into ?stats ?(exact = false) ~model ~circuit ~electrical out =
   Obs.Counters.add c_propagate_nodes (Netlist.Circuit.size circuit);
   let input_moments =

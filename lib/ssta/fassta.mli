@@ -21,9 +21,6 @@ val arc_moments :
   Numerics.Clark.moments
 (** Delay moments of fanin arc [k] of a gate. *)
 
-val max_arrivals :
-  ?stats:stats -> Numerics.Clark.moments list -> Numerics.Clark.moments
-
 val propagate :
   ?stats:stats ->
   model:Variation.Model.t ->

@@ -139,20 +139,20 @@ let check_against_scratch t =
               (Numerics.Clark.sigma fresh.moments.(id))))
   done
 
-(* Re-propagate only what a resize actually perturbed. Arc dirtiness is
-   found by scanning for replaced electrical arc rows (Electrical.update
-   keeps a row's physical identity exactly when its values survived, and
-   always replaces rows of resized gates) plus drive-strength deltas, so the
-   scan is sound no matter who refreshed the electrical state — including a
-   full [recompute_all], which simply marks everything dirty. Dirty nodes
+(* Re-propagate only what a resize actually perturbed. The caller has
+   already refreshed the shared electrical state (the sizer's window
+   commits do). Arc dirtiness is found by scanning for replaced electrical
+   arc rows (Electrical.update keeps a row's physical identity exactly when
+   its values survived, and always replaces rows of resized gates) plus
+   drive-strength deltas, so the scan is sound no matter who refreshed the
+   electrical state — including a full [recompute_all], which simply marks
+   everything dirty. Dirty nodes
    drain through the wavefront in topological order; a node whose recomputed
    pdf is bit-identical keeps its stored pdf and stops the sweep there.
    Per-arc resampled arrivals are cached so a multi-fanin node only
    recomputes the arcs that are actually dirty. *)
-let update ?(paranoid = false) ?(refresh_electrical = true) t ~resized =
+let update ?(paranoid = false) t =
   Obs.Span.with_ "fullssta.update" @@ fun () ->
-  if refresh_electrical then
-    ignore (Sta.Electrical.update t.electrical t.circuit ~resized);
   let n = Netlist.Circuit.size t.circuit in
   Array.fill t.changed 0 n false;
   Netlist.Wavefront.clear t.wave;

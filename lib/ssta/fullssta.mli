@@ -16,23 +16,18 @@ exception Divergence of Diag.t
 (** Raised (code STAT005) when paranoid mode catches the incremental state
     disagreeing with a from-scratch rebuild. *)
 
-val update :
-  ?paranoid:bool ->
-  ?refresh_electrical:bool ->
-  t ->
-  resized:Netlist.Circuit.id list ->
-  Netlist.Circuit.id list
-(** [update t ~resized] brings the live annotation back in sync after the
-    listed gates changed cells, re-propagating pdfs only through the dirty
-    fanout cone (topological wavefront; per-arc arrival pdfs are cached and
-    only dirty arcs recomputed). The sweep stops exactly where a recomputed
-    pdf is bit-identical to the stored one, leaving the annotation
-    bit-equal to a fresh {!run}. [refresh_electrical]
-    (default true) first runs {!Sta.Electrical.update} for [resized]; pass
-    false when the caller already refreshed the shared electrical state —
-    dirtiness is re-derived from replaced arc rows either way. [paranoid]
-    cross-checks the result against a scratch run and raises {!Divergence}
-    on any mismatch. Returns the ids whose arrival pdfs changed. *)
+val update : ?paranoid:bool -> t -> Netlist.Circuit.id list
+(** [update t] brings the live annotation back in sync after gates changed
+    cells, once the caller has brought the shared electrical state
+    ({!electrical}) up to date, say with {!Sta.Electrical.update}.
+    Dirtiness is re-derived from replaced arc rows and changed drive
+    strengths, and pdfs are re-propagated only through the dirty fanout
+    cone (topological wavefront; per-arc arrival pdfs are cached and only
+    dirty arcs recomputed). The sweep stops exactly where a recomputed pdf
+    is bit-identical to the stored one, leaving the annotation bit-equal to
+    a fresh {!run}. [paranoid] cross-checks the result against a scratch
+    run and raises {!Divergence} on any mismatch. Returns the ids whose
+    arrival pdfs changed. *)
 
 val pdf : t -> Netlist.Circuit.id -> Numerics.Discrete_pdf.t
 (** Arrival-time pdf at a node. *)

@@ -166,7 +166,4 @@ let yield_at r ~period =
   in
   float_of_int hits /. float_of_int (Array.length r.circuit_delay)
 
-let circuit_pdf ?(samples = 40) r =
-  Numerics.Discrete_pdf.of_samples ~samples (Array.to_list r.circuit_delay)
-
 let quantile r p = Numerics.Stats.percentile (Array.to_list r.circuit_delay) p

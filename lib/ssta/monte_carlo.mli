@@ -45,10 +45,10 @@ val run : ?config:config -> Netlist.Circuit.t -> result
     [Invalid_argument] if [config.trials < 1]. *)
 
 val circuit_stats : result -> Numerics.Stats.t
+(* statflow: safe — the engine-vs-Monte-Carlo tests read it *)
 val output_stats : result -> Netlist.Circuit.id -> Numerics.Stats.t option
 
 val yield_at : result -> period:float -> float
 (** Fraction of trials meeting the period. *)
 
-val circuit_pdf : ?samples:int -> result -> Numerics.Discrete_pdf.t
 val quantile : result -> float -> float

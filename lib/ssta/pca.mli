@@ -9,12 +9,12 @@ type arrival = {
   indep_var : float;
 }
 
-val total_var : arrival -> float
 val total_sigma : arrival -> float
 val to_moments : arrival -> Numerics.Clark.moments
 
 type t = { components : int; arrivals : arrival array }
 
+(* statflow: safe — test_extensions rebuilds covariance from it *)
 val loadings_of_structure : Variation.Correlated.t -> float array array
 (** Principal-component loadings per region implied by the correlated
     structure (rows = components). *)

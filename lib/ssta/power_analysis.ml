@@ -80,10 +80,6 @@ let leakage_stats r = Numerics.Stats.of_list (Array.to_list r.leakage_uw)
 
 let total_mean_uw r = r.dynamic_uw +. Numerics.Stats.mean (leakage_stats r)
 
-(* The ratio the paper's story predicts falls after variance-aware sizing:
-   the die-to-die spread of leakage relative to its mean. *)
-let leakage_sigma_over_mean r = Numerics.Stats.sigma_over_mean (leakage_stats r)
-
 let pp ppf r =
   let s = leakage_stats r in
   Fmt.pf ppf

@@ -22,10 +22,7 @@ type result = {
 val run : ?config:config -> Netlist.Circuit.t -> result
 
 val leakage_stats : result -> Numerics.Stats.t
+(* statflow: safe — mean total power the power tests check *)
 val total_mean_uw : result -> float
-
-val leakage_sigma_over_mean : result -> float
-(** Die-to-die leakage spread over mean — the quantity variance-aware
-    sizing narrows as a side effect. *)
 
 val pp : result Fmt.t

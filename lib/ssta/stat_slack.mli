@@ -47,9 +47,6 @@ val required : t -> Netlist.Circuit.id -> Numerics.Clark.moments option
 
 val slack : t -> Netlist.Circuit.id -> Numerics.Clark.moments option
 
-val pessimistic_slack : t -> alpha:float -> Netlist.Circuit.id -> float option
-(** slack mean − α·σ. *)
-
 val worst_node :
   t -> alpha:float -> Netlist.Circuit.t -> (Netlist.Circuit.id * float) option
 (** Node with the most negative pessimistic slack. *)

@@ -120,8 +120,3 @@ let critical_path_from t start =
   walk start []
 
 let critical_path t = critical_path_from t (critical_output t)
-
-let pp_path t ppf path =
-  Fmt.pf ppf "@[<hov 2>%a@]"
-    (Fmt.list ~sep:(Fmt.any " ->@ ") Fmt.string)
-    (List.map (Netlist.Circuit.node_name t.circuit) path)

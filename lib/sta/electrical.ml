@@ -308,8 +308,3 @@ let rewind t =
         t.arc_delay.(id) <- w.log_row.(i)
       done;
       w.nlog <- 0
-
-let gate_mean_delay t id =
-  let arcs = t.arc_delay.(id) in
-  if Array.length arcs = 0 then 0.0
-  else Array.fold_left ( +. ) 0.0 arcs /. float_of_int (Array.length arcs)

@@ -27,12 +27,12 @@ val slew : t -> Netlist.Circuit.id -> float
 val arc_delays : t -> Netlist.Circuit.id -> float array
 (** Nominal delay per fanin arc ([||] for primary inputs). *)
 
-val gate_mean_delay : t -> Netlist.Circuit.id -> float
-
+(* statflow: safe — the window oracle's trial recompute in test_incremental *)
 val recompute_nodes : t -> Netlist.Circuit.t -> Netlist.Circuit.id array -> unit
 (** Recompute load/arc-delays/slew in place for a topologically-ordered node
     subset, reading the circuit's current cells (trial-resize support). *)
 
+(* statflow: safe — compute's full refresh; the window oracle commits with it *)
 val recompute_all : t -> Netlist.Circuit.t -> unit
 (** Full in-place refresh of loads, arc delays and slews. *)
 
@@ -86,6 +86,7 @@ type snapshot
 
 val snapshot : t -> Netlist.Circuit.id array -> snapshot
 (** The listed nodes' loads, slews and arc rows, for {!restore} after a
-    {!recompute_nodes} trial (the Reference window engine's). *)
+    {!recompute_nodes} trial (the from-scratch window oracle's, in
+    test_incremental). *)
 
 val restore : t -> snapshot -> unit

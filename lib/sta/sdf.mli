@@ -1,6 +1,7 @@
 (** SDF (Standard Delay Format) writer: per-instance IOPATH delays with
     statistical (min:typ:max) corners at ±k·σ under the variation model. *)
 
+(* statflow: safe — the text save writes; the SDF tests parse it *)
 val to_sdf :
   ?design:string ->
   ?sigma_corner:float ->

@@ -31,7 +31,6 @@ let tool =
    Overridable with --entry. *)
 let default_hot_entries =
   [
-    "Window.trial_cost";
     "Window.vec_costs";
     "Window.commit_incremental";
     "Electrical.update";
@@ -308,6 +307,65 @@ let transitive_counts graph ~module_ (b : Scan.binding) =
   visit module_ b;
   !total
 
+(* ---- dead exports (EXP001) ----------------------------------------------- *)
+
+(* The last component of every identifier an expression names, in one
+   parsed source: [Foo.bar], [bar] after [open Foo] and a punned [~bar] all
+   count as [bar]. Name-only on purpose: without a typing pass a common
+   name used anywhere hides a dead export of the same name, but no live
+   export is ever flagged. *)
+let idents_of (src : Source.t) tbl =
+  let expr (it : Ast_iterator.iterator) (e : Parsetree.expression) =
+    (match e.Parsetree.pexp_desc with
+    | Parsetree.Pexp_ident { txt; _ } ->
+        Hashtbl.replace tbl (Longident.last txt) ()
+    | _ -> ());
+    Ast_iterator.default_iterator.expr it e
+  in
+  let it = { Ast_iterator.default_iterator with expr } in
+  it.structure it src.Source.structure;
+  it.signature it src.Source.signature
+
+(* A scanned [.mli]'s values that no other scanned file names: the
+   module's own [.ml] does not count, so a value only its own module uses
+   should leave the interface, and one nobody uses should go. *)
+let dead_exports sources =
+  let stem (s : Source.t) = Filename.remove_extension s.Source.path in
+  (* identifier -> the stems of the files naming it, one binding each *)
+  let namers = Hashtbl.create 4096 in
+  List.iter
+    (fun (s : Source.t) ->
+      let names = Hashtbl.create 256 in
+      idents_of s names;
+      Hashtbl.iter (fun name () -> Hashtbl.add namers name (stem s)) names)
+    sources;
+  let named_elsewhere ~own name =
+    List.exists (fun st -> st <> own) (Hashtbl.find_all namers name)
+  in
+  List.concat_map
+    (fun (s : Source.t) ->
+      List.filter_map
+        (fun (item : Parsetree.signature_item) ->
+          match item.Parsetree.psig_desc with
+          | Parsetree.Psig_value vd ->
+              let name = vd.Parsetree.pval_name.txt in
+              if named_elsewhere ~own:(stem s) name then None
+              else
+                Some
+                  (finding ~code:"EXP001" ~file:s.Source.path
+                     ~line:
+                       item.Parsetree.psig_loc.Location.loc_start
+                         .Lexing.pos_lnum
+                     ~hint:
+                       "delete it, drop it from the interface if its own \
+                        module uses it, or keep it with a reasoned \
+                        statflow pragma on or above the val"
+                     "%s.%s is exported, but no other scanned file names it"
+                     s.Source.module_name name)
+          | _ -> None)
+        s.Source.signature)
+    (List.filter (fun (s : Source.t) -> Source.is_interface s.Source.path) sources)
+
 (* ---- driver -------------------------------------------------------------- *)
 
 let dedupe diags =
@@ -335,7 +393,10 @@ let select_entries facts names =
     facts
 
 let run ?(config = default_config) sources =
-  let facts = List.map Scan.file sources in
+  let implementations =
+    List.filter (fun (s : Source.t) -> not (Source.is_interface s.Source.path)) sources
+  in
+  let facts = List.map Scan.file implementations in
   let hot_names, det_names =
     match config.entries with
     | [] -> (default_hot_entries, default_det_entries)
@@ -370,6 +431,7 @@ let run ?(config = default_config) sources =
               b)
           ff.Scan.bindings)
       facts
+    @ dead_exports sources
     |> dedupe
   in
   let s = Srcmodel.Suppress.apply ~tool ~sources ~allow:config.allow raw in
@@ -391,7 +453,7 @@ let run ?(config = default_config) sources =
   }
 
 let run_dirs ?(config = default_config) roots =
-  let sources, parse_errors = Source.load_dirs ~tool roots in
+  let sources, parse_errors = Source.load_dirs ~tool ~interfaces:true roots in
   let r = run ~config sources in
   { r with findings = Diag.sort (parse_errors @ r.findings) }
 

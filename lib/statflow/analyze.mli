@@ -30,6 +30,11 @@
       result-producing code.
     - {b DET003} (Error) — ambient [Random.*] (not [Random.State]) in
       result-producing code.
+    - {b EXP001} (Warning) — a [val] in a scanned [.mli] whose name no
+      other scanned [.ml] or [.mli] uses as an identifier (the last
+      component of a [Pexp_ident]; the module's own [.ml] does not count).
+      Name-only, so a dead export with a common name can hide behind an
+      unrelated use, but a live one is never flagged.
     - {b FLOW007} (Warning) — a [(* statflow: safe — reason *)] pragma or
       allow-file entry that suppresses nothing.
 
@@ -46,23 +51,19 @@ module Callgraph = Srcmodel.Callgraph
 val tool : Srcmodel.Tool.t
 (** [{name = "statflow"; parse_code = "FLOW000"; stale_code = "FLOW007"}] *)
 
-val default_hot_entries : string list
-(** The kernels claimed allocation-lean:
-    [Window.trial_cost]/[vec_costs]/[commit_incremental],
-    [Electrical.update], [Fullssta.update], [Discrete_pdf.sum]/[max2],
-    [Lut.query], and the Monte Carlo trial loop [Monte_carlo.run]. *)
-
-val default_det_entries : string list
-(** Result-producing roots statserve's serial≡parallel gate cares about:
-    [Table1.run], engine [run]/[compute]/[update] (Monte Carlo's
-    [Monte_carlo.run] included), [Sizer.optimize]. *)
-
 type allow_entry = Srcmodel.Allow.entry
 
 type config = {
   entries : string list;
       (** non-empty: replaces {e both} default entry sets; names match as
-          [Module.binding], bare [binding], or bare [Module] *)
+          [Module.binding], bare [binding], or bare [Module]. The default
+          hot entries are the kernels claimed allocation-lean
+          ([Window.vec_costs]/[commit_incremental], [Electrical.update],
+          [Fullssta.update], [Discrete_pdf.sum]/[max2], [Lut.query] and the
+          Monte Carlo trial loop [Monte_carlo.run]); the default result
+          entries are the roots statserve's serial≡parallel gate cares
+          about ([Table1.run], the engines' [run]/[compute]/[update],
+          [Sizer.optimize], the serve pool and protocol). *)
   allow : allow_entry list;
 }
 
@@ -95,8 +96,8 @@ type result = {
 val run : ?config:config -> Srcmodel.Source.t list -> result
 
 val run_dirs : ?config:config -> string list -> result
-(** [Srcmodel.Source.load_dirs] + [run]; FLOW000 parse failures join the
-    findings. *)
+(** [Srcmodel.Source.load_dirs ~interfaces:true] + [run]; FLOW000 parse
+    failures join the findings. *)
 
 val count_by_code : Diag.t list -> (string * int) list
 (** Sorted per-code histogram, for reports and BENCH_statflow.json. *)

@@ -15,6 +15,7 @@ val draw : t -> Numerics.Rng.t -> count:int -> float array
 (** One die: a standard-normal deviation per gate, correlated per the
     structure. *)
 
+(* statflow: safe — the structure's correlation the variation tests pin *)
 val correlation : t -> gate_a:int -> gate_b:int -> float
 (** Implied pairwise correlation. *)
 

@@ -23,7 +23,9 @@ val create :
 val default : t
 
 val sigma : t -> delay:float -> strength:float -> float
+(* statflow: safe — one sigma term the variation tests pin *)
 val systematic_sigma : t -> delay:float -> strength:float -> float
+(* statflow: safe — one sigma term the variation tests pin *)
 val random_sigma : t -> float
 
 val delay_moments : t -> delay:float -> strength:float -> Numerics.Clark.moments

@@ -25,11 +25,7 @@ let interval_outward_rounding () =
      the real value 0.3, strictly between the rounded endpoints. *)
   let s = I.add (I.point 0.1) (I.point 0.2) in
   check_true "0.3 inside" (I.lo s <= 0.3 && 0.3 <= I.hi s);
-  check_true "not a point" (I.width s > 0.0);
-  let q = I.sq (I.v (-2.0) 3.0) in
-  check_true "sq straddling zero" (I.lo q = 0.0 && I.hi q >= 9.0);
-  let r = I.sqrt_ (I.v 2.0 2.0) in
-  check_true "sqrt encloses" (I.lo r *. I.lo r <= 2.0 && 2.0 <= I.hi r *. I.hi r)
+  check_true "not a point" (I.width s > 0.0)
 
 let interval_rejects_nan_or_reversed () =
   check_true "reversed rejected"
@@ -174,8 +170,8 @@ let all_sizings_superset () =
   let wider = ref false in
   Netlist.Circuit.iter_nodes c ~f:(fun id ->
       if
-        I.width (Absint.Statcheck.mean_interval sc id)
-        > I.width (Absint.Statcheck.mean_interval tight id) +. 1e-9
+        I.width (Absint.Statcheck.state sc id).Absint.Domain.mean
+        > I.width (Absint.Statcheck.state tight id).Absint.Domain.mean +. 1e-9
       then wider := true);
   check_true "ladder hull is wider somewhere" !wider
 

@@ -148,56 +148,6 @@ let alu_without_zero_flag () =
   let c = Benchgen.Alu.generate ~zero_flag:false ~lib ~bits:4 () in
   check_true "no zero output" (Netlist.Circuit.find c ~name:"zero" = None)
 
-(* ---- comparator --------------------------------------------------------- *)
-
-let comparator_matches_spec () =
-  let bits = 5 in
-  let c = Benchgen.Comparator.generate ~lib ~bits () in
-  for a = 0 to 31 do
-    for b = 0 to 31 do
-      let ins =
-        bits_of_int ~prefix:"a" ~width:bits a @ bits_of_int ~prefix:"b" ~width:bits b
-      in
-      let outs = Netlist.Simulate.run c ~inputs:ins in
-      check_true "eq" (List.assoc "eq" outs = (a = b));
-      check_true "lt" (List.assoc "lt" outs = (a < b));
-      check_true "gt" (List.assoc "gt" outs = (a > b))
-    done
-  done
-
-(* ---- decoder / mux tree -------------------------------------------------- *)
-
-let decoder_matches_spec () =
-  let bits = 4 in
-  let c = Benchgen.Decoder.generate ~lib ~bits () in
-  for v = 0 to 15 do
-    List.iter
-      (fun en ->
-        let ins = ("en", en) :: bits_of_int ~prefix:"s" ~width:bits v in
-        let outs = Netlist.Simulate.run c ~inputs:ins in
-        for y = 0 to 15 do
-          check_true
-            (Printf.sprintf "y%d at v=%d en=%b" y v en)
-            (List.assoc (Printf.sprintf "y%d" y) outs = (en && y = v))
-        done)
-      [ true; false ]
-  done
-
-let mux_tree_matches_spec () =
-  let select_bits = 3 in
-  let c = Benchgen.Decoder.mux_tree ~lib ~select_bits () in
-  let rng = Numerics.Rng.create ~seed:3 in
-  for _ = 1 to 100 do
-    let data = Numerics.Rng.int rng ~bound:256 in
-    let sel = Numerics.Rng.int rng ~bound:8 in
-    let ins =
-      bits_of_int ~prefix:"d" ~width:8 data
-      @ bits_of_int ~prefix:"s" ~width:select_bits sel
-    in
-    let outs = Netlist.Simulate.run c ~inputs:ins in
-    check_true "selected" (List.assoc "y" outs = (data land (1 lsl sel) <> 0))
-  done
-
 (* ---- ECC ---------------------------------------------------------------- *)
 
 let ecc_corrects_single_errors style =
@@ -280,34 +230,6 @@ let random_dag_rejects_bad_profiles () =
     Alcotest.fail "expected rejection"
   with Invalid_argument _ -> ()
 
-(* ---- barrel shifter -------------------------------------------------------- *)
-
-let shifter_matches_spec () =
-  let bits = 8 in
-  let c = Benchgen.Shifter.generate ~lib ~bits () in
-  let stages = 3 in
-  for amount = 0 to 7 do
-    let rng = Numerics.Rng.create ~seed:amount in
-    for _ = 1 to 30 do
-      let d = Numerics.Rng.int rng ~bound:256 in
-      let ins =
-        bits_of_int ~prefix:"d" ~width:bits d
-        @ bits_of_int ~prefix:"s" ~width:stages amount
-      in
-      let outs = Netlist.Simulate.run c ~inputs:ins in
-      let q = Netlist.Simulate.read_unsigned outs ~prefix:"q" in
-      check_int
-        (Printf.sprintf "%d << %d" d amount)
-        ((d lsl amount) land 255)
-        q
-    done
-  done
-
-let shifter_log_depth () =
-  let c = Benchgen.Shifter.generate ~lib ~bits:16 () in
-  (* 4 mux stages plus the constant-zero pair: depth stays logarithmic *)
-  check_true "log depth" (Netlist.Levelize.depth c <= 8)
-
 (* ---- suite --------------------------------------------------------------- *)
 
 let suite_builds_and_validates () =
@@ -355,24 +277,12 @@ let () =
           Alcotest.test_case "all ops" `Quick alu_ops;
           Alcotest.test_case "no zero flag" `Quick alu_without_zero_flag;
         ] );
-      ( "comparator",
-        [ Alcotest.test_case "exhaustive 5b" `Quick comparator_matches_spec ] );
-      ( "decoder",
-        [
-          Alcotest.test_case "decoder" `Quick decoder_matches_spec;
-          Alcotest.test_case "mux tree" `Quick mux_tree_matches_spec;
-        ] );
       ( "ecc",
         [
           Alcotest.test_case "corrects single errors (native)" `Quick ecc_native;
           Alcotest.test_case "corrects single errors (nand4)" `Quick ecc_nand4;
           Alcotest.test_case "nand4 bigger/deeper" `Quick ecc_nand4_bigger_and_deeper;
           Alcotest.test_case "check bit count" `Quick ecc_check_bits;
-        ] );
-      ( "shifter",
-        [
-          Alcotest.test_case "matches spec" `Quick shifter_matches_spec;
-          Alcotest.test_case "log depth" `Quick shifter_log_depth;
         ] );
       ( "random_dag",
         [

@@ -217,8 +217,7 @@ let window_allocation_pin () =
   let c = Benchgen.Iscas_like.build_exn ~lib "c432" in
   ignore (Core.Initial_sizing.apply ~lib c);
   let window =
-    Core.Window.create ~mode:Core.Window.Global ~engine:Core.Window.Production
-      ~circuit:c ~model:Variation.Model.default
+    Core.Window.create ~mode:Core.Window.Global ~circuit:c ~model:Variation.Model.default
       ~objective:(Core.Objective.create ~alpha:3.0)
       ~full:(Ssta.Fullssta.run c) ()
   in

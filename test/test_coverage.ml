@@ -98,7 +98,7 @@ let sdf_respects_sigma_corner_zero () =
   let e = Sta.Electrical.compute c in
   let text = Sta.Sdf.to_sdf ~sigma_corner:0.0 c e in
   (* with zero corners min = typ = max: triples have equal entries *)
-  let n1 = Netlist.Circuit.find_exn c ~name:"n1" in
+  let n1 = Test_util.find_exn c ~name:"n1" in
   let d = (Sta.Electrical.arc_delays e n1).(0) in
   let expect = Printf.sprintf "(%.1f:%.1f:%.1f)" d d d in
   let len = String.length expect in
@@ -175,7 +175,7 @@ let sdc_drives_stat_slack () =
   let full = Ssta.Fullssta.run c in
   let sdc = Sta.Sdc.of_string sdc_sample in
   let sl = Ssta.Stat_slack.of_sdc ~model ~sdc full c in
-  let n3 = Netlist.Circuit.find_exn c ~name:"n3" in
+  let n3 = Test_util.find_exn c ~name:"n3" in
   (match Ssta.Stat_slack.slack sl n3 with
   | Some s ->
       let m = Ssta.Fullssta.moments full n3 in

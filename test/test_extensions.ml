@@ -63,14 +63,14 @@ let stat_slack_chain () =
   let m_out = Ssta.Fullssta.output_moments full in
   let period = m_out.Numerics.Clark.mean +. 50.0 in
   let sl = Ssta.Stat_slack.of_fullssta ~model ~period full c in
-  let x2id = Netlist.Circuit.find_exn c ~name:"x2" in
+  let x2id = Test_util.find_exn c ~name:"x2" in
   (match Ssta.Stat_slack.slack sl x2id with
   | Some s ->
       (* output slack mean = period − arrival mean *)
       close ~tol:0.01 "output slack mean" 50.0 s.Numerics.Clark.mean
   | None -> Alcotest.fail "output should have slack");
   (* the input's required time walks both arcs back *)
-  let aid = Netlist.Circuit.find_exn c ~name:"a" in
+  let aid = Test_util.find_exn c ~name:"a" in
   match (Ssta.Stat_slack.required sl aid, Ssta.Stat_slack.slack sl aid) with
   | Some r, Some s ->
       check_true "input required below period" (r.Numerics.Clark.mean < period);
@@ -243,41 +243,6 @@ let pca_loadings_reconstruct_structure () =
     done
   done
 
-(* ---- Priority encoder --------------------------------------------------------- *)
-
-let priority_matches_spec () =
-  let channels = 6 in
-  let c = Benchgen.Priority.generate ~lib ~channels () in
-  let rng = Numerics.Rng.create ~seed:66 in
-  for _ = 1 to 200 do
-    let req = Numerics.Rng.int rng ~bound:(1 lsl channels) in
-    let mask = Numerics.Rng.int rng ~bound:(1 lsl channels) in
-    let ins =
-      bits_of_int ~prefix:"req" ~width:channels req
-      @ bits_of_int ~prefix:"mask" ~width:channels mask
-    in
-    let outs = Netlist.Simulate.run c ~inputs:ins in
-    let active = req land mask in
-    let expected_grant =
-      if active = 0 then 0
-      else
-        let rec top i = if active land (1 lsl i) <> 0 then i else top (i - 1) in
-        1 lsl top (channels - 1)
-    in
-    check_int "one-hot grant" expected_grant
-      (Netlist.Simulate.read_unsigned outs ~prefix:"grant");
-    check_true "valid flag" (List.assoc "valid" outs = (active <> 0))
-  done
-
-let priority_unmaskable () =
-  let c = Benchgen.Priority.generate ~maskable:false ~lib ~channels:4 () in
-  check_true "no mask inputs" (Netlist.Circuit.find c ~name:"mask0" = None);
-  let outs =
-    Netlist.Simulate.run c
-      ~inputs:[ ("req0", true); ("req1", false); ("req2", true); ("req3", false) ]
-  in
-  check_int "grants highest" 4 (Netlist.Simulate.read_unsigned outs ~prefix:"grant")
-
 (* ---- DOT export ------------------------------------------------------------------ *)
 
 let dot_export_well_formed () =
@@ -421,11 +386,6 @@ let () =
             pca_tracks_correlated_monte_carlo;
           Alcotest.test_case "loadings reconstruct structure" `Quick
             pca_loadings_reconstruct_structure;
-        ] );
-      ( "priority",
-        [
-          Alcotest.test_case "matches spec" `Quick priority_matches_spec;
-          Alcotest.test_case "unmaskable" `Quick priority_unmaskable;
         ] );
       ("dot", [ Alcotest.test_case "well-formed" `Quick dot_export_well_formed ]);
       ( "objective",

@@ -3,7 +3,8 @@
    recomputation on ANY well-formed netlist under ANY resize sequence — the
    exact stops make that a bit-level claim, and paranoid mode must actually
    catch a state that violates it. At the window and sizer level, the
-   Production engine is held bit-for-bit to the Reference oracle. *)
+   shipped window and sizer are held bit-for-bit to the from-scratch
+   Reference oracle kept here. *)
 
 open Test_util
 
@@ -85,7 +86,8 @@ let prop_fullssta_update_matches_run =
       let ok = ref true in
       for _step = 1 to 3 do
         let resized = random_resizes rng c ~moves:(1 + Random.State.int rng 3) in
-        ignore (Ssta.Fullssta.update full ~resized);
+        ignore (Sta.Electrical.update (Ssta.Fullssta.electrical full) c ~resized);
+        ignore (Ssta.Fullssta.update full);
         let fresh = Ssta.Fullssta.run c in
         List.iter
           (fun id ->
@@ -106,8 +108,9 @@ let prop_fullssta_update_matches_run =
       !ok)
 
 (* Divergence injection: an honest update passes the paranoid cross-check; a
-   lying dirty set (the gate changed but [resized] omits it, so the shared
-   electrical state goes stale) must raise the STAT005 diagnostic. *)
+   lying dirty set (the gate changed but the electrical update's [resized]
+   omits it, so the shared electrical state goes stale) must raise the
+   STAT005 diagnostic. *)
 let alt_size circuit g =
   let current = Netlist.Circuit.cell_exn circuit g in
   let sizes = Cells.Library.sizes_of_fn lib (Cells.Cell.fn current) in
@@ -127,11 +130,14 @@ let test_paranoid_divergence_fires () =
     | g1 :: g2 :: _ -> (g1, g2)
     | _ -> Alcotest.fail "tiny circuit lost its gates"
   in
+  let e = Ssta.Fullssta.electrical full in
   Netlist.Circuit.set_cell c g1 (alt_size c g1);
-  ignore (Ssta.Fullssta.update ~paranoid:true full ~resized:[ g1 ]);
+  ignore (Sta.Electrical.update e c ~resized:[ g1 ]);
+  ignore (Ssta.Fullssta.update ~paranoid:true full);
   Netlist.Circuit.set_cell c g2 (alt_size c g2);
+  ignore (Sta.Electrical.update e c ~resized:[]);
   try
-    ignore (Ssta.Fullssta.update ~paranoid:true full ~resized:[]);
+    ignore (Ssta.Fullssta.update ~paranoid:true full);
     Alcotest.fail "paranoid mode accepted a stale electrical state"
   with Ssta.Fullssta.Divergence d ->
     Alcotest.(check string) "diagnostic code" "STAT005" d.Diag.code
@@ -156,25 +162,348 @@ let bit_equal a b = Int64.equal (bits a) (bits b)
 
 let cell_names cells = List.map (fun (g, c) -> (g, Cells.Cell.name c)) cells
 
-(* The window-level oracle: on every gate of two quick circuits, a
-   Production window and a Reference window over separate copies of the
-   same sized circuit return the same verdict with bit-equal costs, and
-   price a forced trial (the pivot's strongest size) to the bit, under both
-   scoring modes. Each engine's window is reused across every gate, so a
-   trial that leaked state into the circuit or the window would also
-   surface here. *)
+(* The Reference window as it stood in lib/ before the sizer kept one
+   window per run, verbatim up to module paths: every trial snapshots and
+   recomputes each window member's electrical state and re-propagates
+   arrivals through a Hashtbl of overrides, pricing arcs with
+   [Variation.Model.delay_moments] and folding with [Clark.max_exact] — the
+   originals of the copies [Core.Window] inlines — and a commit re-derives
+   everything. The oracle the window must match verdict for verdict and
+   bit for bit. *)
+module Oracle_window = struct
+  type t = {
+    circuit : Netlist.Circuit.t;
+    model : Variation.Model.t;
+    objective : Core.Objective.t;
+    mode : Core.Window.mode;
+    electrical : Sta.Electrical.t;
+    boundary : Netlist.Circuit.id -> Numerics.Clark.moments;
+    down_mean : float array;
+    down_var : float array;
+    base : Numerics.Clark.moments array;
+    mutable base_cost : float;
+    override : (int, Numerics.Clark.moments) Hashtbl.t;
+    wavefront : Netlist.Wavefront.t;
+    stats : Ssta.Fassta.stats;
+  }
+
+  let epsilon_wave = 1e-3
+
+  let downstream_stats_into ~model circuit electrical down_mean down_var =
+    Array.fill down_mean 0 (Array.length down_mean) 0.0;
+    Array.fill down_var 0 (Array.length down_var) 0.0;
+    List.iter
+      (fun id ->
+        let fanins = Netlist.Circuit.fanins circuit id in
+        Array.iteri
+          (fun k fi ->
+            let arc = Ssta.Fassta.arc_moments model circuit electrical id k in
+            let cand_mean = arc.Numerics.Clark.mean +. down_mean.(id) in
+            if cand_mean > down_mean.(fi) then begin
+              down_mean.(fi) <- cand_mean;
+              down_var.(fi) <- arc.Numerics.Clark.var +. down_var.(id)
+            end)
+          fanins)
+      (List.rev (Netlist.Circuit.topological circuit))
+
+  let rv_cost t moments_of =
+    Core.Objective.cost_of_rv ~exact:true t.objective moments_of
+      (Netlist.Circuit.outputs t.circuit)
+
+  let refresh_base t =
+    Ssta.Fassta.propagate_into ~exact:true ~model:t.model ~circuit:t.circuit
+      ~electrical:t.electrical t.base;
+    t.base_cost <- rv_cost t (fun o -> t.base.(o))
+
+  let create ~mode ~circuit ~model ~objective ~full =
+    let electrical = Ssta.Fullssta.electrical full in
+    let n = Netlist.Circuit.size circuit in
+    let down_mean = Array.make n 0.0 and down_var = Array.make n 0.0 in
+    downstream_stats_into ~model circuit electrical down_mean down_var;
+    let t =
+      {
+        circuit;
+        model;
+        objective;
+        mode;
+        electrical;
+        boundary = Ssta.Fullssta.moments full;
+        down_mean;
+        down_var;
+        base = Array.make n { Numerics.Clark.mean = 0.0; var = 0.0 };
+        base_cost = 0.0;
+        override = Hashtbl.create 997;
+        wavefront = Netlist.Wavefront.create n;
+        stats = Ssta.Fassta.make_stats ();
+      }
+    in
+    refresh_base t;
+    t
+
+  let score t o (m : Numerics.Clark.moments) =
+    Core.Objective.cost_of_moments t.objective
+      (Numerics.Clark.moments
+         ~mean:(m.Numerics.Clark.mean +. t.down_mean.(o))
+         ~var:(m.Numerics.Clark.var +. t.down_var.(o)))
+
+  let windowed_cost t (sub : Netlist.Cone.subcircuit) =
+    let table =
+      Ssta.Fassta.propagate ~stats:t.stats ~model:t.model ~circuit:t.circuit
+        ~electrical:t.electrical ~boundary:t.boundary sub.Netlist.Cone.members
+    in
+    let moments_of id =
+      match Hashtbl.find_opt table id with Some m -> m | None -> t.boundary id
+    in
+    List.fold_left
+      (fun acc o -> Float.max acc (score t o (moments_of o)))
+      Float.neg_infinity sub.Netlist.Cone.window_outputs
+
+  let moments_at t id =
+    match Hashtbl.find_opt t.override id with
+    | Some m -> m
+    | None -> t.base.(id)
+
+  let recompute_node t id =
+    let fanins = Netlist.Circuit.fanins t.circuit id in
+    if Array.length fanins = 0 then t.base.(id)
+    else begin
+      let arcs = Sta.Electrical.arc_delays t.electrical id in
+      let strength =
+        Cells.Cell.strength (Netlist.Circuit.cell_exn t.circuit id)
+      in
+      let acc = ref None in
+      Array.iteri
+        (fun k fi ->
+          let arc =
+            Variation.Model.delay_moments t.model ~delay:arcs.(k) ~strength
+          in
+          let arrival = Numerics.Clark.sum (moments_at t fi) arc in
+          acc :=
+            Some
+              (match !acc with
+              | None -> arrival
+              | Some best -> Numerics.Clark.max_exact best arrival))
+        fanins;
+      match !acc with Some m -> m | None -> assert false
+    end
+
+  let trial_cost t ~seed =
+    Hashtbl.reset t.override;
+    let w = t.wavefront in
+    Netlist.Wavefront.clear w;
+    seed (fun id -> Netlist.Wavefront.push w id);
+    let rec drain () =
+      let id = Netlist.Wavefront.pop w in
+      if id >= 0 then begin
+        let fresh = recompute_node t id in
+        let old = t.base.(id) in
+        let moved =
+          Float.abs (fresh.Numerics.Clark.mean -. old.Numerics.Clark.mean)
+          +. Float.abs (Numerics.Clark.sigma fresh -. Numerics.Clark.sigma old)
+          > epsilon_wave
+        in
+        if moved then begin
+          Hashtbl.replace t.override id fresh;
+          Netlist.Circuit.iter_fanouts t.circuit id ~f:(fun fo ->
+              Netlist.Wavefront.push w fo)
+        end
+        else Hashtbl.remove t.override id;
+        drain ()
+      end
+    in
+    drain ();
+    rv_cost t (moments_at t)
+
+  let cost t sub =
+    match t.mode with
+    | Core.Window.Windowed -> windowed_cost t sub
+    | Core.Window.Global -> t.base_cost
+
+  let fanin_adjustments t ~lib pivot =
+    Array.to_list (Netlist.Circuit.fanins t.circuit pivot)
+    |> List.filter_map (fun fi ->
+           match Netlist.Circuit.cell t.circuit fi with
+           | None -> None
+           | Some fanin_cell ->
+               let load = Netlist.Circuit.load t.circuit fi in
+               let rule =
+                 Core.Initial_sizing.pick_cell lib ~fn:(Cells.Cell.fn fanin_cell)
+                   ~load ~target:4.0
+               in
+               if Cells.Cell.strength rule > Cells.Cell.strength fanin_cell then
+                 Some (fi, rule)
+               else None)
+
+  let cost_with_cell ~lib t (sub : Netlist.Cone.subcircuit) trial =
+    let circuit = t.circuit in
+    let pivot = sub.Netlist.Cone.pivot in
+    let members = sub.Netlist.Cone.members in
+    let original = Netlist.Circuit.cell_exn circuit pivot in
+    Netlist.Circuit.set_cell circuit pivot trial;
+    let adjustments = fanin_adjustments t ~lib pivot in
+    let saved =
+      List.map (fun (fi, _) -> (fi, Netlist.Circuit.cell_exn circuit fi)) adjustments
+    in
+    List.iter (fun (fi, cell) -> Netlist.Circuit.set_cell circuit fi cell) adjustments;
+    let snap = Sta.Electrical.snapshot t.electrical members in
+    let cost =
+      Fun.protect
+        ~finally:(fun () ->
+          Sta.Electrical.restore t.electrical snap;
+          List.iter (fun (fi, cell) -> Netlist.Circuit.set_cell circuit fi cell) saved;
+          Netlist.Circuit.set_cell circuit pivot original)
+      @@ fun () ->
+      Sta.Electrical.recompute_nodes t.electrical circuit members;
+      match t.mode with
+      | Core.Window.Windowed -> windowed_cost t sub
+      | Core.Window.Global ->
+          trial_cost t ~seed:(fun push -> Array.iter push members)
+    in
+    (cost, adjustments)
+
+  let best_size t ~lib (sub : Netlist.Cone.subcircuit) =
+    let current = Netlist.Circuit.cell_exn t.circuit sub.Netlist.Cone.pivot in
+    let current_cost = cost t sub in
+    let trials =
+      List.filter
+        (fun cell -> not (Cells.Cell.equal cell current))
+        (Array.to_list (Cells.Library.sizes_of_fn lib (Cells.Cell.fn current)))
+    in
+    List.fold_left
+      (fun (best : Core.Window.verdict) trial ->
+        let cost, adjustments = cost_with_cell ~lib t sub trial in
+        if cost < best.Core.Window.best_cost then
+          { best with best = trial; co_resizes = adjustments; best_cost = cost }
+        else best)
+      { Core.Window.best = current; co_resizes = []; best_cost = current_cost;
+        current_cost }
+      trials
+
+  let commit t =
+    Sta.Electrical.recompute_all t.electrical t.circuit;
+    refresh_base t
+end
+
+(* The Reference sizer as it stood in lib/, verbatim up to module paths and
+   the result fields the tests compare: StatisticalGreedy with a fresh
+   FULLSSTA run and a fresh oracle window every iteration, each commit a
+   full refresh, and every iteration judged by a from-scratch electrical
+   and exact FASSTA pass. Returns the final moments; the cells are left on
+   the circuit. *)
+module Oracle_sizer = struct
+  open Core.Sizer
+
+  let patience = 4
+
+  let run_iteration config ~model ~lib circuit full window =
+    let path =
+      match config.path_source with
+      | Dominant_path -> Core.Wnss.trace ~model circuit full
+      | All_output_paths -> Core.Wnss.trace_all_outputs ~model circuit full
+      | Critical_cone -> Core.Wnss.critical_cone ~model circuit full
+    in
+    let visited =
+      List.filter (fun id -> not (Netlist.Circuit.is_input circuit id)) path
+    in
+    let applied = ref [] in
+    let pending = ref [] in
+    List.iter
+      (fun gate ->
+        let sub =
+          Netlist.Cone.extract circuit ~pivot:gate ~depth:config.window_depth
+        in
+        let verdict = Oracle_window.best_size window ~lib sub in
+        let current = Netlist.Circuit.cell_exn circuit gate in
+        if not (Cells.Cell.equal verdict.Core.Window.best current) then begin
+          let gain =
+            verdict.Core.Window.current_cost -. verdict.Core.Window.best_cost
+          in
+          if gain > config.move_threshold then begin
+            let moves =
+              (gate, current, verdict.Core.Window.best)
+              :: List.map
+                   (fun (fi, cell) ->
+                     (fi, Netlist.Circuit.cell_exn circuit fi, cell))
+                   verdict.Core.Window.co_resizes
+            in
+            match config.commit_mode with
+            | Sequential ->
+                List.iter
+                  (fun (g, _, cell) -> Netlist.Circuit.set_cell circuit g cell)
+                  moves;
+                Oracle_window.commit window;
+                applied := List.rev_append moves !applied
+            | Batch -> pending := List.rev_append moves !pending
+          end
+        end)
+      visited;
+    List.iter
+      (fun (gate, _, best) -> Netlist.Circuit.set_cell circuit gate best)
+      !pending;
+    List.rev_append !pending !applied
+
+  let optimize ~config ~lib circuit =
+    let model = Ssta.Fullssta.default_config.Ssta.Fullssta.model in
+    let snapshot () =
+      List.map
+        (fun id -> (id, Netlist.Circuit.cell_exn circuit id))
+        (Netlist.Circuit.gates circuit)
+    in
+    let judge_cost () =
+      let electrical = Sta.Electrical.compute circuit in
+      let scratch =
+        Array.make (Netlist.Circuit.size circuit)
+          (Numerics.Clark.moments ~mean:0.0 ~var:0.0)
+      in
+      Ssta.Fassta.propagate_into ~exact:true ~model ~circuit ~electrical scratch;
+      Core.Objective.cost_of_rv ~exact:true config.objective
+        (fun o -> scratch.(o))
+        (Netlist.Circuit.outputs circuit)
+    in
+    let best_cost = ref (judge_cost ()) in
+    let best_cells = ref (snapshot ()) in
+    let rec loop index full misses =
+      if index < config.max_iterations then begin
+        let window =
+          Oracle_window.create ~mode:config.evaluation ~circuit ~model
+            ~objective:config.objective ~full
+        in
+        match run_iteration config ~model ~lib circuit full window with
+        | [] -> ()
+        | _ ->
+            let full' = Ssta.Fullssta.run circuit in
+            let cost' = judge_cost () in
+            if cost' < !best_cost then begin
+              best_cost := cost';
+              best_cells := snapshot ();
+              loop (index + 1) full' 0
+            end
+            else if misses + 1 < patience then loop (index + 1) full' (misses + 1)
+      end
+    in
+    loop 0 (Ssta.Fullssta.run circuit) 0;
+    List.iter (fun (id, cell) -> Netlist.Circuit.set_cell circuit id cell) !best_cells;
+    Ssta.Fullssta.output_moments (Ssta.Fullssta.run circuit)
+end
+
+(* The window-level oracle: on every gate of two quick circuits, the
+   window and the oracle window over separate copies of the same sized
+   circuit return the same verdict with bit-equal costs, and price a
+   forced trial (the pivot's strongest size) to the bit, under both
+   scoring modes. Each window is reused across every gate, so a trial that
+   leaked state into the circuit or the window would also surface here. *)
 let test_window_engines_agree () =
   let objective = Core.Objective.create ~alpha:3.0 in
   List.iter
     (fun (name, mode) ->
-      let window engine c =
-        Core.Window.create ~mode ~engine ~circuit:c
-          ~model:Variation.Model.default ~objective ~full:(Ssta.Fullssta.run c)
-          ()
-      in
       let cp = sized name and cr = sized name in
-      let wp = window Core.Window.Production cp
-      and wr = window Core.Window.Reference cr in
+      let wp =
+        Core.Window.create ~mode ~circuit:cp ~model:Variation.Model.default
+          ~objective ~full:(Ssta.Fullssta.run cp) ()
+      and wr =
+        Oracle_window.create ~mode ~circuit:cr ~model:Variation.Model.default
+          ~objective ~full:(Ssta.Fullssta.run cr)
+      in
       List.iter
         (fun g ->
           let what =
@@ -186,7 +515,7 @@ let test_window_engines_agree () =
           in
           let sub c = Netlist.Cone.extract c ~pivot:g ~depth:2 in
           let vp = Core.Window.best_size wp ~lib (sub cp)
-          and vr = Core.Window.best_size wr ~lib (sub cr) in
+          and vr = Oracle_window.best_size wr ~lib (sub cr) in
           Alcotest.(check string)
             (what "best cell") (Cells.Cell.name vr.Core.Window.best)
             (Cells.Cell.name vp.Core.Window.best);
@@ -207,7 +536,7 @@ let test_window_engines_agree () =
                  (Cells.Cell.fn (Netlist.Circuit.cell_exn cp g)))
           in
           let cost_p, adj_p = Core.Window.cost_with_cell ~lib wp (sub cp) strongest
-          and cost_r, adj_r = Core.Window.cost_with_cell ~lib wr (sub cr) strongest in
+          and cost_r, adj_r = Oracle_window.cost_with_cell ~lib wr (sub cr) strongest in
           check_true (what "cost_with_cell bit-equal") (bit_equal cost_p cost_r);
           check_true (what "cost_with_cell co-resizes")
             (cell_names adj_p = cell_names adj_r))
@@ -217,8 +546,8 @@ let test_window_engines_agree () =
        [ "alu2"; "c432" ])
 
 (* The acceptance property in miniature, over Table 1's configurations:
-   both sizer engines walk the same trajectory, so the final cell
-   assignment and moments agree bit-for-bit. *)
+   the sizer and the oracle sizer walk the same trajectory, so the final
+   cell assignment and moments agree bit-for-bit. *)
 let test_sizer_incremental_bitexact () =
   let d = Core.Sizer.default_config in
   let cases =
@@ -229,22 +558,18 @@ let test_sizer_incremental_bitexact () =
       ("c432", "alpha 9", { d with Core.Sizer.objective = Core.Objective.create ~alpha:9.0 });
     ]
   in
+  let cells_of c =
+    List.map
+      (fun g -> Cells.Cell.name (Netlist.Circuit.cell_exn c g))
+      (Netlist.Circuit.gates c)
+  in
   List.iter
     (fun (name, label, config) ->
-      let run engine =
-        let c = sized name in
-        let r =
-          Core.Sizer.optimize ~config:{ config with Core.Sizer.engine } ~lib c
-        in
-        ( List.map
-            (fun g -> Cells.Cell.name (Netlist.Circuit.cell_exn c g))
-            (Netlist.Circuit.gates c),
-          r.Core.Sizer.final_moments )
-      in
-      let cells_r, m_r = run Core.Window.Reference in
-      let cells_p, m_p = run Core.Window.Production in
+      let cr = sized name and cp = sized name in
+      let m_r = Oracle_sizer.optimize ~config ~lib cr in
+      let m_p = (Core.Sizer.optimize ~config ~lib cp).Core.Sizer.final_moments in
       let what = Printf.sprintf "%s (%s): %s" name label in
-      check_true (what "final sizings identical") (cells_r = cells_p);
+      check_true (what "final sizings identical") (cells_of cr = cells_of cp);
       check_true (what "final moments bit-equal")
         (bit_equal m_r.Numerics.Clark.mean m_p.Numerics.Clark.mean
         && bit_equal m_r.Numerics.Clark.var m_p.Numerics.Clark.var))
@@ -438,7 +763,7 @@ let test_raising_trial_restores () =
   let full = Ssta.Fullssta.run c in
   let e = Ssta.Fullssta.electrical full in
   let window () =
-    Core.Window.create ~engine:Core.Window.Production ~circuit:c
+    Core.Window.create ~circuit:c
       ~model:Variation.Model.default ~objective ~full ()
   in
   let w = window () in

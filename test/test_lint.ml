@@ -227,6 +227,9 @@ let flow_stale =
     "(* statflow: safe — nothing here needs suppressing *)\n\
      let run x = x + 1\n" )
 
+let flow_dead_export =
+  ("flow_dead.mli", "val unused : int -> int\n")
+
 (* One (code, thunk) pair per public rule; the coverage test below asserts
    this list spans the whole non-internal catalogue. *)
 let triggers : (string * (unit -> Diag.t list)) list =
@@ -316,7 +319,7 @@ let triggers : (string * (unit -> Diag.t list)) list =
                   then begin
                     Netlist.Circuit.set_cell c g cell;
                     match
-                      Ssta.Fullssta.update ~paranoid:true full ~resized:[]
+                      Ssta.Fullssta.update ~paranoid:true full
                     with
                     | exception Ssta.Fullssta.Divergence d -> diverged := [ d ]
                     | _ -> Netlist.Circuit.set_cell c g cur
@@ -355,7 +358,7 @@ let triggers : (string * (unit -> Diag.t list)) list =
         in
         Lint.Absint_rules.check_fullssta sc (fun id ->
             Numerics.Clark.moments
-              ~mean:(Numerics.Interval.mid (Absint.Statcheck.mean_interval sc id))
+              ~mean:(Numerics.Interval.mid (Absint.Statcheck.state sc id).Absint.Domain.mean)
               ~var:1e9) );
     ( "ABS003",
       fun () ->
@@ -401,6 +404,7 @@ let triggers : (string * (unit -> Diag.t list)) list =
     ("DET001", fun () -> statflow_findings [ flow_hash ]);
     ("DET002", fun () -> statflow_findings [ flow_clock ]);
     ("DET003", fun () -> statflow_findings [ flow_rand ]);
+    ("EXP001", fun () -> statflow_findings [ flow_dead_export ]);
     ("FLOW007", fun () -> statflow_findings [ flow_stale ]);
   ]
 
@@ -658,14 +662,14 @@ let default_setup_clean () =
 
 let generators_error_clean () =
   List.iter
-    (fun (e : Benchgen.Iscas_like.entry) ->
-      let c = e.Benchgen.Iscas_like.build ~lib in
+    (fun name ->
+      let c = Benchgen.Iscas_like.build_exn ~lib name in
       let ds = Lint.Engine.check_all ~lib c in
       if Diag.has_errors ds then
-        Alcotest.failf "%s has lint errors: %s" e.Benchgen.Iscas_like.name
+        Alcotest.failf "%s has lint errors: %s" name
           (String.concat "; "
              (List.map Diag.to_string (List.filter (fun d -> d.Diag.severity = Diag.Severity.Error) ds))))
-    Benchgen.Iscas_like.suite
+    Benchgen.Iscas_like.names
 
 let preflight_rejects () =
   let l = nonmonotone_load_lib () in

@@ -44,7 +44,7 @@ let circuit_forward_reference () =
 
 let circuit_set_cell_checks_function () =
   let c = tiny_circuit () in
-  let n1 = Netlist.Circuit.find_exn c ~name:"n1" in
+  let n1 = Test_util.find_exn c ~name:"n1" in
   try
     Netlist.Circuit.set_cell c n1 inv;
     Alcotest.fail "expected function-change failure"
@@ -52,7 +52,7 @@ let circuit_set_cell_checks_function () =
 
 let circuit_set_cell_resizes () =
   let c = tiny_circuit () in
-  let n1 = Netlist.Circuit.find_exn c ~name:"n1" in
+  let n1 = Test_util.find_exn c ~name:"n1" in
   let bigger = Cells.Library.cell_exn lib ~fn:(Cells.Fn.And 2) ~drive_index:3 in
   let area0 = Netlist.Circuit.total_area c in
   Netlist.Circuit.set_cell c n1 bigger;
@@ -62,9 +62,9 @@ let circuit_set_cell_resizes () =
 
 let circuit_load () =
   let c = tiny_circuit () in
-  let a = Netlist.Circuit.find_exn c ~name:"a" in
-  let n1 = Netlist.Circuit.find_exn c ~name:"n1" in
-  let n3 = Netlist.Circuit.find_exn c ~name:"n3" in
+  let a = Test_util.find_exn c ~name:"a" in
+  let n1 = Test_util.find_exn c ~name:"n1" in
+  let n3 = Test_util.find_exn c ~name:"n3" in
   (* a drives only n1: load = one AND2 pin *)
   close ~tol:1e-9 "input load"
     (Cells.Cell.input_cap (Netlist.Circuit.cell_exn c n1))
@@ -98,7 +98,7 @@ let circuit_copy_independent () =
   let c2 = Netlist.Circuit.copy c in
   check_int "same size" (Netlist.Circuit.size c) (Netlist.Circuit.size c2);
   close "same area" (Netlist.Circuit.total_area c) (Netlist.Circuit.total_area c2);
-  let n1 = Netlist.Circuit.find_exn c ~name:"n1" in
+  let n1 = Test_util.find_exn c ~name:"n1" in
   let bigger = Cells.Library.cell_exn lib ~fn:(Cells.Fn.And 2) ~drive_index:5 in
   Netlist.Circuit.set_cell c2 n1 bigger;
   check_true "copies are independent"
@@ -149,9 +149,9 @@ let levelize_tiny () =
 
 let cone_tfi_tfo () =
   let c = tiny_circuit () in
-  let n1 = Netlist.Circuit.find_exn c ~name:"n1" in
-  let n2 = Netlist.Circuit.find_exn c ~name:"n2" in
-  let n3 = Netlist.Circuit.find_exn c ~name:"n3" in
+  let n1 = Test_util.find_exn c ~name:"n1" in
+  let n2 = Test_util.find_exn c ~name:"n2" in
+  let n3 = Test_util.find_exn c ~name:"n3" in
   Alcotest.(check (list int)) "tfi of n3" [ n1; n2 ]
     (Netlist.Cone.transitive_fanin c n3 ~depth:2);
   Alcotest.(check (list int)) "tfo of n1" [ n3 ]
@@ -161,26 +161,26 @@ let cone_tfi_tfo () =
 
 let cone_extract () =
   let c = tiny_circuit () in
-  let n1 = Netlist.Circuit.find_exn c ~name:"n1" in
-  let n3 = Netlist.Circuit.find_exn c ~name:"n3" in
+  let n1 = Test_util.find_exn c ~name:"n1" in
+  let n3 = Test_util.find_exn c ~name:"n3" in
   let sub = Netlist.Cone.extract c ~pivot:n1 ~depth:2 in
   check_int "pivot" n1 sub.Netlist.Cone.pivot;
   Alcotest.(check (list int)) "members include pivot chain" [ n1; n3 ]
     (Array.to_list sub.Netlist.Cone.members);
   check_true "n2 is boundary"
-    (List.mem (Netlist.Circuit.find_exn c ~name:"n2") sub.Netlist.Cone.boundary_inputs);
+    (List.mem (Test_util.find_exn c ~name:"n2") sub.Netlist.Cone.boundary_inputs);
   Alcotest.(check (list int)) "window outputs" [ n3 ] sub.Netlist.Cone.window_outputs
 
 let cone_extract_input_rejected () =
   let c = tiny_circuit () in
-  let a = Netlist.Circuit.find_exn c ~name:"a" in
+  let a = Test_util.find_exn c ~name:"a" in
   Alcotest.check_raises "pivot must be a gate"
     (Invalid_argument "Cone.extract: pivot is a primary input") (fun () ->
       ignore (Netlist.Cone.extract c ~pivot:a ~depth:2))
 
 let cone_input_cone () =
   let c = tiny_circuit () in
-  let n3 = Netlist.Circuit.find_exn c ~name:"n3" in
+  let n3 = Test_util.find_exn c ~name:"n3" in
   check_int "full cone = whole circuit" (Netlist.Circuit.size c)
     (List.length (Netlist.Cone.input_cone c n3))
 

@@ -1187,10 +1187,7 @@ let rng_fill_allocation_pin () =
 let stats_known_values () =
   let s = Numerics.Stats.of_list [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ] in
   close "mean" 5.0 (Numerics.Stats.mean s);
-  close "population variance" 4.0 (Numerics.Stats.population_variance s);
   close ~tol:1e-9 "sample variance" (32.0 /. 7.0) (Numerics.Stats.variance s);
-  close "min" 2.0 (Numerics.Stats.min_value s);
-  close "max" 9.0 (Numerics.Stats.max_value s);
   check_int "count" 8 (Numerics.Stats.count s)
 
 let stats_percentiles () =

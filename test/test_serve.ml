@@ -433,18 +433,7 @@ let socket_path name =
    on a fresh connection and join, so a raising [f] fails the test instead
    of joining a daemon that never stops. A daemon that is already gone or
    going ([f] shut it down) refuses, resets or closes that connection. *)
-let with_daemon name f =
-  let socket = socket_path name in
-  (try Sys.remove socket with Sys_error _ -> ());
-  let config = { (Serve.Daemon.default_config ~socket) with max_batch = 4 } in
-  let daemon = Domain.spawn (fun () -> Serve.Daemon.run config) in
-  let stop () =
-    (try
-       ignore
-         (Serve.Client.session ~socket [ {|{"serve":1,"id":0,"op":"shutdown"}|} ])
-     with Unix.Unix_error _ | Sys_error _ | Failure _ -> ());
-    Domain.join daemon
-  in
+let wait_for_socket socket =
   let rec wait tries =
     if not (Sys.file_exists socket) then
       if tries = 0 then Alcotest.failf "%s never appeared" socket
@@ -453,8 +442,25 @@ let with_daemon name f =
         wait (tries - 1)
       end
   in
+  wait 10_000
+
+let shutdown_line = {|{"serve":1,"id":0,"op":"shutdown"}|}
+
+let send_shutdown socket =
+  try ignore (Serve.Client.session ~socket [ shutdown_line ])
+  with Unix.Unix_error _ | Sys_error _ | Failure _ -> ()
+
+let with_daemon name f =
+  let socket = socket_path name in
+  (try Sys.remove socket with Sys_error _ -> ());
+  let config = { (Serve.Daemon.default_config ~socket) with max_batch = 4 } in
+  let daemon = Domain.spawn (fun () -> Serve.Daemon.run config) in
+  let stop () =
+    send_shutdown socket;
+    Domain.join daemon
+  in
   Fun.protect ~finally:stop (fun () ->
-      wait 10_000;
+      wait_for_socket socket;
       f socket)
 
 let response_code line =
@@ -552,6 +558,90 @@ let test_daemon_socket_ready () =
   check_true "socket removed" (not (Sys.file_exists socket));
   check_true "temporary name removed" (not (Sys.file_exists (socket ^ ".tmp")))
 
+let ping socket =
+  match Serve.Client.session ~socket [ {|{"serve":1,"id":1,"op":"ping"}|} ] with
+  | [ r ] -> response_code r
+  | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
+
+(* A second daemon on a live daemon's path must refuse before it creates or
+   removes anything, and the first must keep its file and keep answering.
+   The second runs in its own domain: should it take the path over
+   instead, it is shut down through the path and the test fails. The first
+   is then unreachable, so it is left running rather than joined. *)
+let test_daemon_refuses_live_socket () =
+  let socket = socket_path "live" in
+  (try Sys.remove socket with Sys_error _ -> ());
+  let first =
+    Domain.spawn (fun () ->
+        Serve.Daemon.run (Serve.Daemon.default_config ~socket))
+  in
+  wait_for_socket socket;
+  let outcome = Atomic.make None in
+  let second =
+    Domain.spawn (fun () ->
+        Atomic.set outcome
+          (Some
+             (match Serve.Daemon.run (Serve.Daemon.default_config ~socket) with
+             | () -> None
+             | exception Serve.Daemon.Socket_in_use path -> Some path)))
+  in
+  let rec wait tries =
+    match Atomic.get outcome with
+    | Some r -> Some r
+    | None when tries = 0 -> None
+    | None ->
+        Unix.sleepf 0.001;
+        wait (tries - 1)
+  in
+  match wait 5_000 with
+  | None | Some None ->
+      send_shutdown socket;
+      Domain.join second;
+      Alcotest.fail "a second daemon took over a live daemon's socket"
+  | Some (Some path) ->
+      Domain.join second;
+      Fun.protect
+        ~finally:(fun () ->
+          send_shutdown socket;
+          Domain.join first)
+        (fun () ->
+          Alcotest.(check string) "refused path" socket path;
+          check_true "first daemon's socket kept" (Sys.file_exists socket);
+          check_true "no temporary name left"
+            (not (Sys.file_exists (socket ^ ".tmp")));
+          Alcotest.(check string) "first daemon answers" "ok" (ping socket))
+
+(* A socket file nobody listens on, as a killed daemon leaves behind, is
+   taken over: the start proceeds, serves, and removes the file on the
+   way out. *)
+let test_daemon_takes_stale_socket () =
+  let socket = socket_path "stale" in
+  (try Sys.remove socket with Sys_error _ -> ());
+  let dead = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind dead (Unix.ADDR_UNIX socket);
+  Unix.close dead;
+  check_true "stale file present" (Sys.file_exists socket);
+  let daemon =
+    Domain.spawn (fun () ->
+        Serve.Daemon.run (Serve.Daemon.default_config ~socket))
+  in
+  (* the stale file is there from the start, so wait for the daemon's
+     answer rather than for the file *)
+  let rec answer tries =
+    match ping socket with
+    | code -> code
+    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
+      when tries > 0 ->
+        Unix.sleepf 0.001;
+        answer (tries - 1)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      send_shutdown socket;
+      Domain.join daemon)
+    (fun () -> Alcotest.(check string) "daemon answers" "ok" (answer 10_000));
+  check_true "socket removed" (not (Sys.file_exists socket))
+
 let suite =
   [
     ( "protocol",
@@ -600,6 +690,10 @@ let suite =
           test_daemon_batch_and_shutdown;
         Alcotest.test_case "socket ready once visible" `Quick
           test_daemon_socket_ready;
+        Alcotest.test_case "second daemon refused on a live socket" `Quick
+          test_daemon_refuses_live_socket;
+        Alcotest.test_case "stale socket taken over" `Quick
+          test_daemon_takes_stale_socket;
       ] );
   ]
 

@@ -150,8 +150,8 @@ let fassta_cutoff_fraction_empty () =
 let fassta_propagate_boundary () =
   let c = tiny_circuit () in
   let e = Sta.Electrical.compute c in
-  let n1 = Netlist.Circuit.find_exn c ~name:"n1" in
-  let n3 = Netlist.Circuit.find_exn c ~name:"n3" in
+  let n1 = Test_util.find_exn c ~name:"n1" in
+  let n3 = Test_util.find_exn c ~name:"n3" in
   (* boundary puts n1's arrival far ahead: n3 must inherit it *)
   let boundary id =
     if id = n1 then moments ~mu:500.0 ~sigma:5.0 else moments ~mu:0.0 ~sigma:0.0
@@ -482,16 +482,16 @@ let mc_allocation_pin () =
 let compare_reports () =
   let c = Benchgen.Adder.ripple_carry ~lib ~bits:4 () in
   let `Full full_r, `Fast fast_r =
-    Ssta.Compare.engines_vs_monte_carlo
+    Ssta_compare.engines_vs_monte_carlo
       ~mc_config:{ Ssta.Monte_carlo.default_config with trials = 800 }
       c
   in
   check_true "full report has outputs"
-    (List.length full_r.Ssta.Compare.per_output = 5);
+    (List.length full_r.Ssta_compare.per_output = 5);
   check_true "fast report has outputs"
-    (List.length fast_r.Ssta.Compare.per_output = 5);
-  check_true "full engine mean within 5%" (full_r.Ssta.Compare.worst_mean_rel_err < 0.05);
-  check_true "fast engine mean within 8%" (fast_r.Ssta.Compare.worst_mean_rel_err < 0.08)
+    (List.length fast_r.Ssta_compare.per_output = 5);
+  check_true "full engine mean within 5%" (full_r.Ssta_compare.worst_mean_rel_err < 0.05);
+  check_true "fast engine mean within 8%" (fast_r.Ssta_compare.worst_mean_rel_err < 0.08)
 
 let () =
   Alcotest.run "ssta"

@@ -16,9 +16,9 @@ let electrical_chain_arrivals () =
   let c = chain_circuit () in
   let e = Sta.Electrical.compute c in
   let arrival = Sta.Analysis.arrivals c e in
-  let x1 = Netlist.Circuit.find_exn c ~name:"x1" in
-  let x2 = Netlist.Circuit.find_exn c ~name:"x2" in
-  let x3 = Netlist.Circuit.find_exn c ~name:"x3" in
+  let x1 = Test_util.find_exn c ~name:"x1" in
+  let x2 = Test_util.find_exn c ~name:"x2" in
+  let x3 = Test_util.find_exn c ~name:"x3" in
   let d id = (Sta.Electrical.arc_delays e id).(0) in
   close ~tol:1e-9 "x1 arrival" (d x1) arrival.(x1);
   close ~tol:1e-9 "x2 arrival" (d x1 +. d x2) arrival.(x2);
@@ -27,9 +27,9 @@ let electrical_chain_arrivals () =
 let analysis_max_at_converge () =
   let c = tiny_circuit () in
   let t = Sta.Analysis.analyze c in
-  let n1 = Netlist.Circuit.find_exn c ~name:"n1" in
-  let n2 = Netlist.Circuit.find_exn c ~name:"n2" in
-  let n3 = Netlist.Circuit.find_exn c ~name:"n3" in
+  let n1 = Test_util.find_exn c ~name:"n1" in
+  let n2 = Test_util.find_exn c ~name:"n2" in
+  let n3 = Test_util.find_exn c ~name:"n3" in
   let e = Sta.Analysis.electrical t in
   let arcs = Sta.Electrical.arc_delays e n3 in
   let expected =
@@ -81,9 +81,9 @@ let downstream_delays_properties () =
   let c = chain_circuit () in
   let e = Sta.Electrical.compute c in
   let d = Sta.Analysis.downstream_delays c e in
-  let x3 = Netlist.Circuit.find_exn c ~name:"x3" in
-  let x1 = Netlist.Circuit.find_exn c ~name:"x1" in
-  let a = Netlist.Circuit.find_exn c ~name:"a" in
+  let x3 = Test_util.find_exn c ~name:"x3" in
+  let x1 = Test_util.find_exn c ~name:"x1" in
+  let a = Test_util.find_exn c ~name:"a" in
   close_abs ~tol:1e-9 "output has no downstream" 0.0 d.(x3);
   check_true "upstream accumulates" (d.(a) > d.(x1));
   (* downstream(a) = total path delay = max arrival *)
@@ -93,7 +93,7 @@ let downstream_delays_properties () =
 let electrical_snapshot_restore () =
   let c = tiny_circuit () in
   let e = Sta.Electrical.compute c in
-  let n1 = Netlist.Circuit.find_exn c ~name:"n1" in
+  let n1 = Test_util.find_exn c ~name:"n1" in
   let ids = [| n1 |] in
   let before_delay = (Sta.Electrical.arc_delays e n1).(0) in
   let snap = Sta.Electrical.snapshot e ids in

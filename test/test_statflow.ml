@@ -153,6 +153,42 @@ let full_directory () =
     (Statflow.Analyze.count_by_code r.Statflow.Analyze.findings);
   Alcotest.(check int) "one suppression" 1 r.Statflow.Analyze.suppressed
 
+(* ---- dead exports -------------------------------------------------------- *)
+
+(* The EXP001 fixture lives beside the others, in its own directory, so the
+   whole-directory histogram above keeps counting .ml fixtures only. Five
+   values: one another file names (silent), one only its own module names
+   and one nothing names (both fire), one kept by a pragma (silent, one
+   suppression), and one whose pragma covers a value another file names
+   (FLOW007). *)
+let dead_exports () =
+  let dir = Filename.concat (Filename.dirname fixture_dir) "exports" in
+  let config = { config with Statflow.Analyze.entries = [ "nothing" ] } in
+  let r = Statflow.Analyze.run_dirs ~config [ dir ] in
+  Alcotest.(check int) "files" 3 r.Statflow.Analyze.files_scanned;
+  let found =
+    List.map
+      (fun (d : Diag.t) ->
+        match d.Diag.location with
+        | Diag.File { file; line } -> (d.Diag.code, Filename.basename file, line)
+        | _ -> (d.Diag.code, "?", 0))
+      r.Statflow.Analyze.findings
+  in
+  Alcotest.(check (list (triple string string int)))
+    "findings"
+    [
+      ("EXP001", "shared.mli", 6);
+      ("EXP001", "shared.mli", 9);
+      ("FLOW007", "shared.mli", 15);
+    ]
+    (List.sort compare found);
+  Alcotest.(check int) "one suppression" 1 r.Statflow.Analyze.suppressed;
+  List.iter
+    (fun (d : Diag.t) ->
+      if d.Diag.code = "EXP001" && not (contains (Diag.to_string d) "Shared.")
+      then Alcotest.failf "finding does not name the module: %s" (Diag.to_string d))
+    r.Statflow.Analyze.findings
+
 (* ---- sort-sink discipline ------------------------------------------------ *)
 
 (* the same traversal, ordered vs not: piping the fold into List.sort is
@@ -267,7 +303,7 @@ let real_tree_agrees_with_gc_budget () =
   | Some roots ->
       let r = Statflow.Analyze.run_dirs [ roots |> List.hd ] in
       Alcotest.(check int)
-        "all nine hot entries resolve" 9
+        "all eight hot entries resolve" 8
         (List.length r.Statflow.Analyze.hot_entries);
       (* the Monte Carlo trial loop and the generator under it carry no
          allocation finding, and need no allow entry to get there *)
@@ -311,6 +347,7 @@ let () =
           Alcotest.test_case "stale pragma" `Quick stale_pragma;
           Alcotest.test_case "parse failure" `Quick parse_failure;
           Alcotest.test_case "full directory" `Quick full_directory;
+          Alcotest.test_case "dead exports" `Quick dead_exports;
         ] );
       ( "model",
         [

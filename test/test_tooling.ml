@@ -11,15 +11,7 @@ let power_cell_model () =
   check_true "bigger cell, more dynamic energy"
     (Cells.Power.dynamic_energy_fj big > Cells.Power.dynamic_energy_fj small);
   check_true "bigger cell, more leakage"
-    (Cells.Power.leakage_nw big > Cells.Power.leakage_nw small);
-  (* fast corner (z < 0) leaks more; slow corner leaks less *)
-  let nom = Cells.Power.leakage_nw small in
-  check_true "fast die leaks more"
-    (Cells.Power.leakage_at_corner_nw small ~z:(-1.0) > nom);
-  check_true "slow die leaks less"
-    (Cells.Power.leakage_at_corner_nw small ~z:1.0 < nom);
-  close ~tol:1e-9 "nominal corner is nominal" nom
-    (Cells.Power.leakage_at_corner_nw small ~z:0.0)
+    (Cells.Power.leakage_nw big > Cells.Power.leakage_nw small)
 
 let power_analysis_runs () =
   let c = Benchgen.Adder.ripple_carry ~lib ~bits:8 () in
@@ -186,7 +178,7 @@ let sdf_structure () =
 let sdf_corners_ordered () =
   let c = tiny_circuit () in
   let e = Sta.Electrical.compute c in
-  let n1 = Netlist.Circuit.find_exn c ~name:"n1" in
+  let n1 = Test_util.find_exn c ~name:"n1" in
   let d = (Sta.Electrical.arc_delays e n1).(0) in
   let strength = Cells.Cell.strength (Netlist.Circuit.cell_exn c n1) in
   let sigma = Variation.Model.sigma Variation.Model.default ~delay:d ~strength in

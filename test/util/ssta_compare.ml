@@ -1,6 +1,6 @@
-(* Cross-engine accuracy metrics: how close FASSTA and FULLSSTA land to each
-   other and to Monte Carlo, per output and for the circuit-level RV_O.
-   Backs the §4.3 approximation study and the engine-agreement tests. *)
+(* Cross-engine accuracy metrics: how close FASSTA and FULLSSTA land to
+   Monte Carlo, per output. The statistical differential tests grow from
+   here; no shipped code needs it, so it lives beside the tests. *)
 
 type engine_summary = { mean : float; sigma : float }
 
@@ -35,17 +35,17 @@ let summarize per_output =
   }
 
 (* FASSTA and FULLSSTA against a Monte-Carlo reference on every output. *)
-let engines_vs_monte_carlo ?(mc_config = Monte_carlo.default_config)
-    ?(full_config = Fullssta.default_config) circuit =
-  let mc = Monte_carlo.run ~config:mc_config circuit in
-  let full = Fullssta.run ~config:full_config circuit in
-  let fast = Fassta.run ~model:full_config.Fullssta.model circuit in
+let engines_vs_monte_carlo ?(mc_config = Ssta.Monte_carlo.default_config)
+    ?(full_config = Ssta.Fullssta.default_config) circuit =
+  let mc = Ssta.Monte_carlo.run ~config:mc_config circuit in
+  let full = Ssta.Fullssta.run ~config:full_config circuit in
+  let fast = Ssta.Fassta.run ~model:full_config.Ssta.Fullssta.model circuit in
   let outputs = Netlist.Circuit.outputs circuit in
   let against summary_of =
     summarize
       (List.filter_map
          (fun o ->
-           match Monte_carlo.output_stats mc o with
+           match Ssta.Monte_carlo.output_stats mc o with
            | None -> None
            | Some s ->
                Some
@@ -53,14 +53,6 @@ let engines_vs_monte_carlo ?(mc_config = Monte_carlo.default_config)
                    deviation ~reference:(of_stats s) ~candidate:(summary_of o) ))
          outputs)
   in
-  let full_report = against (fun o -> of_moments (Fullssta.moments full o)) in
+  let full_report = against (fun o -> of_moments (Ssta.Fullssta.moments full o)) in
   let fast_report = against (fun o -> of_moments fast.(o)) in
   (`Full full_report, `Fast fast_report)
-
-let pp_deviation ppf d =
-  Fmt.pf ppf "Δμ=%.2f%% Δσ=%.2f%%" (100.0 *. d.mean_rel_err)
-    (100.0 *. d.sigma_rel_err)
-
-let pp_report ppf r =
-  Fmt.pf ppf "worst Δμ=%.2f%%, worst Δσ=%.2f%%" (100.0 *. r.worst_mean_rel_err)
-    (100.0 *. r.worst_sigma_rel_err)

@@ -34,6 +34,12 @@ let tiny_circuit () =
   ignore (Netlist.Build.output bld n3);
   Netlist.Build.finish bld
 
+(* The node named [name]; fails the test when there is none. *)
+let find_exn c ~name =
+  match Netlist.Circuit.find c ~name with
+  | Some id -> id
+  | None -> Alcotest.failf "no node %S" name
+
 (* Little-endian named input vector helpers. *)
 let bits_of_int ~prefix ~width v =
   List.init width (fun i -> (Printf.sprintf "%s%d" prefix i, v land (1 lsl i) <> 0))
