@@ -36,8 +36,15 @@ let circuit_arg =
   let doc = "Benchmark circuit name (see $(b,statsize list)) or a .bench file." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CIRCUIT" ~doc)
 
+(* A .bench file that does not map is reported as [file:line: CODE:
+   message], and the command exits 1, the exit code for errors. *)
 let build_circuit name =
-  if Sys.file_exists name then Netlist.Bench_io.load ~lib ~path:name ()
+  if Sys.file_exists name then (
+    match Netlist.Bench_io.load ~lib ~path:name () with
+    | c -> c
+    | exception Netlist.Bench_io.Parse_error { line; code; message } ->
+        Fmt.epr "%s:%d: %s: %s@." name line code message;
+        exit 1)
   else
     match Benchgen.Iscas_like.find name with
     | Some entry -> entry.Benchgen.Iscas_like.build ~lib

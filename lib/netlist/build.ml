@@ -7,11 +7,19 @@ type t = {
   circuit : Circuit.t;
   lib : Cells.Library.t;
   drive_index : int; (* drive strength assigned to created gates *)
+  reserved : string -> bool; (* names [fresh] must not return *)
   mutable counter : int;
 }
 
-let create ?(drive_index = 0) ?output_load ~lib ~name () =
-  { circuit = Circuit.create ?output_load ~name (); lib; drive_index; counter = 0 }
+let create ?(drive_index = 0) ?output_load ?(reserved = fun _ -> false) ~lib
+    ~name () =
+  {
+    circuit = Circuit.create ?output_load ~name ();
+    lib;
+    drive_index;
+    reserved;
+    counter = 0;
+  }
 
 let circuit t = t.circuit
 let library t = t.lib
@@ -20,7 +28,8 @@ let fresh t prefix =
   let rec next () =
     let name = Printf.sprintf "%s_%d" prefix t.counter in
     t.counter <- t.counter + 1;
-    if Circuit.mem_name t.circuit name then next () else name
+    if Circuit.mem_name t.circuit name || t.reserved name then next ()
+    else name
   in
   next ()
 

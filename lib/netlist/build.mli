@@ -5,16 +5,26 @@
 type t
 
 val create :
-  ?drive_index:int -> ?output_load:float -> lib:Cells.Library.t -> name:string ->
-  unit -> t
+  ?drive_index:int ->
+  ?output_load:float ->
+  ?reserved:(string -> bool) ->
+  lib:Cells.Library.t ->
+  name:string ->
+  unit ->
+  t
 (** New builder; gates are instantiated at [drive_index] (default 0 =
-    minimum size — sizing starts from the smallest cells). *)
+    minimum size — sizing starts from the smallest cells). {!fresh} never
+    returns a name for which [reserved] holds (default: none): the
+    [.bench] reader reserves every name its file defines, so a
+    decomposition node cannot take the name of a gate instantiated
+    later. *)
 
 val circuit : t -> Circuit.t
 val library : t -> Cells.Library.t
 
 val fresh : t -> string -> string
-(** Fresh node name with the given prefix. *)
+(** Fresh node name with the given prefix: in neither the circuit nor the
+    reserved names. *)
 
 val input : t -> name:string -> Circuit.id
 val inputs : t -> prefix:string -> count:int -> Circuit.id array

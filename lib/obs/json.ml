@@ -15,134 +15,164 @@ type t =
 
 exception Bad of string * int
 
+(* One pass by index over the text. Nothing is allocated per byte: a
+   string is decoded by first finding its closing quote and its decoded
+   length (raising any error where a byte-at-a-time decoder would), then
+   blitting the runs between escapes into one buffer of that length. *)
 let parse_exn (s : string) : t =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Bad (msg, !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  let at c = !pos < n && String.unsafe_get s !pos = c in
   let advance () = incr pos in
+  let is_digit c = c >= '0' && c <= '9' in
+  let at_digit () = !pos < n && is_digit (String.unsafe_get s !pos) in
   let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
+    if !pos < n then
+      match String.unsafe_get s !pos with
+      | ' ' | '\t' | '\n' | '\r' ->
+          advance ();
+          skip_ws ()
+      | _ -> ()
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
+  let expect c = if at c then advance () else fail (Printf.sprintf "expected %C" c) in
   let literal word v =
     let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
+    let rec same k = k = l || (s.[!pos + k] = word.[k] && same (k + 1)) in
+    if !pos + l <= n && same 0 then begin
       pos := !pos + l;
       v
     end
     else fail ("expected " ^ word)
   in
+  let hex_digit c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | _ -> -1
+  in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
     let v = ref 0 in
     for _ = 1 to 4 do
-      let d =
-        match s.[!pos] with
-        | '0' .. '9' as c -> Char.code c - Char.code '0'
-        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
-        | _ -> fail "bad hex digit in \\u escape"
-      in
+      let d = hex_digit s.[!pos] in
+      if d < 0 then fail "bad hex digit in \\u escape";
       v := (!v * 16) + d;
       advance ()
     done;
     !v
   in
+  let utf8_length cp = if cp < 0x80 then 1 else if cp < 0x800 then 2 else 3 in
+  (* From inside a string to its closing quote (left at [pos]): the
+     decoded length, [len] so far. *)
+  let rec measure len =
+    if !pos >= n then fail "unterminated string";
+    match String.unsafe_get s !pos with
+    | '"' -> len
+    | '\\' -> (
+        advance ();
+        if !pos >= n then fail "unterminated escape";
+        let c = String.unsafe_get s !pos in
+        advance ();
+        match c with
+        | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' -> measure (len + 1)
+        | 'u' ->
+            let cp = hex4 () in
+            measure (len + utf8_length cp)
+        | _ -> fail "bad escape character")
+    | c when Char.code c < 0x20 -> fail "raw control character in string"
+    | _ ->
+        advance ();
+        measure (len + 1)
+  in
+  (* The escaped body [s.[start .. stop-1]], already measured. *)
+  let decode start stop len =
+    let b = Bytes.create len in
+    let rec run i o =
+      if i < stop then begin
+        let j = ref i in
+        while !j < stop && String.unsafe_get s !j <> '\\' do
+          incr j
+        done;
+        let j = !j in
+        Bytes.blit_string s i b o (j - i);
+        let o = o + (j - i) in
+        if j < stop then
+          match s.[j + 1] with
+          | 'u' ->
+              let cp = ref 0 in
+              for k = j + 2 to j + 5 do
+                cp := (!cp * 16) + hex_digit s.[k]
+              done;
+              let cp = !cp in
+              if cp < 0x80 then Bytes.set b o (Char.chr cp)
+              else if cp < 0x800 then begin
+                Bytes.set b o (Char.chr (0xC0 lor (cp lsr 6)));
+                Bytes.set b (o + 1) (Char.chr (0x80 lor (cp land 0x3F)))
+              end
+              else begin
+                Bytes.set b o (Char.chr (0xE0 lor (cp lsr 12)));
+                Bytes.set b (o + 1) (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
+                Bytes.set b (o + 2) (Char.chr (0x80 lor (cp land 0x3F)))
+              end;
+              run (j + 6) (o + utf8_length cp)
+          | c ->
+              Bytes.set b o
+                (match c with
+                | 'b' -> '\b'
+                | 'f' -> '\012'
+                | 'n' -> '\n'
+                | 'r' -> '\r'
+                | 't' -> '\t'
+                | c -> c (* '"', '\\' and '/' stand for themselves *));
+              run (j + 2) (o + 1)
+      end
+    in
+    run start 0;
+    Bytes.unsafe_to_string b
+  in
   let parse_string () =
     expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | None -> fail "unterminated escape"
-          | Some c ->
-              advance ();
-              (match c with
-              | '"' -> Buffer.add_char b '"'
-              | '\\' -> Buffer.add_char b '\\'
-              | '/' -> Buffer.add_char b '/'
-              | 'b' -> Buffer.add_char b '\b'
-              | 'f' -> Buffer.add_char b '\012'
-              | 'n' -> Buffer.add_char b '\n'
-              | 'r' -> Buffer.add_char b '\r'
-              | 't' -> Buffer.add_char b '\t'
-              | 'u' ->
-                  let cp = hex4 () in
-                  if cp < 0x80 then Buffer.add_char b (Char.chr cp)
-                  else if cp < 0x800 then begin
-                    Buffer.add_char b (Char.chr (0xC0 lor (cp lsr 6)));
-                    Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-                  end
-                  else begin
-                    Buffer.add_char b (Char.chr (0xE0 lor (cp lsr 12)));
-                    Buffer.add_char b
-                      (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-                    Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-                  end
-              | _ -> fail "bad escape character");
-              go ())
-      | Some c when Char.code c < 0x20 -> fail "raw control character in string"
-      | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
+    let start = !pos in
+    let len = measure 0 in
+    let stop = !pos in
+    advance ();
+    (* every escape decodes shorter than it is written *)
+    if len = stop - start then String.sub s start len else decode start stop len
   in
   let parse_number () =
     let start = !pos in
     let consume_digits () =
-      let seen = ref false in
-      let rec go () =
-        match peek () with
-        | Some '0' .. '9' ->
-            seen := true;
-            advance ();
-            go ()
-        | _ -> ()
-      in
-      go ();
-      if not !seen then fail "expected digit"
+      let first = !pos in
+      while at_digit () do
+        advance ()
+      done;
+      if !pos = first then fail "expected digit"
     in
-    if peek () = Some '-' then advance ();
-    (match peek () with
-    | Some '0' -> advance ()
-    | Some '1' .. '9' -> consume_digits ()
-    | _ -> fail "expected digit");
-    if peek () = Some '.' then begin
+    if at '-' then advance ();
+    if at '0' then advance ()
+    else if at_digit () then consume_digits ()
+    else fail "expected digit";
+    if at '.' then begin
       advance ();
       consume_digits ()
     end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        consume_digits ()
-    | _ -> ());
+    if at 'e' || at 'E' then begin
+      advance ();
+      if at '+' || at '-' then advance ();
+      consume_digits ()
+    end;
     float_of_string (String.sub s start (!pos - start))
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
+    if !pos >= n then fail "unexpected end of input";
+    match String.unsafe_get s !pos with
+    | '{' ->
         advance ();
         skip_ws ();
-        if peek () = Some '}' then begin
+        if at '}' then begin
           advance ();
           Obj []
         end
@@ -156,20 +186,20 @@ let parse_exn (s : string) : t =
             let v = parse_value () in
             members := (k, v) :: !members;
             skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                member ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
+            if at ',' then begin
+              advance ();
+              member ()
+            end
+            else if at '}' then advance ()
+            else fail "expected ',' or '}'"
           in
           member ();
           Obj (List.rev !members)
         end
-    | Some '[' ->
+    | '[' ->
         advance ();
         skip_ws ();
-        if peek () = Some ']' then begin
+        if at ']' then begin
           advance ();
           Arr []
         end
@@ -179,22 +209,22 @@ let parse_exn (s : string) : t =
             let v = parse_value () in
             items := v :: !items;
             skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                item ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
+            if at ',' then begin
+              advance ();
+              item ()
+            end
+            else if at ']' then advance ()
+            else fail "expected ',' or ']'"
           in
           item ();
           Arr (List.rev !items)
         end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> Num (parse_number ())
-    | Some c -> fail (Printf.sprintf "unexpected character %C" c)
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '-' | '0' .. '9' -> Num (parse_number ())
+    | c -> fail (Printf.sprintf "unexpected character %C" c)
   in
   let v = parse_value () in
   skip_ws ();

@@ -27,22 +27,30 @@ exception Disconnected
 
 (* Line framing over the raw fd: [next_batch] blocks for at least one
    complete line, then drains whatever else already arrived (the batching
-   window) without blocking. Returns [None] on EOF. *)
-type reader = { fd : Unix.file_descr; buf : Buffer.t; max_line : int }
+   window) without blocking. Returns [None] on EOF.
+
+   One growable buffer per connection: [Unix.read] fills [buf] after
+   [len], complete lines are copied out of [start, len) once each, and the
+   search for a newline resumes at [scanned], so no byte is looked at
+   twice. *)
+type reader = {
+  fd : Unix.file_descr;
+  mutable buf : Bytes.t;
+  mutable start : int; (* first byte not yet handed out in a line *)
+  mutable scanned : int; (* [start, scanned) holds no newline *)
+  mutable len : int; (* bytes read *)
+  max_line : int;
+}
 
 let split_lines reader =
-  let s = Buffer.contents reader.buf in
   let lines = ref [] in
-  let start = ref 0 in
-  String.iteri
-    (fun i c ->
-      if c = '\n' then begin
-        lines := String.sub s !start (i - !start) :: !lines;
-        start := i + 1
-      end)
-    s;
-  Buffer.clear reader.buf;
-  Buffer.add_substring reader.buf s !start (String.length s - !start);
+  for i = reader.scanned to reader.len - 1 do
+    if Bytes.unsafe_get reader.buf i = '\n' then begin
+      lines := Bytes.sub_string reader.buf reader.start (i - reader.start) :: !lines;
+      reader.start <- i + 1
+    end
+  done;
+  reader.scanned <- reader.len;
   List.rev !lines
 
 let readable_now fd =
@@ -50,12 +58,36 @@ let readable_now fd =
   | [ _ ], _, _ -> true
   | _ -> false
 
+(* Room after [len]: the pending bytes move to the front, into a buffer
+   twice the size when they fill more than half of it. *)
+let make_room reader =
+  if reader.start = reader.len then begin
+    reader.start <- 0;
+    reader.scanned <- 0;
+    reader.len <- 0
+  end
+  else if reader.len = Bytes.length reader.buf then begin
+    let pending = reader.len - reader.start in
+    let dst =
+      if 2 * pending > Bytes.length reader.buf then
+        Bytes.create (2 * Bytes.length reader.buf)
+      else reader.buf
+    in
+    Bytes.blit reader.buf reader.start dst 0 pending;
+    reader.buf <- dst;
+    reader.scanned <- reader.scanned - reader.start;
+    reader.start <- 0;
+    reader.len <- pending
+  end
+
 let read_chunk reader =
-  let bytes = Bytes.create 65536 in
-  match Unix.read reader.fd bytes 0 (Bytes.length bytes) with
+  make_room reader;
+  match
+    Unix.read reader.fd reader.buf reader.len (Bytes.length reader.buf - reader.len)
+  with
   | 0 -> false
   | n ->
-      Buffer.add_subbytes reader.buf bytes 0 n;
+      reader.len <- reader.len + n;
       true
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> false
 
@@ -64,7 +96,7 @@ exception Line_too_long
 let rec next_batch reader =
   match split_lines reader with
   | [] ->
-      if Buffer.length reader.buf > reader.max_line then raise Line_too_long;
+      if reader.len - reader.start > reader.max_line then raise Line_too_long;
       if read_chunk reader then next_batch reader else None
   | lines ->
       (* drain everything already queued behind the first line(s) *)
@@ -76,8 +108,10 @@ let rec next_batch reader =
       Some (drain lines)
 
 let write_line fd line =
-  let payload = Bytes.of_string (line ^ "\n") in
-  let len = Bytes.length payload in
+  let len = String.length line + 1 in
+  let payload = Bytes.create len in
+  Bytes.blit_string line 0 payload 0 (len - 1);
+  Bytes.set payload (len - 1) '\n';
   let rec go off =
     if off < len then begin
       match Unix.write fd payload off (len - off) with
@@ -170,7 +204,14 @@ let serve_batch config env fd lines =
 let serve_connection config env fd =
   Obs.Counters.bump c_connections;
   let reader =
-    { fd; buf = Buffer.create 4096; max_line = config.max_request_bytes + 2 }
+    {
+      fd;
+      buf = Bytes.create 65536;
+      start = 0;
+      scanned = 0;
+      len = 0;
+      max_line = config.max_request_bytes + 2;
+    }
   in
   let rec loop () =
     match next_batch reader with

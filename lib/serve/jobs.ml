@@ -47,10 +47,11 @@ let resolve_lib env (spec : Protocol.libspec) =
   (lib, key, hit)
 
 (* The cache key includes the library key because .bench technology
-   mapping depends on the library's cells. *)
+   mapping depends on the library's cells. [String.concat] copies the
+   payload once; a right-nested [^] would copy it three times. *)
 let circuit_content ~libkey = function
-  | Protocol.Suite name -> "suite\x00" ^ libkey ^ "\x00" ^ name
-  | Protocol.Bench text -> "bench\x00" ^ libkey ^ "\x00" ^ text
+  | Protocol.Suite name -> String.concat "\x00" [ "suite"; libkey; name ]
+  | Protocol.Bench text -> String.concat "\x00" [ "bench"; libkey; text ]
 
 let resolve_circuit env ~lib ~libkey source =
   let build () =

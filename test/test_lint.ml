@@ -484,17 +484,36 @@ let bench_lint_file () =
       | _ -> Alcotest.fail "expected CIRC002 at line 4")
 
 (* A bench whose only problem is warning-level must still load permissively
-   so the lint front end can report it (instead of dying in Build.finish). *)
+   so the lint front end can report it. The strict load refuses it with a
+   [Parse_error] at the dangling gate's line, as it refuses every bad
+   .bench. *)
 let bench_permissive_load () =
   let text = "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\nu = NOT(a)\n" in
   Alcotest.(check int) "parse-clean" 0 (List.length (Netlist.Bench_io.lint text));
-  (try
-     ignore (Netlist.Bench_io.of_string ~lib text);
-     Alcotest.fail "strict load should reject the dangling gate"
-   with Invalid_argument _ -> ());
+  (match Netlist.Bench_io.of_string ~lib text with
+  | _ -> Alcotest.fail "strict load should reject the dangling gate"
+  | exception Netlist.Bench_io.Parse_error { line; code; _ } ->
+      Alcotest.(check (pair string int)) "code and line" ("CIRC004", 4) (code, line));
   let c = Netlist.Bench_io.of_string ~validate:false ~lib text in
   check_has_code ~msg:"dangling reported" "CIRC004"
     (Lint.Circuit_rules.check ~lib c)
+
+(* The two inputs that once escaped the reader as [Invalid_argument] are
+   file:line diagnostics: a repeated INPUT is CIRC002 at its second line,
+   and an '=' after the '(' is BENCH001. *)
+let bench_escapes_reported () =
+  let expect text (code, line) =
+    match
+      List.filter
+        (fun d -> d.Diag.code = code)
+        (Netlist.Bench_io.lint ~file:"t.bench" text)
+    with
+    | [ { Diag.location = Diag.File { file = "t.bench"; line = l }; _ } ] ->
+        check_int (code ^ " line") line l
+    | ds -> Alcotest.failf "expected one %s, got %d" code (List.length ds)
+  in
+  expect "INPUT(a)\nINPUT(b)\nINPUT(a)\nOUTPUT(y)\ny = AND(a, b)\n" ("CIRC002", 3);
+  expect "INPUT(a)\nOUTPUT(x=y)\ny = NOT(a)\n" ("BENCH001", 2)
 
 (* A clean bench round-trips: lint finds nothing, load succeeds. *)
 let bench_clean () =
@@ -743,6 +762,8 @@ let () =
           Alcotest.test_case "lint_file" `Quick bench_lint_file;
           Alcotest.test_case "permissive load" `Quick bench_permissive_load;
           Alcotest.test_case "clean" `Quick bench_clean;
+          Alcotest.test_case "repeated INPUT and misplaced '='" `Quick
+            bench_escapes_reported;
         ] );
       ( "compat",
         [ Alcotest.test_case "validate wrapper" `Quick validate_wrapper ] );

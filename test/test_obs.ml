@@ -252,6 +252,98 @@ let test_roundtrip =
     (QCheck.make ~print:Obs.Json.to_string gen_json)
     (fun v -> json_equal (Obs.Json.parse_exn (Obs.Json.to_string v)) v)
 
+(* ---- the reader against its old copy --------------------------------
+
+   [Json_oracle] is the reader before strings were decoded by blitting the
+   runs between escapes and [peek] stopped allocating, verbatim. On
+   mutated documents, escape-heavy strings and random bytes, both give the
+   same value or the same message at the same byte offset. *)
+
+type parsed = Value of Obs.Json.t | Bad of string * int | Raised of string
+
+let parsed_by parse text =
+  match parse text with
+  | v -> Value v
+  | exception Obs.Json.Bad (m, at) -> Bad (m, at)
+  | exception e -> Raised (Printexc.to_string e)
+
+let show_parsed = function
+  | Value v -> Obs.Json.to_string v
+  | Bad (m, at) -> Printf.sprintf "Bad (%S, %d)" m at
+  | Raised e -> "raised " ^ e
+
+let agrees_with_oracle text =
+  let old_p = parsed_by Json_oracle.parse_exn text in
+  let new_p = parsed_by Obs.Json.parse_exn text in
+  (match (old_p, new_p) with
+  | Value a, Value b -> json_equal a b
+  | Bad _, Bad _ -> old_p = new_p
+  | _ -> false)
+  || QCheck.Test.fail_reportf "old: %s\nnew: %s" (show_parsed old_p) (show_parsed new_p)
+
+let json_bytes =
+  [ '"'; '\\'; 'u'; '{'; '}'; '['; ']'; ','; ':'; '-'; '+'; '.'; 'e'; 'E'; '0';
+    '7'; 'a'; 'F'; ' '; '\n'; '\001'; 't'; 'n'; 'f'; '\xe9' ]
+
+(* A written document with bytes inserted, deleted or replaced, or cut. *)
+let gen_mutated =
+  let open QCheck.Gen in
+  let edit =
+    oneof
+      [
+        map2 (fun p c -> `Insert (p, c)) nat (oneofl json_bytes);
+        map (fun p -> `Delete p) nat;
+        map2 (fun p c -> `Replace (p, c)) nat (oneofl json_bytes);
+        map (fun p -> `Cut p) nat;
+      ]
+  in
+  map2
+    (fun v edits ->
+      List.fold_left
+        (fun s e ->
+          let n = String.length s in
+          match e with
+          | `Insert (p, c) ->
+              let p = p mod (n + 1) in
+              String.sub s 0 p ^ String.make 1 c ^ String.sub s p (n - p)
+          | `Delete p when n > 0 ->
+              let p = p mod n in
+              String.sub s 0 p ^ String.sub s (p + 1) (n - p - 1)
+          | `Replace (p, c) when n > 0 ->
+              String.mapi (fun i x -> if i = p mod n then c else x) s
+          | `Cut p -> String.sub s 0 (p mod (n + 1))
+          | `Delete _ | `Replace _ -> s)
+        (Obs.Json.to_string v) edits)
+    gen_json
+    (list_size (int_range 1 3) edit)
+
+(* One string made of escapes, good and bad, and raw bytes. *)
+let gen_escapes =
+  QCheck.Gen.(
+    map2
+      (fun parts close -> "\"" ^ String.concat "" parts ^ if close then "\"" else "")
+      (list_size (int_bound 12)
+         (oneofl
+            [ "ab"; "\\n"; "\\t"; "\\\""; "\\\\"; "\\/"; "\\b"; "\\f"; "\\r";
+              "\\u0041"; "\\u00e9"; "\\u20AC"; "\\ud83d"; "\\u12"; "\\uZZ00";
+              "\\x"; "\\"; "\001"; "\xc3\xa9"; " " ]))
+      bool)
+
+let test_oracle_mutated =
+  qcheck ~count:1000 "mutated documents: same value or error"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_mutated)
+    agrees_with_oracle
+
+let test_oracle_escapes =
+  qcheck ~count:1000 "escaped strings: same value or error"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_escapes)
+    agrees_with_oracle
+
+let test_oracle_bytes =
+  qcheck ~count:1000 "random bytes: same value or error"
+    QCheck.(string_gen_of_size Gen.(int_bound 64) Gen.char)
+    agrees_with_oracle
+
 (* Multi-domain exactness. On a 1-core box the scheduler gives no real
    parallelism, so the race these tests pin down cannot be exercised —
    note it and pass rather than fail. *)
@@ -330,6 +422,9 @@ let () =
           Alcotest.test_case "to_string golden bytes" `Quick
             test_to_string_golden;
           test_roundtrip;
+          test_oracle_mutated;
+          test_oracle_escapes;
+          test_oracle_bytes;
         ] );
       ( "lut",
         [

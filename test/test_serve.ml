@@ -232,7 +232,18 @@ let test_job_unknown_circuit () =
        (P.Info { source = P.Suite "nope"; library = P.default_libspec }));
   job_err "bad bench text" "unknown_circuit"
     (run_job
-       (P.Info { source = P.Bench "not a bench file"; library = P.default_libspec }))
+       (P.Info { source = P.Bench "not a bench file"; library = P.default_libspec }));
+  (* the three inputs that once escaped the reader as [Invalid_argument]
+     and came back as job_failed with the OCaml exception's text *)
+  List.iter
+    (fun (what, text) ->
+      job_err what "unknown_circuit"
+        (run_job (P.Info { source = P.Bench text; library = P.default_libspec })))
+    [
+      ("repeated INPUT", "INPUT(a)\nINPUT(a)\nOUTPUT(y)\ny = NOT(a)\n");
+      ("'=' after '('", "INPUT(a)\nOUTPUT(x=y)\ny = NOT(a)\n");
+      ("dangling gate", "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\nu = NOT(a)\n");
+    ]
 
 let optimize_digest env =
   match
@@ -450,10 +461,12 @@ let send_shutdown socket =
   try ignore (Serve.Client.session ~socket [ shutdown_line ])
   with Unix.Unix_error _ | Sys_error _ | Failure _ -> ()
 
-let with_daemon name f =
+let with_daemon ?(max_request_bytes = 8 * 1024 * 1024) name f =
   let socket = socket_path name in
   (try Sys.remove socket with Sys_error _ -> ());
-  let config = { (Serve.Daemon.default_config ~socket) with max_batch = 4 } in
+  let config =
+    { (Serve.Daemon.default_config ~socket) with max_batch = 4; max_request_bytes }
+  in
   let daemon = Domain.spawn (fun () -> Serve.Daemon.run config) in
   let stop () =
     send_shutdown socket;
@@ -642,6 +655,145 @@ let test_daemon_takes_stale_socket () =
     (fun () -> Alcotest.(check string) "daemon answers" "ok" (answer 10_000));
   check_true "socket removed" (not (Sys.file_exists socket))
 
+(* ---- framing: requests split and joined across writes ---------------- *)
+
+(* A raw connection, so a test decides how its bytes are split into
+   writes. Reads time out, so a daemon that never answers fails the test
+   instead of hanging it. *)
+let with_raw_connection socket f =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let ic = Unix.in_channel_of_descr fd in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.0;
+      let write s =
+        let rec go off =
+          if off < String.length s then
+            go (off + Unix.write_substring fd s off (String.length s - off))
+        in
+        go 0
+      in
+      f ~write ~read:(fun () -> In_channel.input_line ic))
+
+let ping_line id = Printf.sprintf {|{"serve":1,"id":%d,"op":"ping"}|} id
+
+let response_id line = Obs.Json.member "id" (Obs.Json.parse_exn line)
+
+let expect_answer what ~id = function
+  | Some line ->
+      Alcotest.(check string) (what ^ ": code") "ok" (response_code line);
+      check_true (what ^ ": id") (response_id line = Some (Obs.Json.Num (float_of_int id)))
+  | None -> Alcotest.failf "%s: connection closed" what
+
+(* One request in three writes (1 byte, 7 bytes, the rest), 20 ms apart
+   so the daemon reads them separately: the line is framed whole, once. *)
+let test_framing_split_request () =
+  with_daemon "split" (fun socket ->
+      with_raw_connection socket (fun ~write ~read ->
+          let line = ping_line 5 ^ "\n" in
+          write (String.sub line 0 1);
+          Unix.sleepf 0.02;
+          write (String.sub line 1 7);
+          Unix.sleepf 0.02;
+          write (String.sub line 8 (String.length line - 8));
+          expect_answer "split request" ~id:5 (read ())))
+
+(* Two requests in one write: two answers, in order. *)
+let test_framing_two_in_one_write () =
+  with_daemon "joined" (fun socket ->
+      with_raw_connection socket (fun ~write ~read ->
+          write (ping_line 1 ^ "\n" ^ ping_line 2 ^ "\n");
+          expect_answer "first" ~id:1 (read ());
+          expect_answer "second" ~id:2 (read ())))
+
+let small_cap = 256
+
+(* A complete line of [max_request_bytes + 1] bytes is answered
+   [oversized_request], and the connection goes on. *)
+let test_framing_oversized_line () =
+  with_daemon ~max_request_bytes:small_cap "oversized-line" (fun socket ->
+      with_raw_connection socket (fun ~write ~read ->
+          let head = {|{"serve":1,"id":3,"op":"ping","pad":"|} in
+          let line =
+            head ^ String.make (small_cap + 1 - String.length head - 2) 'x' ^ {|"}|}
+          in
+          check_int "line length" (small_cap + 1) (String.length line);
+          write (line ^ "\n" ^ ping_line 4 ^ "\n");
+          (match read () with
+          | Some r ->
+              Alcotest.(check string) "oversized" "oversized_request" (response_code r)
+          | None -> Alcotest.fail "connection closed on an oversized line");
+          expect_answer "next request" ~id:4 (read ())))
+
+(* More than [max_request_bytes + 2] bytes without a newline: the reader
+   answers [oversized_request] and the daemon closes the connection; the
+   next connection is served. *)
+let test_framing_unterminated () =
+  with_daemon ~max_request_bytes:small_cap "unterminated" (fun socket ->
+      with_raw_connection socket (fun ~write ~read ->
+          write (String.make (small_cap + 40) ' ');
+          (match read () with
+          | Some r ->
+              Alcotest.(check string) "oversized" "oversized_request" (response_code r)
+          | None -> Alcotest.fail "no answer to an unterminated line");
+          check_true "connection closed" (read () = None));
+      Alcotest.(check string) "next connection served" "ok" (ping socket))
+
+(* ---- allocation pins: a fresh .bench [info] ------------------------------ *)
+
+(* serve-mixed's fresh [info] request on its first payload, as its
+   generator writes it. *)
+let fresh_info_line =
+  lazy
+    (P.to_line
+       (Obs.Json.Obj
+          [
+            ("serve", Obs.Json.Num 1.0);
+            ("id", Obs.Json.Num 7.0);
+            ("op", Obs.Json.Str "info");
+            ("bench", Obs.Json.Str (Lazy.force payload_text.(0)));
+          ]))
+
+(* Parsing the line makes one copy of the payload (about 7.2k words) and
+   little else: at most 12k words. Decoding by [peek] and a [Buffer]
+   allocated 130k-152k. *)
+let test_parse_allocation_pin () =
+  let line = Lazy.force fresh_info_line in
+  ignore (P.parse_line line);
+  let parsed, words = allocated_words (fun () -> P.parse_line line) in
+  (match parsed with
+  | Ok (P.Single { job = P.Info { source = P.Bench text; _ }; _ }) ->
+      Alcotest.(check string) "payload" (Lazy.force payload_text.(0)) text
+  | _ -> Alcotest.fail "expected one info job");
+  if words > 12_000.0 then
+    Alcotest.failf "parse_line of a %d-byte info line allocated %.0f words (pin: 12,000)"
+      (String.length line) words
+
+(* The whole fresh [info] on a warm env (its library cached): parse, cache
+   key, .bench read and answer in at most 150k words, against 424k before
+   the connection buffer, the JSON decoder, the single-copy key and the
+   scanner. *)
+let test_fresh_info_allocation_pin () =
+  let env = Serve.Jobs.create_env () in
+  let warm = info (P.Bench (Lazy.force payload_text.(1))) in
+  (match Serve.Jobs.execute env warm with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "warm-up info: %s" e.P.message);
+  let line = Lazy.force fresh_info_line in
+  let result, words =
+    allocated_words (fun () ->
+        match P.parse_line line with
+        | Ok (P.Single { job; _ }) -> Serve.Jobs.execute env job
+        | _ -> Alcotest.fail "expected one info job")
+  in
+  (match result with
+  | Ok r -> check_true "a miss" (contains (P.to_line r) {|"netlist":"miss"|})
+  | Error e -> Alcotest.failf "info: %s" e.P.message);
+  if words > 150_000.0 then
+    Alcotest.failf "fresh info allocated %.0f words (pin: 150,000)" words
+
 let suite =
   [
     ( "protocol",
@@ -694,6 +846,21 @@ let suite =
           test_daemon_refuses_live_socket;
         Alcotest.test_case "stale socket taken over" `Quick
           test_daemon_takes_stale_socket;
+        Alcotest.test_case "request split across writes" `Quick
+          test_framing_split_request;
+        Alcotest.test_case "two requests in one write" `Quick
+          test_framing_two_in_one_write;
+        Alcotest.test_case "oversized line, connection kept" `Quick
+          test_framing_oversized_line;
+        Alcotest.test_case "unterminated line closes the connection" `Quick
+          test_framing_unterminated;
+      ] );
+    ( "allocation",
+      [
+        Alcotest.test_case "parse_line of a fresh info" `Quick
+          test_parse_allocation_pin;
+        Alcotest.test_case "fresh info on a warm env" `Quick
+          test_fresh_info_allocation_pin;
       ] );
   ]
 

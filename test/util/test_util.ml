@@ -118,3 +118,33 @@ end
    exactly 0.0 and the first Gaussian takes Box–Muller's rejection branch,
    which no ordinary seed reaches. *)
 let rejection_seed = -561184103760049731
+
+(* Words [f] allocates: minor plus major minus promoted, so a block made
+   straight on the major heap (a string over 256 words) counts, which
+   [Gc.minor_words] alone misses, and a promoted one counts once. The
+   minor figure comes from [Gc.minor_words]: on OCaml 5.1 the one in
+   [Gc.counters] undercounts (266,881 words for a [List.init 100_000]
+   that [Gc.minor_words] counts as 300,020). *)
+let allocated_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let r = f () in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+(* serve-mixed's fresh [info] payloads: 1500-gate random DAGs at DAG seeds
+   1500 to 1507, as .bench text. *)
+let payload_circuit i =
+  Benchgen.Random_dag.generate ~lib
+    {
+      Benchgen.Random_dag.profile_name = Printf.sprintf "fresh%d" i;
+      inputs = 120;
+      outputs = 40;
+      gates = 1500;
+      depth = 30;
+      seed = 1500 + i;
+    }
+
+let payload_text =
+  Array.init 8 (fun i -> lazy (Netlist.Bench_io.to_string (payload_circuit i)))
